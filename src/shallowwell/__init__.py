@@ -19,7 +19,6 @@ from .errors import (
     ShallowWellError,
     SingularPade,
     TailNotDecayed,
-    UnsupportedChain,
 )
 from .greens import (
     GreensParams,
@@ -43,12 +42,6 @@ from .oracles import (
 from .perturbation import (
     ClusterTerm,
     EnergySeries,
-    chain,
-    e2,
-    e3,
-    e4,
-    e5,
-    e6,
     energy_series,
     evaluate_term,
     evaluate_terms,

@@ -28,8 +28,7 @@ import numpy as np
 from .errors import ConfigError, ShallowWellError
 from .greens import divergent_block, e4_finite_beta
 from .oracles import shooting_solve, shooting_sweep
-from .perturbation import e4 as _e4
-from .perturbation import energy_series
+from .perturbation import energy_series, evaluate_terms, load_terms
 from .potential import Potential
 from .quadrature import build_grid, default_grid
 from .resummation import evaluate_pade, pade_with_asymptote
@@ -57,7 +56,7 @@ class RunConfig:
     fmt: str = "text"
     out: str | None = None
     grid: tuple | None = None  # (L, P, q) override
-    asymptote: float | None = None  # Pade split; default shape(0)
+    asymptote: float | None = None  # Pade split; default shape_max()
     sweep: tuple | None = None  # (s_min, s_max, steps)
     ini_path: str | None = field(default=None, compare=False)
 
@@ -203,8 +202,17 @@ def _grid_for(cfg: RunConfig):
 
 def _workers(n_tasks: int) -> int:
     cap = os.environ.get("SHALLOWWELL_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
+    try:
+        limit = int(cap) if cap else (os.cpu_count() or 1)
+    except ValueError:
+        raise _fail(f"SHALLOWWELL_THREADS={cap!r} is not an integer") from None
     return max(1, min(limit, n_tasks))
+
+
+def _pade(cfg: RunConfig, es):
+    """Asymptote-subtracted Pade; the deep-well limit is E -> -s*shape_max()."""
+    depth = cfg.asymptote if cfg.asymptote is not None else cfg.potential.shape_max()
+    return pade_with_asymptote(es, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +293,12 @@ def cmd_series(cfg: RunConfig) -> int:
 
 def _compare_rows(cfg: RunConfig):
     s_min, s_max, steps = cfg.sweep
+    workers = _workers(steps)  # a bad SHALLOWWELL_THREADS fails before any work
     s_values = np.linspace(s_min, s_max, steps)
     p = cfg.potential
     g = _grid_for(cfg)
     es = energy_series(p, order=6, g=g)
-    depth = cfg.asymptote if cfg.asymptote is not None else float(p.shape(0.0))
-    pa = pade_with_asymptote(es, depth)
+    pa = _pade(cfg, es)
 
     try:
         shots = shooting_sweep(p, s_values)
@@ -322,7 +330,7 @@ def _compare_rows(cfg: RunConfig):
             cells.append(_f9(energy))
         return [_f9(s)] + cells + ["; ".join(reasons)]
 
-    with ThreadPoolExecutor(max_workers=_workers(steps)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(one_row, range(steps)))
     return rows
 
@@ -346,10 +354,8 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def cmd_pade(cfg: RunConfig) -> int:
-    p = cfg.potential
-    es = energy_series(p, order=6, g=_grid_for(cfg))
-    depth = cfg.asymptote if cfg.asymptote is not None else float(p.shape(0.0))
-    pa = pade_with_asymptote(es, depth)
+    es = energy_series(cfg.potential, order=6, g=_grid_for(cfg))
+    pa = _pade(cfg, es)
     if cfg.sweep is not None:
         s_min, s_max, steps = cfg.sweep
         samples = np.linspace(s_min, s_max, steps)
@@ -420,7 +426,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_greens_check(cfg: RunConfig) -> int:
     p = cfg.potential
     g = _grid_for(cfg)
-    e4_limit = _e4(p, g)
+    e4_limit = evaluate_terms(load_terms(4), p, g)
     rows = []
     for beta in _BETA_LADDER:
         val = e4_finite_beta(p, g, beta)

@@ -17,10 +17,6 @@ class LengthMismatch(ShallowWellError):
     """Grid function length does not match the grid."""
 
 
-class UnsupportedChain(ShallowWellError):
-    """Chain length or link power outside the supported range."""
-
-
 class NonPathComponent(ShallowWellError):
     """Absolute-value links of a term branch or form a cycle."""
 

@@ -216,7 +216,7 @@ def e4_finite_beta(p: Potential, g: QuadratureGrid, beta: float) -> float:
     with O^{l+1} kernels given by greens_expansion(l) and expectation
     values taken in the regulator bound state psi0 = sqrt(beta)
     e^{-beta|x|}. The individual pieces diverge as powers of 1/beta but
-    the combination is finite and tends to e4 linearly in beta.
+    the combination is finite and tends to E(4) linearly in beta.
     """
     if not (1e-4 <= beta <= 0.1):
         raise ValueError("beta must lie in [1e-4, 0.1]")

@@ -193,7 +193,7 @@ def _sign_change_brackets(ks, Ws):
     return out
 
 
-def shooting_sweep(p: Potential, s_values, tol: float = 1e-10, nsteps: int = 4000):
+def shooting_sweep(p: Potential, s_values, nsteps: int = 4000):
     """Ground-state energies for one shape at many strengths.
 
     All strengths advance through bracketing and refinement together,
@@ -205,8 +205,6 @@ def shooting_sweep(p: Potential, s_values, tol: float = 1e-10, nsteps: int = 400
         BracketFailure: some strength shows no Wronskian sign change.
         NoConvergence: refinement exhausted its round budget.
     """
-    if tol < 1e-12:
-        raise ValueError("tol must be >= 1e-12")
     s_values = [float(s) for s in s_values]
     if any(s <= 0.0 for s in s_values) or p.shape_max() <= 0.0:
         raise BracketFailure("shooting requires a nonzero attractive potential")
@@ -303,7 +301,7 @@ def shooting_sweep(p: Potential, s_values, tol: float = 1e-10, nsteps: int = 400
     return results
 
 
-def shooting_solve(p: Potential, tol: float = 1e-10, nsteps: int = 4000) -> BoundStateResult:
+def shooting_solve(p: Potential, nsteps: int = 4000) -> BoundStateResult:
     """Ground-state energy of p by Wronskian matching at x = 0.
 
     Integrates u'' = (V - E) u inward from +-L on the asymptotic
@@ -311,7 +309,7 @@ def shooting_solve(p: Potential, tol: float = 1e-10, nsteps: int = 4000) -> Boun
     have a vanishing Wronskian, then checks that the matched solution is
     nodeless.
     """
-    return shooting_sweep(p, [p.s], tol=tol, nsteps=nsteps)[0]
+    return shooting_sweep(p, [p.s], nsteps=nsteps)[0]
 
 
 # ---------------------------------------------------------------------------

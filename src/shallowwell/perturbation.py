@@ -5,11 +5,12 @@ Every correction order reduces to a sum of terms of the form
     coeff * (product of single-site moments mu_k) * (product of chains)
 
 where a chain is the multi-variable integral of alternating potential
-factors and |x_i - x_j|^k kernels along a simple path of sites. The
-fourth and fifth orders are short enough to write as closed-form code;
-the sixth order ships as a static data table of ClusterTerms so that it
-can be audited and cross-checked term by term. Tables for orders 2-5 are
-shipped too and are tested for equivalence with the closed forms.
+factors and |x_i - x_j|^k kernels along a simple path of sites (a
+single-site moment is a one-site chain). Every order ships as a static
+data table of ClusterTerms, so it can be audited and cross-checked term
+by term; the tables are the only evaluation path. A chain is evaluated
+by contracting kernels from its far end, and one cache per grid shares
+chain values and those suffix contractions across terms and orders.
 
 Table dump format (one term per line, '#' comments):
 
@@ -29,13 +30,11 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import NonPathComponent, UnsupportedChain
+from .errors import NonPathComponent
 from .potential import Potential
 from .quadrature import QuadratureGrid, build_grid, contract, default_grid, integrate
 
 _MAX_MOMENT = 4
-_MAX_CHAIN_LINKS = 4
-_MAX_LINK_POWER = 3
 
 
 @dataclass(frozen=True)
@@ -60,10 +59,11 @@ class ClusterTerm:
         return sum(self.site_powers) + sum(k for _, _, k in self.links)
 
     def components(self):
-        """Split sites into link paths and isolated sites.
+        """Split sites into link paths, in order of their first site.
 
-        Returns (paths, isolated) where each path is an ordered site
-        tuple and carries the list of link powers along it.
+        Returns a list of (sites, link_powers) pairs: each path is an
+        ordered site tuple with the link powers along it, and an
+        isolated site is a one-site path with no links.
 
         Raises:
             NonPathComponent: links branch or close a cycle.
@@ -85,15 +85,8 @@ class ClusterTerm:
                 raise NonPathComponent(f"site {i} has {len(nb)} links (branching)")
         seen = set()
         paths = []
-        isolated = []
         for start in range(1, n + 1):
-            if start in seen:
-                continue
-            if not neighbors[start]:
-                seen.add(start)
-                isolated.append(start)
-                continue
-            if len(neighbors[start]) != 1:
+            if start in seen or len(neighbors[start]) == 2:
                 continue  # interior of a path; reached from an endpoint
             path = [start]
             seen.add(start)
@@ -109,7 +102,7 @@ class ClusterTerm:
             paths.append((tuple(path), tuple(powers)))
         if len(seen) != n:
             raise NonPathComponent("links contain a cycle")
-        return paths, isolated
+        return paths
 
 
 def parse_terms(text: str, expected_degree: int | None = None):
@@ -158,114 +151,59 @@ def load_terms(order: int):
 
 
 def moment(p: Potential, g: QuadratureGrid, k: int) -> float:
-    """mu_k = integral of V(x) x^k dx on the grid (k <= 4)."""
+    """mu_k = integral of V(x) x^k dx on the grid (k <= 4): a one-site chain."""
     if not (0 <= k <= _MAX_MOMENT):
         raise ValueError(f"moment power must lie in 0..{_MAX_MOMENT}, got {k}")
-    x = g.nodes
-    return integrate(g, np.asarray(p.evaluate(x)) * x**k)
+    return _chain(p, g, (k,), (), {})
 
 
-def _weighted_chain(p, g, site_powers, link_powers) -> float:
-    """Chain integral with x^m weights attached at each site."""
-    x = g.nodes
-    f = np.ones_like(x)
-    for k, mpow in zip(reversed(link_powers), reversed(site_powers[1:])):
-        f = contract(g, p, k, mpow, f)
-    return integrate(g, np.asarray(p.evaluate(x)) * x ** site_powers[0] * f)
+def _suffix(p, g, site_powers, link_powers, cache) -> np.ndarray:
+    """Grid function of a chain's tail, contracted from the far end.
 
-
-def chain(p: Potential, g: QuadratureGrid, link_powers) -> float:
-    """Pure chain integral over len(link_powers)+1 sites.
-
-    Computed by successive kernel contractions, never by tensor
-    quadrature.
-
-    Raises:
-        UnsupportedChain: length or link power outside the supported set.
+    site_powers and link_powers are the powers remaining after the head
+    site; chains that end the same way share this function in the cache.
     """
-    link_powers = tuple(int(k) for k in link_powers)
-    if not (1 <= len(link_powers) <= _MAX_CHAIN_LINKS):
-        raise UnsupportedChain(
-            f"chain length must lie in 1..{_MAX_CHAIN_LINKS}, got {len(link_powers)}"
-        )
-    if any(not (1 <= k <= _MAX_LINK_POWER) for k in link_powers):
-        raise UnsupportedChain(
-            f"link powers must lie in 1..{_MAX_LINK_POWER}, got {link_powers}"
-        )
-    return _weighted_chain(p, g, (0,) * (len(link_powers) + 1), link_powers)
+    if not link_powers:
+        return np.ones_like(g.nodes)
+    key = ("suffix", site_powers, link_powers)
+    if key not in cache:
+        tail = _suffix(p, g, site_powers[1:], link_powers[1:], cache)
+        cache[key] = contract(g, p, link_powers[0], site_powers[0], tail)
+    return cache[key]
+
+
+def _chain(p, g, site_powers, link_powers, cache) -> float:
+    """Chain integral with x^m weights attached at each site."""
+    key = ("chain", site_powers, link_powers)
+    if key not in cache:
+        x = g.nodes
+        f = _suffix(p, g, site_powers[1:], link_powers, cache)
+        cache[key] = integrate(g, np.asarray(p.evaluate(x)) * x ** site_powers[0] * f)
+    return cache[key]
 
 
 def evaluate_term(t: ClusterTerm, p: Potential, g: QuadratureGrid, cache=None) -> float:
-    """coefficient x product of component factors of one ClusterTerm."""
-    paths, isolated = t.components()
+    """coefficient x product of component factors of one ClusterTerm.
+
+    Pass the same cache to every call on one (potential, grid) pair to
+    share chain values and the suffix contractions of chains that end
+    the same way.
+    """
+    cache = {} if cache is None else cache
     value = float(t.coefficient)
-    for path, link_powers in paths:
+    for path, link_powers in t.components():
         powers = tuple(t.site_powers[s - 1] for s in path)
         # a chain read backwards is the same integral; canonicalize for caching
         if (powers[::-1], link_powers[::-1]) < (powers, link_powers):
             powers, link_powers = powers[::-1], link_powers[::-1]
-        key = ("wchain", powers, link_powers)
-        if cache is None or key not in cache:
-            factor = _weighted_chain(p, g, powers, link_powers)
-            if cache is not None:
-                cache[key] = factor
-        else:
-            factor = cache[key]
-        value *= factor
-    for site in isolated:
-        k = t.site_powers[site - 1]
-        key = ("moment", k)
-        if cache is None or key not in cache:
-            factor = moment(p, g, k)
-            if cache is not None:
-                cache[key] = factor
-        else:
-            factor = cache[key]
-        value *= factor
+        value *= _chain(p, g, powers, link_powers, cache)
     return value
 
 
-def evaluate_terms(terms, p: Potential, g: QuadratureGrid) -> float:
-    cache = {}
+def evaluate_terms(terms, p: Potential, g: QuadratureGrid, cache=None) -> float:
+    """Compensated sum of evaluate_term over terms, sharing one cache."""
+    cache = {} if cache is None else cache
     return math.fsum(evaluate_term(t, p, g, cache) for t in terms)
-
-
-def e2(p: Potential, g: QuadratureGrid) -> float:
-    mu0 = moment(p, g, 0)
-    return -mu0 * mu0 / 4.0
-
-
-def e3(p: Potential, g: QuadratureGrid) -> float:
-    return -(moment(p, g, 0) / 4.0) * chain(p, g, [1])
-
-
-def e4(p: Potential, g: QuadratureGrid) -> float:
-    mu0 = moment(p, g, 0)
-    c1 = chain(p, g, [1])
-    return (
-        -(mu0 * mu0 / 16.0) * chain(p, g, [2])
-        - (mu0 / 8.0) * chain(p, g, [1, 1])
-        - c1 * c1 / 16.0
-    )
-
-
-def e5(p: Potential, g: QuadratureGrid) -> float:
-    mu0 = moment(p, g, 0)
-    c1 = chain(p, g, [1])
-    return (
-        -(mu0**3 / 96.0) * chain(p, g, [3])
-        - (mu0 * mu0 / 16.0) * chain(p, g, [1, 2])
-        - (mu0 / 16.0) * chain(p, g, [1, 1, 1])
-        - (mu0 / 16.0) * c1 * chain(p, g, [2])
-        - (c1 / 16.0) * chain(p, g, [1, 1])
-    )
-
-
-def e6(p: Potential, g: QuadratureGrid) -> float:
-    return evaluate_terms(load_terms(6), p, g)
-
-
-_ORDER_FUNCS = {2: e2, 3: e3, 4: e4, 5: e5, 6: e6}
 
 
 @dataclass(frozen=True)
@@ -303,8 +241,10 @@ def energy_series(p: Potential, order: int = 6, g: QuadratureGrid | None = None)
     if g is None:
         g = default_grid(unit)
     g_fine = build_grid(g.L, 2 * g.P, g.q)
-    coarse = [_ORDER_FUNCS[n](unit, g) for n in range(2, order + 1)]
-    fine = [_ORDER_FUNCS[n](unit, g_fine) for n in range(2, order + 1)]
+    tables = [load_terms(n) for n in range(2, order + 1)]
+    coarse_cache, fine_cache = {}, {}  # one per grid, shared by all orders
+    coarse = [evaluate_terms(terms, unit, g, coarse_cache) for terms in tables]
+    fine = [evaluate_terms(terms, unit, g_fine, fine_cache) for terms in tables]
     estimates = [0.0]
     for c, f in zip(coarse, fine):
         scale = max(abs(f), 1e-300)
@@ -323,13 +263,7 @@ __all__ = [
     "parse_terms",
     "load_terms",
     "moment",
-    "chain",
     "evaluate_term",
     "evaluate_terms",
-    "e2",
-    "e3",
-    "e4",
-    "e5",
-    "e6",
     "energy_series",
 ]

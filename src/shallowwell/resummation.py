@@ -103,8 +103,8 @@ def taylor_coefficients(pa: PadeApproximant, order: int):
 def pade_with_asymptote(es: EnergySeries, depth_coefficient: float) -> PadeApproximant:
     """Deep-well-aware resummation of a sixth-order energy series.
 
-    Sets alpha = -depth_coefficient (the E -> -s*shape(0) asymptote per
-    unit strength), divides the remainder E - alpha*s by one power of s,
+    Sets alpha = -depth_coefficient (the E -> -s*shape_max() asymptote
+    per unit strength), divides the remainder E - alpha*s by one power of s,
     and [2/3]-Pade-resums the resulting five-coefficient series. The
     returned approximant stores the re-multiplied s so that its rational
     part is a degree-3 over degree-3 function of s vanishing at 0.

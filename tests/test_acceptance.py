@@ -6,6 +6,7 @@ criterion. Shared expensive artifacts (series, sweeps) are module fixtures.
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,14 +28,10 @@ from shallowwell.oracles import (
     shooting_sweep,
 )
 from shallowwell.perturbation import (
-    chain,
-    e2,
-    e3,
-    e4,
-    e5,
-    e6,
+    ClusterTerm,
     energy_series,
     evaluate_term,
+    evaluate_terms,
     load_terms,
 )
 from shallowwell.potential import Potential
@@ -45,8 +42,6 @@ from shallowwell.resummation import (
     taylor_coefficients,
 )
 from shallowwell.variational import minimize
-
-_ORDER_FUNCS = {2: e2, 3: e3, 4: e4, 5: e5, 6: e6}
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -205,21 +200,18 @@ def _ordered_tensor_integral(p, L, N, site_powers, link_powers):
     return total
 
 
-def _moment_1d(p, L, N, power):
-    t, w = leggauss(N)
-    x = t * L
-    return float(np.sum(w * L * np.asarray(p.evaluate(x)) * x**power))
-
-
 def _naive_term_value(t, p, L, N):
-    paths, isolated = t.components()
     value = float(t.coefficient)
-    for path, link_powers in paths:
+    for path, link_powers in t.components():
         powers = tuple(t.site_powers[s - 1] for s in path)
         value *= _ordered_tensor_integral(p, L, N, powers, link_powers)
-    for site in isolated:
-        value *= _moment_1d(p, L, N, t.site_powers[site - 1])
     return value
+
+
+def _pure_chain(p, g, link_powers):
+    links = tuple((i, i + 1, k) for i, k in enumerate(link_powers, start=1))
+    term = ClusterTerm(Fraction(1), (0,) * (len(link_powers) + 1), links)
+    return evaluate_term(term, p, g)
 
 
 def test_criterion_6_brute_force_equivalence():
@@ -234,17 +226,15 @@ def test_criterion_6_brute_force_equivalence():
     for link_powers in chains:
         sites = len(link_powers) + 1
         naive = _ordered_tensor_integral(p, L24, 24, (0,) * sites, link_powers)
-        got = chain(p, g, link_powers)
+        got = _pure_chain(p, g, link_powers)
         worst_small = max(worst_small, abs(got - naive) / abs(naive))
     naive5 = _ordered_tensor_integral(p, L16, 16, (0,) * 5, (1, 1, 1, 1))
-    got5 = chain(p, g, (1, 1, 1, 1))
+    got5 = _pure_chain(p, g, (1, 1, 1, 1))
     worst_large = abs(got5 - naive5) / abs(naive5)
 
-    scale = abs(e6(p, g))
+    scale = abs(evaluate_terms(load_terms(6), p, g))
     for t in load_terms(6):
-        max_sites = max(
-            [len(path) for path, _ in t.components()[0]] or [1]
-        )
+        max_sites = max(len(path) for path, _ in t.components())
         N, L = (24, L24) if max_sites <= 4 else (16, L16)
         naive = _naive_term_value(t, p, L, N)
         got = evaluate_term(t, p, g)
@@ -270,7 +260,7 @@ def test_criterion_6_brute_force_equivalence():
 def finite_beta_residuals():
     p = Potential.gaussian(1.0)
     g = default_grid(p)
-    limit = e4(p, g)
+    limit = evaluate_terms(load_terms(4), p, g)
     betas = (0.02, 0.01, 0.005)
     return betas, [abs(e4_finite_beta(p, g, b) - limit) for b in betas]
 
@@ -318,9 +308,9 @@ def test_criterion_8_property_suites(es_gaussian):
     # homogeneity: E^(n) scales as s^n
     g = default_grid(Potential.gaussian(1.0))
     worst = 0.0
-    for order, fn in _ORDER_FUNCS.items():
-        lo = fn(Potential.gaussian(0.5), g)
-        hi = fn(Potential.gaussian(1.0), g)
+    for order in range(2, 7):
+        lo = evaluate_terms(load_terms(order), Potential.gaussian(0.5), g)
+        hi = evaluate_terms(load_terms(order), Potential.gaussian(1.0), g)
         worst = max(worst, abs(hi - 2.0**order * lo) / abs(hi))
     assert worst <= 1e-12, f"homogeneity {worst:.2e}"
     details.append(f"homogeneity {worst:.2e}")
@@ -332,8 +322,9 @@ def test_criterion_8_property_suites(es_gaussian):
     p0 = Potential.tabulated(xs, -vals)
     pd = Potential.tabulated(xs + 0.8, -vals)
     worst = 0.0
-    for order, fn in _ORDER_FUNCS.items():
-        v0, vd = fn(p0, gt), fn(pd, gt)
+    for order in range(2, 7):
+        v0 = evaluate_terms(load_terms(order), p0, gt)
+        vd = evaluate_terms(load_terms(order), pd, gt)
         est = max(es_gaussian.error_estimates[order - 1], 1e-10)
         worst = max(worst, abs(vd - v0) / abs(v0) / (5.0 * est))
     assert worst <= 1.0, f"translation invariance at {worst:.2f} of budget"

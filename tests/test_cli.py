@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from shallowwell import cli
 from shallowwell.cli import load_config, main
 from shallowwell.errors import ConfigError
 
@@ -151,6 +153,37 @@ def test_pade_reports_reference_denominator(tmp_path, capsys):
     assert payload["denominator"] == pytest.approx(
         [1.0, 3.38542, 2.80348, 0.336931], rel=1e-3
     )
+
+
+def test_pade_default_asymptote_is_shape_peak(tmp_path, capsys):
+    # an off-centre sech^2 well: the deep-well limit is E -> -s * max shape,
+    # while shape(0) = sech^2(1.3) would give alpha = -0.257
+    x0 = 1.3
+    xs = np.linspace(x0 - 12.0, x0 + 12.0, 2401)
+    samples = tmp_path / "sech2.txt"
+    np.savetxt(samples, np.column_stack([xs, -1.0 / np.cosh(xs - x0) ** 2]))
+    cfg = _write(tmp_path, "c.ini", f"[potential]\nkind = tabulated\nfile = {samples}\n")
+    assert main(["pade", "--config", cfg, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == -1.0
+
+
+def test_threads_env_must_be_integer(tmp_path, capsys, monkeypatch):
+    cfg = _write(
+        tmp_path, "c.ini", GAUSS_CFG + "[sweep]\ns_min = 0.5\ns_max = 1.5\nsteps = 3\n"
+    )
+
+    def no_computation(*args, **kwargs):
+        raise AssertionError("series ran before the thread cap was checked")
+
+    monkeypatch.setattr(cli, "energy_series", no_computation)
+    monkeypatch.setenv("SHALLOWWELL_THREADS", "abc")
+    assert main(["compare", "--config", cfg]) == 2
+    assert "SHALLOWWELL_THREADS" in capsys.readouterr().err
+    # integer values are clamped to [1, number of tasks]
+    monkeypatch.setenv("SHALLOWWELL_THREADS", "0")
+    assert cli._workers(3) == 1
+    monkeypatch.setenv("SHALLOWWELL_THREADS", "64")
+    assert cli._workers(3) == 3
 
 
 def test_greens_check_residuals_shrink(tmp_path, capsys):

@@ -11,7 +11,7 @@ from shallowwell.greens import (
     greens_gamma_derivative,
     greens_spectral,
 )
-from shallowwell.perturbation import e4
+from shallowwell.perturbation import evaluate_terms, load_terms
 from shallowwell.potential import Potential
 from shallowwell.quadrature import default_grid
 
@@ -71,7 +71,7 @@ def test_expansion_kernels_symmetric():
 def test_e4_finite_beta_converges_to_e4():
     p = Potential.gaussian(1.0)
     g = default_grid(p)
-    limit = e4(p, g)
+    limit = evaluate_terms(load_terms(4), p, g)
     res = [abs(e4_finite_beta(p, g, b) - limit) for b in (0.02, 0.01, 0.005)]
     assert res[0] > res[1] > res[2]
     # leading behavior is linear in beta: halving beta about halves the residual

@@ -1,18 +1,16 @@
+import importlib.util
 import math
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shallowwell.errors import NonPathComponent, UnsupportedChain
+from shallowwell import perturbation
+from shallowwell.errors import NonPathComponent
 from shallowwell.perturbation import (
     ClusterTerm,
-    chain,
-    e2,
-    e3,
-    e4,
-    e5,
-    e6,
     energy_series,
     evaluate_term,
     evaluate_terms,
@@ -21,9 +19,60 @@ from shallowwell.perturbation import (
     parse_terms,
 )
 from shallowwell.potential import Potential
-from shallowwell.quadrature import build_grid, default_grid
+from shallowwell.quadrature import build_grid, contract, default_grid, integrate
 
-_ORDER_FUNCS = {2: e2, 3: e3, 4: e4, 5: e5, 6: e6}
+
+# closed forms of orders 2-5, written directly on the quadrature
+# primitives as an oracle independent of the term tables and their cache
+
+
+def _mu0(p, g):
+    return integrate(g, np.asarray(p.evaluate(g.nodes)))
+
+
+def _chain(p, g, *link_powers):
+    f = np.ones_like(g.nodes)
+    for k in reversed(link_powers):
+        f = contract(g, p, k, 0, f)
+    return integrate(g, np.asarray(p.evaluate(g.nodes)) * f)
+
+
+def _e2(p, g):
+    mu0 = _mu0(p, g)
+    return -mu0 * mu0 / 4.0
+
+
+def _e3(p, g):
+    return -(_mu0(p, g) / 4.0) * _chain(p, g, 1)
+
+
+def _e4(p, g):
+    mu0 = _mu0(p, g)
+    c1 = _chain(p, g, 1)
+    return (
+        -(mu0 * mu0 / 16.0) * _chain(p, g, 2)
+        - (mu0 / 8.0) * _chain(p, g, 1, 1)
+        - c1 * c1 / 16.0
+    )
+
+
+def _e5(p, g):
+    mu0 = _mu0(p, g)
+    c1 = _chain(p, g, 1)
+    return (
+        -(mu0**3 / 96.0) * _chain(p, g, 3)
+        - (mu0 * mu0 / 16.0) * _chain(p, g, 1, 2)
+        - (mu0 / 16.0) * _chain(p, g, 1, 1, 1)
+        - (mu0 / 16.0) * c1 * _chain(p, g, 2)
+        - (c1 / 16.0) * _chain(p, g, 1, 1)
+    )
+
+
+_CLOSED_FORMS = {2: _e2, 3: _e3, 4: _e4, 5: _e5}
+
+
+def _order(n, p, g):
+    return evaluate_terms(load_terms(n), p, g)
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +121,20 @@ def test_components_rejects_cycle():
 
 def test_components_splits_paths_and_isolated():
     t = ClusterTerm(Fraction(1), (0, 1, 0, 2), ((1, 2, 1),))
-    paths, isolated = t.components()
-    assert paths == [((1, 2), (1,))]
-    assert sorted(isolated) == [3, 4]
+    assert t.components() == [((1, 2), (1,)), ((3,), ()), ((4,), ())]
+
+
+def test_shipped_tables_match_generator(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_term_tables.py"
+    spec = importlib.util.spec_from_file_location("make_term_tables", script)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    gen.DATA = tmp_path
+    gen.main()
+    shipped = resources.files("shallowwell") / "data"
+    for order in (2, 3, 4, 5, 6):
+        name = f"terms_order{order}.txt"
+        assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name
 
 
 def test_load_terms_rejects_unknown_order():
@@ -101,21 +161,10 @@ def test_moment_power_range():
         moment(p, g, 5)
 
 
-def test_chain_validation():
-    p = Potential.gaussian(1.0)
-    g = default_grid(p)
-    with pytest.raises(UnsupportedChain):
-        chain(p, g, [])
-    with pytest.raises(UnsupportedChain):
-        chain(p, g, [1, 1, 1, 1, 1])
-    with pytest.raises(UnsupportedChain):
-        chain(p, g, [4])
-
-
 def test_single_link_chain_matches_dense_tensor():
     p = Potential.gaussian(1.0)
     g = build_grid(8.0, 64, 8)
-    got = chain(p, g, [1])
+    got = evaluate_term(ClusterTerm(Fraction(1), (0, 0), ((1, 2, 1),)), p, g)
     x, w = g.nodes, g.weights
     v = w * np.asarray(p.evaluate(x))
     dense = v @ np.abs(x[:, None] - x[None, :]) @ v
@@ -137,20 +186,23 @@ def test_chain_reversal_symmetry():
 # correction orders
 
 
+@pytest.mark.parametrize(
+    "p",
+    [Potential.square_well(1.0), Potential.poschl_teller(1.0), Potential.gaussian(1.0)],
+    ids=["square_well", "poschl_teller", "gaussian"],
+)
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
-def test_tables_match_closed_forms(order):
-    p = Potential.gaussian(1.0)
+def test_tables_match_closed_forms(order, p):
     g = default_grid(p)
-    closed = _ORDER_FUNCS[order](p, g)
-    tabled = evaluate_terms(load_terms(order), p, g)
-    assert tabled == pytest.approx(closed, rel=1e-13)
+    closed = _CLOSED_FORMS[order](p, g)
+    assert _order(order, p, g) == pytest.approx(closed, rel=1e-13)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
 def test_homogeneity_in_strength(order):
     g = default_grid(Potential.gaussian(1.0))
-    lo = _ORDER_FUNCS[order](Potential.gaussian(0.7), g)
-    hi = _ORDER_FUNCS[order](Potential.gaussian(1.4), g)
+    lo = _order(order, Potential.gaussian(0.7), g)
+    hi = _order(order, Potential.gaussian(1.4), g)
     assert hi == pytest.approx(2.0**order * lo, rel=1e-12)
 
 
@@ -164,8 +216,8 @@ def test_translation_invariance():
     p0 = Potential.tabulated(xs, -shape_vals)
     pd = Potential.tabulated(xs + shift, -shape_vals)
     for order in (2, 3, 4, 5, 6):
-        v0 = _ORDER_FUNCS[order](p0, g)
-        vd = _ORDER_FUNCS[order](pd, g)
+        v0 = _order(order, p0, g)
+        vd = _order(order, pd, g)
         assert vd == pytest.approx(v0, rel=5e-9), f"order {order}"
 
 
@@ -195,6 +247,20 @@ def test_energy_series_evaluate_is_polynomial(es_gaussian):
         c * s**n for n, c in enumerate(es_gaussian.coefficients, start=1)
     )
     assert es_gaussian.evaluate(s) == expected
+
+
+def test_energy_series_shares_contractions(monkeypatch):
+    # orders 2-6 hold 13 distinct chain suffixes; each is contracted
+    # once per grid, on the coarse and on the fine grid
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return contract(*args, **kwargs)
+
+    monkeypatch.setattr(perturbation, "contract", counting)
+    energy_series(Potential.gaussian(1.0), order=6)
+    assert len(calls) == 26
 
 
 def test_energy_series_rejects_bad_order():
