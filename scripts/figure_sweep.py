@@ -12,18 +12,8 @@ Usage:
 import argparse
 import sys
 
-from shallowwell.cli import RunConfig, _compare_rows, _csv
+from shallowwell.cli import COMPARE_HEADERS, Report, RunConfig, compare_rows
 from shallowwell.potential import Potential
-
-HEADERS = [
-    "s [E]",
-    "series_order6 [E]",
-    "pade [E]",
-    "var_gaussian [E]",
-    "var_expsqrt [E]",
-    "shooting [E]",
-    "reason [text]",
-]
 
 
 def main(argv=None) -> int:
@@ -43,9 +33,9 @@ def main(argv=None) -> int:
         potential=Potential(args.shape, 1.0),
         sweep=(args.s_min, args.s_max, args.steps),
     )
-    rows = _compare_rows(cfg)
+    rows = compare_rows(cfg)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_csv(HEADERS, rows))
+        fh.write(Report([(COMPARE_HEADERS, rows)]).render("csv"))
 
     worst = {"pade": 0.0, "var_expsqrt": 0.0}
     for row in rows:

@@ -9,19 +9,19 @@ Subcommands
 
 Configs are INI-style key=value files with a [potential] section; unknown
 keys are rejected before any computation starts. All floats print with 9
-significant digits, so identical configs produce byte-identical output.
+significant digits, so identical configs produce byte-identical output;
+compare writes CSV whatever the format. Non-finite numbers are rejected, and
+grid overrides are snapped to the square-well edges like the default grid.
 Exit codes: 0 success, 2 config error, 3 numeric failure.
 """
 from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .greens import divergent_block, e4_finite_beta
 from .oracles import shooting_solve, shooting_sweep
 from .perturbation import energy_series, evaluate_terms, load_terms
 from .potential import Potential
-from .quadrature import build_grid, default_grid
+from .quadrature import default_grid
 from .resummation import evaluate_pade, pade_with_asymptote
 from .variational import minimize as _var_minimize
 
@@ -58,25 +58,28 @@ class RunConfig:
     grid: tuple | None = None  # (L, P, q) override
     asymptote: float | None = None  # Pade split; default shape_max()
     sweep: tuple | None = None  # (s_min, s_max, steps)
-    ini_path: str | None = field(default=None, compare=False)
 
 
-def _fail(msg: str) -> "ConfigError":
-    return ConfigError(msg)
-
-
-def _parse_float(section: str, key: str, raw: str) -> float:
+def _parse_float(name: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        raise _fail(f"[{section}] {key}={raw!r} is not a number") from None
+        raise ConfigError(f"{name}={raw!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{name}={raw!r} is not a finite number")
+    return value
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
+def _parse_int(name: str, raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise _fail(f"[{section}] {key}={raw!r} is not an integer") from None
+        raise ConfigError(f"{name}={raw!r} is not an integer") from None
+
+
+def _parse_grid(where: str, L: str, P: str, q: str) -> tuple:
+    """An (L, P, q) grid override from [grid] or --grid."""
+    return _parse_float(f"{where} L", L), _parse_int(f"{where} P", P), _parse_int(f"{where} q", q)
 
 
 def _load_samples(path: str):
@@ -84,11 +87,11 @@ def _load_samples(path: str):
     try:
         data = np.loadtxt(path, comments="#", ndmin=2)
     except OSError as exc:
-        raise _fail(f"cannot read sample file {path!r}: {exc}") from None
+        raise ConfigError(f"cannot read sample file {path!r}: {exc}") from None
     except ValueError as exc:
-        raise _fail(f"malformed sample file {path!r}: {exc}") from None
+        raise ConfigError(f"malformed sample file {path!r}: {exc}") from None
     if data.shape[1] != 2:
-        raise _fail(f"sample file {path!r} must have exactly two columns")
+        raise ConfigError(f"sample file {path!r} must have exactly two columns")
     return data[:, 0], data[:, 1]
 
 
@@ -105,72 +108,68 @@ def load_config(path: str) -> RunConfig:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as exc:
-        raise _fail(f"cannot read config {path!r}: {exc}") from None
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     except configparser.Error as exc:
-        raise _fail(f"malformed config {path!r}: {exc}") from None
+        raise ConfigError(f"malformed config {path!r}: {exc}") from None
 
     for section in parser.sections():
         if section not in _KNOWN_KEYS:
-            raise _fail(f"unknown config section [{section}]")
+            raise ConfigError(f"unknown config section [{section}]")
         for key in parser[section]:
             if key not in _KNOWN_KEYS[section]:
-                raise _fail(f"unknown key {key!r} in section [{section}]")
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
     if "potential" not in parser:
-        raise _fail("config must contain a [potential] section")
+        raise ConfigError("config must contain a [potential] section")
 
     pot = parser["potential"]
     kind = pot.get("kind")
     if kind is None:
-        raise _fail("[potential] must set kind")
-    s = _parse_float("potential", "s", pot.get("s", "1.0"))
+        raise ConfigError("[potential] must set kind")
+    s = _parse_float("[potential] s", pot.get("s", "1.0"))
     try:
         if kind == "square_well":
-            potential = Potential.square_well(s, a=_parse_float("potential", "a", pot.get("a", "1.0")))
+            potential = Potential.square_well(s, a=_parse_float("[potential] a", pot.get("a", "1.0")))
         elif kind == "poschl_teller":
             potential = Potential.poschl_teller(s)
         elif kind == "gaussian":
             potential = Potential.gaussian(s)
         elif kind == "tabulated":
             if "file" not in pot:
-                raise _fail("[potential] kind=tabulated needs file=PATH")
+                raise ConfigError("[potential] kind=tabulated needs file=PATH")
             xs, vs = _load_samples(pot["file"])
             potential = Potential.tabulated(xs, vs, s=s)
         else:
-            raise _fail(f"unknown potential kind {kind!r}")
+            raise ConfigError(f"unknown potential kind {kind!r}")
     except ValueError as exc:
-        raise _fail(f"invalid potential parameters: {exc}") from None
+        raise ConfigError(f"invalid potential parameters: {exc}") from None
 
-    cfg = RunConfig(potential=potential, ini_path=path)
+    cfg = RunConfig(potential=potential)
 
     if "grid" in parser:
         sec = parser["grid"]
         if set(sec) and set(sec) != {"L", "P", "q"}:
-            raise _fail("[grid] must set all of L, P, q or none")
+            raise ConfigError("[grid] must set all of L, P, q or none")
         if set(sec):
-            cfg.grid = (
-                _parse_float("grid", "L", sec["L"]),
-                _parse_int("grid", "P", sec["P"]),
-                _parse_int("grid", "q", sec["q"]),
-            )
+            cfg.grid = _parse_grid("[grid]", sec["L"], sec["P"], sec["q"])
     if "run" in parser:
         sec = parser["run"]
         if "order" in sec:
-            cfg.order = _parse_int("run", "order", sec["order"])
+            cfg.order = _parse_int("[run] order", sec["order"])
         if "format" in sec:
             cfg.fmt = sec["format"]
         if "out" in sec:
             cfg.out = sec["out"]
         if "asymptote" in sec:
-            cfg.asymptote = _parse_float("run", "asymptote", sec["asymptote"])
+            cfg.asymptote = _parse_float("[run] asymptote", sec["asymptote"])
     if "sweep" in parser:
         sec = parser["sweep"]
         missing = {"s_min", "s_max", "steps"} - set(sec)
         if missing:
-            raise _fail(f"[sweep] missing keys: {sorted(missing)}")
+            raise ConfigError(f"[sweep] missing keys: {sorted(missing)}")
         cfg.sweep = (
-            _parse_float("sweep", "s_min", sec["s_min"]),
-            _parse_float("sweep", "s_max", sec["s_max"]),
-            _parse_int("sweep", "steps", sec["steps"]),
+            _parse_float("[sweep] s_min", sec["s_min"]),
+            _parse_float("[sweep] s_max", sec["s_max"]),
+            _parse_int("[sweep] steps", sec["steps"]),
         )
     _validate(cfg)
     return cfg
@@ -178,35 +177,26 @@ def load_config(path: str) -> RunConfig:
 
 def _validate(cfg: RunConfig) -> None:
     if cfg.order not in (2, 3, 4, 5, 6):
-        raise _fail(f"order must lie in 2..6, got {cfg.order}")
+        raise ConfigError(f"order must lie in 2..6, got {cfg.order}")
     if cfg.fmt not in ("text", "csv", "json"):
-        raise _fail(f"format must be text, csv or json, got {cfg.fmt!r}")
+        raise ConfigError(f"format must be text, csv or json, got {cfg.fmt!r}")
     if cfg.grid is not None:
         L, P, q = cfg.grid
         if not (L > 0 and P >= 1 and 1 <= q <= 16):
-            raise _fail(f"invalid grid override L={L:g}, P={P}, q={q}")
+            raise ConfigError(f"invalid grid override L={L:g}, P={P}, q={q}")
     if cfg.sweep is not None:
         s_min, s_max, steps = cfg.sweep
         if not (0.0 < s_min < s_max):
-            raise _fail(f"sweep needs 0 < s_min < s_max, got [{s_min:g}, {s_max:g}]")
+            raise ConfigError(f"sweep needs 0 < s_min < s_max, got [{s_min:g}, {s_max:g}]")
         if steps < 2:
-            raise _fail(f"sweep needs steps >= 2, got {steps}")
+            raise ConfigError(f"sweep needs steps >= 2, got {steps}")
 
 
 def _grid_for(cfg: RunConfig):
-    if cfg.grid is not None:
-        L, P, q = cfg.grid
-        return build_grid(L, P, q)
-    return default_grid(cfg.potential)
-
-
-def _workers(n_tasks: int) -> int:
-    cap = os.environ.get("SHALLOWWELL_THREADS")
-    try:
-        limit = int(cap) if cap else (os.cpu_count() or 1)
-    except ValueError:
-        raise _fail(f"SHALLOWWELL_THREADS={cap!r} is not an integer") from None
-    return max(1, min(limit, n_tasks))
+    if cfg.grid is None:
+        return default_grid(cfg.potential)
+    L, P, q = cfg.grid
+    return default_grid(cfg.potential, P=P, q=q, L=L)
 
 
 def _pade(cfg: RunConfig, es):
@@ -216,7 +206,7 @@ def _pade(cfg: RunConfig, es):
 
 
 # ---------------------------------------------------------------------------
-# formatting
+# reports
 
 
 def _f9(v: float) -> str:
@@ -227,73 +217,80 @@ def _round9(v: float) -> float:
     return float(_f9(v))
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _table(headers, rows) -> str:
     cols = [headers] + [[str(c) for c in r] for r in rows]
-    widths = [max(len(row[i]) for row in cols) for i in range(len(headers))]
-    lines = []
-    for row in cols:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    widths = [max(len(c) for c in col) for col in zip(*cols)]
+    return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in cols)
 
 
 def _csv(headers, rows) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(headers) + "\n")
-    for r in rows:
-        buf.write(",".join(str(c) for c in r) + "\n")
-    return buf.getvalue()
+    return "".join(",".join(str(c) for c in r) + "\n" for r in [headers, *rows])
+
+
+@dataclass
+class Report:
+    """What one subcommand produced, renderable as text, csv or json.
+
+    A report without a title or payload renders as csv in every format.
+    """
+
+    tables: list  # (headers, rows) pairs
+    title: str | None = None
+    payload: dict | None = None
+    exit_code: int = 0
+
+    def render(self, fmt: str) -> str:
+        if fmt == "json" and self.payload is not None:
+            return json.dumps(self.payload, indent=2) + "\n"
+        if fmt == "text" and self.title is not None:
+            return f"# {self.title}\n" + "\n".join(_table(h, r) for h, r in self.tables)
+        return "".join(_csv(h, r) for h, r in self.tables)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_series(cfg: RunConfig) -> int:
+def cmd_series(cfg: RunConfig) -> Report:
     es = energy_series(cfg.potential, order=cfg.order, g=_grid_for(cfg))
+    L, P, q = es.grid_spec
     exact = None
     if cfg.potential.kind == "square_well" and cfg.potential.a == 1.0:
         exact = ("0",) + _SQUARE_WELL_RATIONALS[: cfg.order - 1]
 
-    if cfg.fmt == "json":
-        payload = {
-            "shape": es.shape_kind,
-            "grid": {"L": es.grid_spec[0], "P": es.grid_spec[1], "q": es.grid_spec[2]},
-            "coefficients": [_round9(c) for c in es.coefficients],
-            "error_estimates": [_round9(e) for e in es.error_estimates],
-        }
-        if exact is not None:
-            payload["exact"] = list(exact)
-        _emit(cfg, json.dumps(payload, indent=2) + "\n")
-        return 0
-
+    payload = {
+        "shape": es.shape_kind,
+        "grid": {"L": L, "P": P, "q": q},
+        "coefficients": [_round9(c) for c in es.coefficients],
+        "error_estimates": [_round9(e) for e in es.error_estimates],
+    }
     headers = ["order [1]", "coefficient [E/s^n]", "rel_error_estimate [1]"]
-    if exact is not None:
-        headers.append("exact [E/s^n]")
     rows = []
     for n, (c, e) in enumerate(zip(es.coefficients, es.error_estimates), start=1):
-        row = [str(n), _f9(c), _f9(e)]
-        if exact is not None:
-            row.append(exact[n - 1])
-        rows.append(row)
-    if cfg.fmt == "csv":
-        _emit(cfg, _csv(headers, rows))
-    else:
-        head = f"# {es.shape_kind} series, grid L={es.grid_spec[0]:g} P={es.grid_spec[1]} q={es.grid_spec[2]}\n"
-        _emit(cfg, head + _table(headers, rows))
-    return 0
+        rows.append([str(n), _f9(c), _f9(e)])
+    if exact is not None:
+        payload["exact"] = list(exact)
+        headers.append("exact [E/s^n]")
+        for row, value in zip(rows, exact):
+            row.append(value)
+    title = f"{es.shape_kind} series, grid L={L:g} P={P} q={q}"
+    return Report([(headers, rows)], title, payload)
 
 
-def _compare_rows(cfg: RunConfig):
+COMPARE_HEADERS = [
+    "s [E]",
+    "series_order6 [E]",
+    "pade [E]",
+    "var_gaussian [E]",
+    "var_expsqrt [E]",
+    "shooting [E]",
+    "reason [text]",
+]
+
+
+def compare_rows(cfg: RunConfig) -> list:
+    """COMPARE_HEADERS cells per sweep strength; a failed cell is empty, its reason last."""
     s_min, s_max, steps = cfg.sweep
-    workers = _workers(steps)  # a bad SHALLOWWELL_THREADS fails before any work
     s_values = np.linspace(s_min, s_max, steps)
     p = cfg.potential
     g = _grid_for(cfg)
@@ -306,8 +303,8 @@ def _compare_rows(cfg: RunConfig):
     except ShallowWellError as exc:
         shot_vals = [(None, f"shooting: {exc}")] * steps
 
-    def one_row(i):
-        s = float(s_values[i])
+    rows = []
+    for s, (energy, why) in zip(s_values.tolist(), shot_vals):
         cells, reasons = [], []
 
         def attempt(label, fn):
@@ -322,38 +319,24 @@ def _compare_rows(cfg: RunConfig):
         ps = replace(p, s=s)
         attempt("var_gaussian", lambda: _var_minimize("gaussian", ps, g)[1])
         attempt("var_expsqrt", lambda: _var_minimize("expsqrt", ps, g)[1])
-        energy, why = shot_vals[i]
         if energy is None:
             cells.append("")
             reasons.append(why)
         else:
             cells.append(_f9(energy))
-        return [_f9(s)] + cells + ["; ".join(reasons)]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(one_row, range(steps)))
+        rows.append([_f9(s)] + cells + ["; ".join(reasons)])
     return rows
 
 
-def cmd_compare(cfg: RunConfig) -> int:
+def cmd_compare(cfg: RunConfig) -> Report:
     if cfg.sweep is None:
-        raise _fail("compare needs a [sweep] section (s_min, s_max, steps)")
-    rows = _compare_rows(cfg)
-    headers = [
-        "s [E]",
-        "series_order6 [E]",
-        "pade [E]",
-        "var_gaussian [E]",
-        "var_expsqrt [E]",
-        "shooting [E]",
-        "reason [text]",
-    ]
-    _emit(cfg, _csv(headers, rows))
+        raise ConfigError("compare needs a [sweep] section (s_min, s_max, steps)")
+    rows = compare_rows(cfg)
     complete = any(all(c != "" for c in r[:-1]) for r in rows)
-    return 0 if complete else 3
+    return Report([(COMPARE_HEADERS, rows)], exit_code=0 if complete else 3)
 
 
-def cmd_pade(cfg: RunConfig) -> int:
+def cmd_pade(cfg: RunConfig) -> Report:
     es = energy_series(cfg.potential, order=6, g=_grid_for(cfg))
     pa = _pade(cfg, es)
     if cfg.sweep is not None:
@@ -362,45 +345,37 @@ def cmd_pade(cfg: RunConfig) -> int:
     else:
         samples = np.asarray([0.25, 0.5, 1.0, 2.0, 3.0])
     sampled = []
-    for s in samples:
+    for s in samples.tolist():
         try:
-            sampled.append((float(s), _f9(evaluate_pade(pa, float(s))), ""))
+            sampled.append((s, _f9(evaluate_pade(pa, s)), ""))
         except ShallowWellError as exc:
-            sampled.append((float(s), "", str(exc)))
+            sampled.append((s, "", str(exc)))
 
-    if cfg.fmt == "json":
-        payload = {
-            "shape": es.shape_kind,
-            "alpha": _round9(pa.alpha),
-            "numerator": [_round9(c) for c in pa.numerator],
-            "denominator": [_round9(c) for c in pa.denominator],
-            "samples": [
-                {"s": _round9(s), "energy": (None if v == "" else float(v)), "reason": why}
-                for s, v, why in sampled
-            ],
-        }
-        _emit(cfg, json.dumps(payload, indent=2) + "\n")
-        return 0
-
+    payload = {
+        "shape": es.shape_kind,
+        "alpha": _round9(pa.alpha),
+        "numerator": [_round9(c) for c in pa.numerator],
+        "denominator": [_round9(c) for c in pa.denominator],
+        "samples": [
+            {"s": _round9(s), "energy": (None if v == "" else float(v)), "reason": why}
+            for s, v, why in sampled
+        ],
+    }
     coeff_rows = [["alpha", "1", _f9(pa.alpha)]]
     coeff_rows += [["numerator", str(k), _f9(c)] for k, c in enumerate(pa.numerator)]
     coeff_rows += [["denominator", str(k), _f9(c)] for k, c in enumerate(pa.denominator)]
     sample_rows = [[_f9(s), v, why] for s, v, why in sampled]
-    if cfg.fmt == "csv":
-        out = _csv(["part [text]", "power [1]", "value [1]"], coeff_rows)
-        out += _csv(["s [E]", "energy [E]", "reason [text]"], sample_rows)
-    else:
-        out = f"# {es.shape_kind} asymptote-subtracted Pade, alpha={_f9(pa.alpha)}\n"
-        out += _table(["part [text]", "power [1]", "value [1]"], coeff_rows)
-        out += "\n" + _table(["s [E]", "energy [E]", "reason [text]"], sample_rows)
-    _emit(cfg, out)
-    return 0
+    tables = [
+        (["part [text]", "power [1]", "value [1]"], coeff_rows),
+        (["s [E]", "energy [E]", "reason [text]"], sample_rows),
+    ]
+    title = f"{es.shape_kind} asymptote-subtracted Pade, alpha={_f9(pa.alpha)}"
+    return Report(tables, title, payload)
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(cfg: RunConfig) -> Report:
     p = cfg.potential
     res = shooting_solve(p)
-    headers = ["quantity [text]", "value [E]"]
     rows = [
         ["energy", _f9(res.energy)],
         ["residual", _f9(res.residual)],
@@ -408,22 +383,17 @@ def cmd_solve(cfg: RunConfig) -> int:
         ["bracket_lo", _f9(res.bracket[0])],
         ["bracket_hi", _f9(res.bracket[1])],
     ]
-    if cfg.fmt == "json":
-        payload = {
-            "energy": _round9(res.energy),
-            "residual": _round9(res.residual),
-            "iterations": res.iterations,
-            "bracket": [_round9(res.bracket[0]), _round9(res.bracket[1])],
-        }
-        _emit(cfg, json.dumps(payload, indent=2) + "\n")
-    elif cfg.fmt == "csv":
-        _emit(cfg, _csv(headers, rows))
-    else:
-        _emit(cfg, f"# {p.kind} s={p.s:g} bound state\n" + _table(headers, rows))
-    return 0
+    payload = {
+        "energy": _round9(res.energy),
+        "residual": _round9(res.residual),
+        "iterations": res.iterations,
+        "bracket": [_round9(res.bracket[0]), _round9(res.bracket[1])],
+    }
+    title = f"{p.kind} s={p.s:g} bound state"
+    return Report([(["quantity [text]", "value [E]"], rows)], title, payload)
 
 
-def cmd_greens_check(cfg: RunConfig) -> int:
+def cmd_greens_check(cfg: RunConfig) -> Report:
     p = cfg.potential
     g = _grid_for(cfg)
     e4_limit = evaluate_terms(load_terms(4), p, g)
@@ -432,27 +402,18 @@ def cmd_greens_check(cfg: RunConfig) -> int:
         val = e4_finite_beta(p, g, beta)
         rows.append([_f9(beta), _f9(val), _f9(e4_limit), _f9(abs(val - e4_limit))])
     block, scale = divergent_block(p)
-    extra = [[_f9(block), _f9(scale)]]
-    if cfg.fmt == "json":
-        payload = {
-            "e4_limit": _round9(e4_limit),
-            "ladder": [
-                {"beta": float(r[0]), "e4_finite_beta": float(r[1]), "residual": float(r[3])}
-                for r in rows
-            ],
-            "divergent_block": {"symmetrized": _round9(block), "scale": _round9(scale)},
-        }
-        _emit(cfg, json.dumps(payload, indent=2) + "\n")
-        return 0
+    payload = {
+        "e4_limit": _round9(e4_limit),
+        "ladder": [
+            {"beta": float(r[0]), "e4_finite_beta": float(r[1]), "residual": float(r[3])}
+            for r in rows
+        ],
+        "divergent_block": {"symmetrized": _round9(block), "scale": _round9(scale)},
+    }
     h1 = ["beta [E^1/2]", "e4_finite_beta [E/s^4]", "e4_limit [E/s^4]", "residual [E/s^4]"]
     h2 = ["divergent_block_symmetrized [E/s^4]", "unsymmetrized_scale [E/s^4]"]
-    if cfg.fmt == "csv":
-        _emit(cfg, _csv(h1, rows) + _csv(h2, extra))
-    else:
-        out = f"# {p.kind} finite-regulator consistency\n"
-        out += _table(h1, rows) + "\n" + _table(h2, extra)
-        _emit(cfg, out)
-    return 0
+    tables = [(h1, rows), (h2, [[_f9(block), _f9(scale)]])]
+    return Report(tables, f"{p.kind} finite-regulator consistency", payload)
 
 
 # ---------------------------------------------------------------------------
@@ -494,12 +455,20 @@ def _apply_overrides(cfg: RunConfig, args) -> None:
     if args.grid is not None:
         parts = args.grid.split(",")
         if len(parts) != 3:
-            raise _fail(f"--grid must be L,P,q, got {args.grid!r}")
-        try:
-            cfg.grid = (float(parts[0]), int(parts[1]), int(parts[2]))
-        except ValueError:
-            raise _fail(f"--grid must be L,P,q numbers, got {args.grid!r}") from None
+            raise ConfigError(f"--grid must be L,P,q, got {args.grid!r}")
+        cfg.grid = _parse_grid("--grid", *parts)
     _validate(cfg)
+
+
+def _write(path: str | None, text: str) -> None:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -511,17 +480,15 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         _apply_overrides(cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command](cfg)
+        report = _COMMANDS[args.command](cfg)
+        _write(cfg.out, report.render(cfg.fmt))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ShallowWellError as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    return report.exit_code
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from shallowwell.cli import RunConfig, _compare_rows
+from shallowwell.cli import RunConfig, compare_rows
 from shallowwell.greens import (
     GreensParams,
     divergent_block,
@@ -391,7 +391,7 @@ def test_criterion_8_property_suites(es_gaussian):
 @pytest.fixture(scope="module")
 def figure_sweep_rows():
     cfg = RunConfig(potential=Potential.gaussian(1.0), sweep=(0.1, 3.0, 30))
-    return _compare_rows(cfg)
+    return compare_rows(cfg)
 
 
 def test_criterion_9_figure_sweep(figure_sweep_rows):

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +49,29 @@ def test_bad_grid_override_rejected(tmp_path):
     cfg = _write(tmp_path, "c.ini", GAUSS_CFG)
     assert main(["series", "--config", cfg, "--grid", "10,128"]) == 2
     assert main(["series", "--config", cfg, "--grid", "10,128,99"]) == 2
+    assert main(["series", "--config", cfg, "--grid", "ten,128,8"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, config, extra",
+    [
+        ("series", "[potential]\nkind = gaussian\ns = nan\n", []),
+        ("series", "[potential]\nkind = square_well\na = inf\n", []),
+        ("series", GAUSS_CFG + "[grid]\nL = inf\nP = 64\nq = 8\n", []),
+        ("series", GAUSS_CFG, ["--grid", "inf,64,8"]),
+        ("pade", GAUSS_CFG + "[run]\nasymptote = nan\n", []),
+        ("pade", GAUSS_CFG + "[sweep]\ns_min = 0.5\ns_max = inf\nsteps = 3\n", []),
+    ],
+    ids=["s", "a", "grid-L", "grid-flag", "asymptote", "s_max"],
+)
+def test_non_finite_numbers_rejected(tmp_path, capsys, monkeypatch, command, config, extra):
+    def no_computation(*args, **kwargs):
+        raise AssertionError("computation ran on a non-finite config value")
+
+    monkeypatch.setattr(cli, "energy_series", no_computation)
+    cfg = _write(tmp_path, "c.ini", config)
+    assert main([command, "--config", cfg] + extra) == 2
+    assert "is not a finite number" in capsys.readouterr().err
 
 
 def test_sweep_validation(tmp_path):
@@ -134,6 +159,17 @@ def test_series_order_and_grid_overrides(tmp_path, capsys):
     assert payload["grid"] == {"L": 10.0, "P": 64, "q": 8}
 
 
+def test_square_well_grid_override_snaps_to_edges(tmp_path, capsys):
+    # P=101 puts the well edges +-1 inside panels; the override is snapped
+    # to P=100 so that they fall on panel boundaries
+    cfg = _write(tmp_path, "c.ini", "[potential]\nkind = square_well\ns = 1\na = 1\n")
+    assert main(["series", "--config", cfg, "--grid", "10,101,8", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["grid"] == {"L": 10.0, "P": 100, "q": 8}
+    assert payload["coefficients"][1] == pytest.approx(-1.0, rel=1e-12)
+    assert max(abs(e) for e in payload["error_estimates"]) < 1e-14
+
+
 # ---------------------------------------------------------------------------
 # solve / pade / greens-check / compare
 
@@ -167,23 +203,11 @@ def test_pade_default_asymptote_is_shape_peak(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["alpha"] == -1.0
 
 
-def test_threads_env_must_be_integer(tmp_path, capsys, monkeypatch):
-    cfg = _write(
-        tmp_path, "c.ini", GAUSS_CFG + "[sweep]\ns_min = 0.5\ns_max = 1.5\nsteps = 3\n"
-    )
-
-    def no_computation(*args, **kwargs):
-        raise AssertionError("series ran before the thread cap was checked")
-
-    monkeypatch.setattr(cli, "energy_series", no_computation)
-    monkeypatch.setenv("SHALLOWWELL_THREADS", "abc")
-    assert main(["compare", "--config", cfg]) == 2
-    assert "SHALLOWWELL_THREADS" in capsys.readouterr().err
-    # integer values are clamped to [1, number of tasks]
-    monkeypatch.setenv("SHALLOWWELL_THREADS", "0")
-    assert cli._workers(3) == 1
-    monkeypatch.setenv("SHALLOWWELL_THREADS", "64")
-    assert cli._workers(3) == 3
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.ini", "[potential]\nkind = poschl_teller\ns = 2.0\n")
+    out = str(tmp_path / "missing" / "report.txt")
+    assert main(["solve", "--config", cfg, "--out", out]) == 2
+    assert "config error: cannot write" in capsys.readouterr().err
 
 
 def test_greens_check_residuals_shrink(tmp_path, capsys):
@@ -215,3 +239,21 @@ def test_compare_small_sweep(tmp_path):
         # Rayleigh-Ritz: both variational columns upper-bound the exact energy
         assert var_g >= shoot - 1e-9
         assert var_e >= shoot - 1e-9
+
+
+def test_figure_sweep_script(tmp_path, capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "figure_sweep.py"
+    spec = importlib.util.spec_from_file_location("figure_sweep", script)
+    figure_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(figure_sweep)
+    out = tmp_path / "sweep.csv"
+    argv = ["--steps", "2", "--s-min", "1", "--s-max", "2", "--out", str(out)]
+    assert figure_sweep.main(argv) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0].split(",") == cli.COMPARE_HEADERS
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
+    summary = capsys.readouterr().out.splitlines()
+    assert summary[0] == f"wrote {out} (2 rows)"
+    assert summary[1].startswith("max |pade - shooting| / |shooting|:")
+    assert summary[2].startswith("max |var_expsqrt - shooting| / |shooting|:")
+    assert float(summary[2].split(":")[1]) < 1e-2
