@@ -42,7 +42,7 @@ class PoleAtEvaluation(ShallowWellError):
 
 
 class NonNormalizable(ShallowWellError):
-    """Trial wavefunction norm underflows on the grid."""
+    """Trial wavefunction norm underflows."""
 
 
 class OptimizerStalled(ShallowWellError):

@@ -47,6 +47,8 @@ class Potential:
             vs = np.asarray(self.sample_shape, dtype=float)
             if xs.ndim != 1 or xs.size < 2 or xs.shape != vs.shape:
                 raise ValueError("tabulated potential needs >= 2 aligned samples")
+            if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
+                raise ValueError("tabulated samples must be finite")
             if not np.all(np.diff(xs) > 0):
                 raise ValueError("tabulated abscissas must be strictly increasing")
             if np.any(vs < 0):

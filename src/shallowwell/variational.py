@@ -4,25 +4,41 @@ GaussianTrial  psi = e^{-alpha x^2}          (wrong e^{-c x^2} tail)
 ExpSqrtTrial   psi = e^{-alpha sqrt(beta^2 + x^2)}  (correct e^{-c|x|} tail)
 
 The kinetic term uses the |psi'|^2 form, which is variationally safe for
-the kinked-but-continuous second family, and both derivatives are known
-in closed form. Minimization is a derivative-free simplex over
-log-parameters from a fixed ladder of starts, so results are
-deterministic.
+the kinked-but-continuous second family. Norm and kinetic integrals are
+closed forms over the whole line (with Bickley functions, Abramowitz &
+Stegun 11.2); only int V psi^2 is integrated, on the caller's fixed grid.
+Minimization is a derivative-free simplex over log-parameters from a
+fixed ladder of starts, so results are deterministic.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss
 from scipy.optimize import minimize as _nm_minimize
+from scipy.special import iti0k0, k1e
 
 from .errors import NonNormalizable, OptimizerStalled
 from .potential import Potential
-from .quadrature import QuadratureGrid, build_grid, integrate
+from .quadrature import QuadratureGrid, integrate
 
 _NORM_FLOOR = 1e-280
+# below this z = 2 alpha beta, z K_1(z) = 1 to double precision (and K_1
+# overflows for subnormal z): the norm is its beta = 0 value 1/alpha
+_Z_MIN = 1e-300
+_LARGE_Z = 2.0  # from here on, the kinetic bracket is a Gauss-Laguerre sum
+
+
+@functools.cache  # built on first use: at import it would load LAPACK into every run
+def _laguerre_rule():
+    """48 points for int_0^inf e^{-v} v^{1/2} f(v) dv = int_R e^{-w^2} w^2 f(w^2) dw."""
+    w, h = hermgauss(97)
+    v = w[w > 0.0] ** 2
+    return v, 2.0 * h[w > 0.0] * v
 
 
 @dataclass(frozen=True)
@@ -36,13 +52,13 @@ class GaussianTrial:
     def psi_squared(self, x):
         return np.exp(-2.0 * self.alpha * x * x)
 
-    def kinetic_density(self, x):
-        # |psi'|^2 = 4 alpha^2 x^2 psi^2
-        return 4.0 * self.alpha**2 * x * x * self.psi_squared(x)
+    def norm(self) -> float:
+        """<psi|psi> over the whole line."""
+        return math.sqrt(0.5 * math.pi / self.alpha)
 
-    def extent(self) -> float:
-        """Radius beyond which psi^2 is below ~1e-17 of its peak."""
-        return math.sqrt(20.0 / self.alpha)
+    def kinetic(self) -> float:
+        """<psi'|psi'> = int 4 alpha^2 x^2 psi^2 = alpha <psi|psi>."""
+        return self.alpha * self.norm()
 
 
 @dataclass(frozen=True)
@@ -57,18 +73,30 @@ class ExpSqrtTrial:
             raise ValueError("beta must be nonnegative")
 
     def psi_squared(self, x):
-        r = np.sqrt(self.beta**2 + x * x)
-        # factor out the value at x=0 to keep the exponent well scaled
-        return np.exp(-2.0 * self.alpha * (r - self.beta))
+        # 1 at x=0; r - beta is x^2 / (r + beta), which near-Gaussian trials
+        # (beta >> |x|) would otherwise lose to cancellation
+        r = np.hypot(self.beta, x)
+        if self.beta == 0.0:
+            return np.exp(-2.0 * self.alpha * r)
+        return np.exp(-2.0 * self.alpha * x * x / (r + self.beta))
 
-    def kinetic_density(self, x):
-        # |psi'|^2 = alpha^2 x^2 / (beta^2 + x^2) psi^2
-        r2 = self.beta**2 + x * x
-        r2 = np.where(r2 == 0.0, 1.0, r2)
-        return self.alpha**2 * x * x / r2 * self.psi_squared(x)
+    def norm(self) -> float:
+        """<psi|psi> = 2 beta e^z K_1(z) with z = 2 alpha beta (x = beta sinh t)."""
+        z = 2.0 * self.alpha * self.beta
+        return 2.0 * self.beta * float(k1e(z)) if z > _Z_MIN else 1.0 / self.alpha
 
-    def extent(self) -> float:
-        return 20.0 / self.alpha + self.beta
+    def kinetic(self) -> float:
+        """<psi'|psi'> = 2 alpha^2 beta e^z [K_1(z) - Ki_1(z)], as sinh^2/cosh = cosh - 1/cosh.
+
+        For large z, where the two terms cancel to about z ulps, the bracket
+        is int_0^inf e^{-zu} sqrt(u (u+2)) / (1+u) du with u = cosh t - 1."""
+        z = 2.0 * self.alpha * self.beta
+        if z < _LARGE_Z:  # no cancellation; Ki_1(z) = pi/2 - int_0^z K_0
+            exp_ki1 = math.exp(z) * (0.5 * math.pi - float(iti0k0(z)[1]))
+            return self.alpha * (self.alpha * self.norm() - z * exp_ki1)
+        v, w = _laguerre_rule()
+        r = v / z  # v = zu
+        return self.alpha * float(np.dot(w, np.sqrt(r + 2.0) / (1.0 + r))) / math.sqrt(z)
 
 
 _FAMILIES = {
@@ -80,42 +108,20 @@ _FAMILIES = {
 
 
 def rayleigh_quotient(tf, p: Potential, g: QuadratureGrid) -> float:
-    """(<psi'|psi'> + int V psi^2) / <psi|psi> on the grid.
+    """(<psi'|psi'> + int V psi^2) / <psi|psi>.
+
+    The norm and kinetic terms are the trial's closed forms; int V psi^2
+    is integrated on g. V = -s*shape <= 0, so cutting that integral off at
+    +-L can only raise the quotient, which stays an upper bound.
 
     Raises:
-        NonNormalizable: the norm underflows on the grid (domain too
-            small or parameters too extreme).
+        NonNormalizable: the norm underflows (parameters too extreme).
     """
-    x = g.nodes
-    psi2 = tf.psi_squared(x)
-    norm = integrate(g, psi2)
+    norm = tf.norm()
     if not (norm > _NORM_FLOOR):
-        raise NonNormalizable(
-            f"trial norm {norm:g} underflows on the grid (L={g.L:g})"
-        )
-    kinetic = integrate(g, tf.kinetic_density(x))
-    potential_term = integrate(g, np.asarray(p.evaluate(x)) * psi2)
-    return (kinetic + potential_term) / norm
-
-
-@lru_cache(maxsize=32)
-def _eval_grid(L: float, q: int) -> QuadratureGrid:
-    P = min(4096, max(64, int(4.0 * L)))
-    return build_grid(L, P, q)
-
-
-def _grid_for(tf, p: Potential, g: QuadratureGrid) -> QuadratureGrid:
-    """The caller's grid, enlarged when the trial extends past it.
-
-    Weak coupling pushes the optimal parameters toward wide trial
-    functions; truncating them would silently break the upper-bound
-    property, so the evaluation domain follows the trial.
-    """
-    need = tf.extent()
-    if need <= g.L:
-        return g
-    L = float(2.0 ** math.ceil(math.log2(need)))
-    return _eval_grid(L, g.q)
+        raise NonNormalizable(f"trial norm {norm:g} underflows")
+    potential_term = integrate(g, np.asarray(p.evaluate(g.nodes)) * tf.psi_squared(g.nodes))
+    return (tf.kinetic() + potential_term) / norm
 
 
 _ALPHA_LADDER = (0.05, 0.2, 1.0, 5.0)
@@ -140,24 +146,14 @@ def minimize(tf_kind, p: Potential, g: QuadratureGrid):
         raise ValueError(f"unknown trial family {tf_kind!r}")
 
     def objective(logparams):
-        params = np.exp(logparams)
-        if family is GaussianTrial:
-            tf = GaussianTrial(float(params[0]))
-        else:
-            tf = ExpSqrtTrial(float(params[0]), float(params[1]))
+        tf = family(*(float(v) for v in np.exp(logparams)))
         try:
-            return rayleigh_quotient(tf, p, _grid_for(tf, p, g))
+            return rayleigh_quotient(tf, p, g)
         except NonNormalizable:
             return 0.0  # flat ceiling; any bound state beats it
 
-    if family is GaussianTrial:
-        starts = [[math.log(a)] for a in _ALPHA_LADDER]
-    else:
-        starts = [
-            [math.log(a), math.log(b)]
-            for a in _ALPHA_LADDER
-            for b in _BETA_LADDER
-        ]
+    ladders = (_ALPHA_LADDER,) if family is GaussianTrial else (_ALPHA_LADDER, _BETA_LADDER)
+    starts = [[math.log(v) for v in x0] for x0 in itertools.product(*ladders)]
     best = None
     for x0 in starts:
         res = _nm_minimize(
@@ -175,8 +171,7 @@ def minimize(tf_kind, p: Potential, g: QuadratureGrid):
     if best is None:
         raise OptimizerStalled("all simplex restarts failed to produce a value")
     value, params = best
-    tf = GaussianTrial(*params) if family is GaussianTrial else ExpSqrtTrial(*params)
-    return tf, float(value)
+    return family(*params), float(value)
 
 
 __all__ = [

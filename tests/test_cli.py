@@ -91,6 +91,16 @@ def test_tabulated_requires_file(tmp_path):
     assert main(["series", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize(
+    "samples", ["-1 0\n0 nan\n1 0\n", "-1 0\ninf -0.5\n"], ids=["nan-value", "inf-abscissa"]
+)
+def test_non_finite_tabulated_samples_rejected(tmp_path, capsys, samples):
+    path = _write(tmp_path, "samples.txt", samples)
+    cfg = _write(tmp_path, "c.ini", f"[potential]\nkind = tabulated\nfile = {path}\n")
+    assert main(["series", "--config", cfg]) == 2
+    assert "tabulated samples must be finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # series
 

@@ -1,10 +1,15 @@
+import math
+
+import mpmath as mp
 import pytest
+from scipy.integrate import quad
 
 from shallowwell.errors import NonNormalizable
 from shallowwell.oracles import shooting_solve
 from shallowwell.potential import Potential
-from shallowwell.quadrature import build_grid
+from shallowwell.quadrature import build_grid, default_grid
 from shallowwell.variational import (
+    _LARGE_Z,
     ExpSqrtTrial,
     GaussianTrial,
     minimize,
@@ -41,10 +46,55 @@ def test_expsqrt_reduces_to_pure_exponential_at_zero_beta():
     assert val == pytest.approx(1.3**2, rel=1e-6)
 
 
+def test_expsqrt_trial_tends_to_gaussian_trial():
+    # psi^2 = e^{-2 alpha (sqrt(beta^2 + x^2) - beta)} -> e^{-alpha x^2 / beta} as
+    # beta -> inf; the minimizer drifts along this valley when the Gaussian
+    # limit is the family's best
+    p = Potential.gaussian(1.0)
+    g = default_grid(p)
+    beta = 1e20
+    near_gaussian = rayleigh_quotient(ExpSqrtTrial(0.6 * beta, beta), p, g)
+    assert near_gaussian == pytest.approx(rayleigh_quotient(GaussianTrial(0.3), p, g), rel=1e-12)
+
+
 def test_norm_underflow_raises():
+    # the closed-form norm of psi = e^{-alpha |x|} is 1/alpha = 1e-300
     g = build_grid(4.0, 16, 4)
     with pytest.raises(NonNormalizable):
-        rayleigh_quotient(GaussianTrial(1e300), _zero_potential(), g)
+        rayleigh_quotient(ExpSqrtTrial(1e300), _zero_potential(), g)
+
+
+def _mp_norm_kinetic(alpha, beta):
+    """Whole-line <psi|psi> and <psi'|psi'> of ExpSqrtTrial by mpmath quadrature."""
+    a, b = mp.mpf(alpha), mp.mpf(beta)
+    if beta == 0.0:
+        # psi = e^{-alpha |x|}, |psi'|^2 = alpha^2 psi^2
+        half = mp.quad(lambda x: mp.exp(-2 * a * x), [0, 1 / a, mp.inf])
+        return 2 * half, 2 * a**2 * half
+    # x = beta sinh t: dx = beta cosh t dt, psi^2 = e^{-z(cosh t - 1)},
+    # |psi'|^2 = alpha^2 tanh^2 t psi^2
+    z = 2 * a * b
+    cut = mp.linspace(0, mp.acosh(1 + 80 / z), 9)  # psi^2 < e^{-80} beyond
+    psi2 = lambda t: mp.exp(-z * (mp.cosh(t) - 1))
+    norm = 2 * b * mp.quad(lambda t: mp.cosh(t) * psi2(t), cut)
+    kinetic = 2 * a**2 * b * mp.quad(lambda t: mp.sinh(t) ** 2 / mp.cosh(t) * psi2(t), cut)
+    return norm, kinetic
+
+
+@pytest.mark.parametrize(
+    "z",
+    [0.0, 1e-12, 1e-6, 1e-3, 0.5, math.nextafter(_LARGE_Z, 0.0), _LARGE_Z, 3.0, 10.0, 100.0]
+    # optimal trials near the Gaussian limit reach z ~ 1e9, where the
+    # difference e^z K_1(z) - e^z Ki_1(z) loses about z ulps
+    + [1e4, 1e9, 1e12],
+)
+def test_expsqrt_closed_forms_match_mpmath(z):
+    alpha = 0.7
+    tf = ExpSqrtTrial(alpha, beta=z / (2.0 * alpha))
+    with mp.workdps(30):
+        norm, kinetic = _mp_norm_kinetic(tf.alpha, tf.beta)
+        assert abs(tf.norm() - norm) <= 1e-14 * norm
+        assert abs(tf.kinetic() - kinetic) <= 3e-12 * kinetic
 
 
 def test_minimize_rejects_unknown_family():
@@ -73,10 +123,46 @@ def test_minimize_upper_bounds_and_family_ordering(gaussian_unit, gaussian_grid)
 
 
 def test_minimize_tracks_weak_coupling():
-    # optimal trials widen as s -> 0; the adaptive domain must follow
+    # optimal trials widen as s -> 0, far past the grid; only int V psi^2 is
+    # cut off there, which can only raise the bound
     p = Potential.gaussian(0.1)
     g = build_grid(10.0, 128, 8)
     _, e = minimize("expsqrt", p, g)
     exact = shooting_solve(p).energy
     assert e >= exact - 1e-9
     assert e == pytest.approx(exact, rel=1e-2)
+
+
+def _whole_line_quotient(tf, p):
+    """(<psi'|psi'> + int V psi^2) / <psi|psi> by QUADPACK over the whole line."""
+    a = tf.alpha
+    if isinstance(tf, GaussianTrial):
+        psi2 = lambda x: math.exp(-2.0 * a * x * x)
+        dpsi2 = lambda x: 4.0 * a * a * x * x * psi2(x)
+    else:
+        b = tf.beta
+        psi2 = lambda x: math.exp(-2.0 * a * (math.hypot(b, x) - b))
+        dpsi2 = lambda x: a * a * x * x / (b * b + x * x) * psi2(x)
+
+    def whole_line(f):
+        # trials and built-in wells are even; split at the square-well edge
+        edge = p.a if p.kind == "square_well" else 1.0
+        opts = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 200}
+        return 2.0 * (quad(f, 0.0, edge, **opts)[0] + quad(f, edge, math.inf, **opts)[0])
+
+    norm = whole_line(psi2)
+    kinetic = whole_line(dpsi2)
+    potential_term = whole_line(lambda x: p.evaluate(x) * psi2(x))
+    return (kinetic + potential_term) / norm
+
+
+@pytest.mark.parametrize("family", ["gaussian", "expsqrt"])
+@pytest.mark.parametrize("kind", ["square_well", "poschl_teller", "gaussian"])
+def test_cut_off_quotient_matches_whole_line(kind, family):
+    # at the criterion 8 optima, cutting int V psi^2 off at the grid's L
+    # loses nothing the whole-line integrals see
+    for s in (0.3, 0.8, 1.5, 2.5):
+        p = Potential(kind, s)
+        g = default_grid(p)
+        tf, _ = minimize(family, p, g)
+        assert rayleigh_quotient(tf, p, g) == pytest.approx(_whole_line_quotient(tf, p), rel=1e-10)
