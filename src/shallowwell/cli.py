@@ -297,14 +297,10 @@ def compare_rows(cfg: RunConfig) -> list:
     es = energy_series(p, order=6, g=g)
     pa = _pade(cfg, es)
 
-    try:
-        shots = shooting_sweep(p, s_values)
-        shot_vals = [(r.energy, "") for r in shots]
-    except ShallowWellError as exc:
-        shot_vals = [(None, f"shooting: {exc}")] * steps
+    shots = shooting_sweep(p, s_values)
 
     rows = []
-    for s, (energy, why) in zip(s_values.tolist(), shot_vals):
+    for s, shot in zip(s_values.tolist(), shots):
         cells, reasons = [], []
 
         def attempt(label, fn):
@@ -319,11 +315,11 @@ def compare_rows(cfg: RunConfig) -> list:
         ps = replace(p, s=s)
         attempt("var_gaussian", lambda: _var_minimize("gaussian", ps, g)[1])
         attempt("var_expsqrt", lambda: _var_minimize("expsqrt", ps, g)[1])
-        if energy is None:
+        if isinstance(shot, ShallowWellError):
             cells.append("")
-            reasons.append(why)
+            reasons.append(f"shooting: {shot}")
         else:
-            cells.append(_f9(energy))
+            cells.append(_f9(shot.energy))
         rows.append([_f9(s)] + cells + ["; ".join(reasons)])
     return rows
 

@@ -252,7 +252,7 @@ def divergent_block(p: Potential, n: int = 16):
     """
     from numpy.polynomial.legendre import leggauss
 
-    R = p.support_radius(1e-12) + 1.0
+    R = p.support_radius() + 1.0
     xs, ws = leggauss(n)
     x = R * xs
     wv = R * ws * np.asarray(p.evaluate(x), dtype=float)

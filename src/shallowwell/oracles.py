@@ -2,8 +2,9 @@
 
 Exact eigenvalues for the square well and the Poschl-Teller well, the
 closed-form Gaussian series coefficients (including the two erf-integral
-pieces), a generic shooting/Wronskian bound-state solver, and the
-polynomial fit that recovers series coefficients from any solver.
+pieces), a shooting/Wronskian bound-state solver with one fourth-order
+Magnus propagator for every shape, and the polynomial fit that recovers
+series coefficients from any solver.
 """
 from __future__ import annotations
 
@@ -13,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf as _erf
 
-from .errors import BracketFailure, NoConvergence
+from .errors import BracketFailure, NoConvergence, ShallowWellError
 from .potential import Potential
-from .quadrature import build_grid, integrate
+from .quadrature import build_grid, default_grid, integrate
 
 # ---------------------------------------------------------------------------
 # exact solvers
@@ -75,105 +76,97 @@ class BoundStateResult:
     bracket: tuple
 
 
-def _rk4_sweep(shape_nodes, shape_half, svec, kvec, h, count_nodes=False):
-    """Batched fixed-step RK4 for u'' = (kappa^2 - s*shape) u from -L to 0.
+#: |t| below which the degree-5 series gives C and S to roundoff
+_SERIES_T = 0.05
+#: step-matrix entries built per block, bounding the temporaries (blocks
+#: of 32,768 entries added 5 MB to the peak memory of one solve)
+_BLOCK = 1 << 12
+#: weight of the commutator term of the two-node Magnus step
+_MAGNUS_D = math.sqrt(3.0) / 12.0
 
-    Starts on the asymptotic decaying branch u = e^{kappa x}; u and u'
-    are renormalized each step to avoid overflow (scaling leaves the
-    Wronskian direction intact). Returns (u, u', node count).
+
+def _cosh_sinhc(t):
+    """C = cosh(sqrt t) and S = sinh(sqrt t)/sqrt t, elementwise, any sign of t.
+
+    A degree-5 series in t, exact to roundoff for |t| <= 0.05. Each
+    larger t is scaled down by the smallest 4^k that brings it there,
+    and its C, S are doubled back k times (S <- S*C, C <- 2C^2 - 1).
+    """
+    _, e = np.frexp(t / _SERIES_T)  # the exponent of |t| / 0.05
+    k = np.maximum((e + 1) // 2, 0)
+    t = np.ldexp(t, -2 * k)
+    C = 1.0 + t * (1 / 2 + t * (1 / 24 + t * (1 / 720 + t * (1 / 40320 + t / 3628800))))
+    S = 1.0 + t * (1 / 6 + t * (1 / 120 + t * (1 / 5040 + t * (1 / 362880 + t / 39916800))))
+    for i in range(int(k.max(initial=0))):
+        grow = k > i
+        S = np.where(grow, S * C, S)
+        C = np.where(grow, 2.0 * C * C - 1.0, C)
+    return C, S
+
+
+def _propagate(shape, svec, kvec, h, count_nodes=False):
+    """Propagate u'' = (kappa^2 - s*shape) u across the steps of one half-line.
+
+    shape holds each step's two Gauss-Legendre node values, in the
+    direction of travel. Starts on the decaying branch u = e^{kappa x};
+    each step applies the fourth-order Magnus matrix C*I + S*[[d, h],
+    [h*cbar, -d]] of determinant 1, the exact propagator where the two
+    node values agree. u and u' are renormalized each step to avoid
+    overflow (scaling leaves the Wronskian direction intact). Returns
+    (u, u', sign changes of u at step ends).
     """
     u = np.ones_like(kvec)
     v = kvec.copy()
     k2 = kvec * kvec
     nodes = np.zeros(kvec.shape, dtype=int)
-    nsteps = shape_half.size
-    for i in range(nsteps):
-        c1 = k2 - svec * shape_nodes[i]
-        c2 = k2 - svec * shape_half[i]
-        c3 = k2 - svec * shape_nodes[i + 1]
-        k1u = v
-        k1v = c1 * u
-        k2u = v + 0.5 * h * k1v
-        k2v = c2 * (u + 0.5 * h * k1u)
-        k3u = v + 0.5 * h * k2v
-        k3v = c2 * (u + 0.5 * h * k2u)
-        k4u = v + h * k3v
-        k4v = c3 * (u + h * k3u)
-        unew = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if count_nodes:
-            nodes += (unew * u) < 0.0
-        u = unew
-        m = np.maximum(np.abs(u), np.abs(v))
-        u /= m
-        v /= m
+    block = max(1, _BLOCK // kvec.size)
+    for b0 in range(0, len(shape), block):
+        c1 = k2 - svec * shape[b0 : b0 + block, :1]
+        c2 = k2 - svec * shape[b0 : b0 + block, 1:]
+        d = (_MAGNUS_D * h * h) * (c1 - c2)
+        hc = (0.5 * h) * (c1 + c2)
+        C, S = _cosh_sinhc(d * d + h * hc)
+        m00, m11 = C + S * d, C - S * d
+        m01, m10 = S * h, S * hc
+        for i in range(len(m00)):
+            unew = m00[i] * u + m01[i] * v
+            v = m10[i] * u + m11[i] * v
+            if count_nodes:
+                nodes += (unew * u) < 0.0
+            u = unew
+            m = np.maximum(np.abs(u), np.abs(v))
+            u /= m
+            v /= m
     return u, v, nodes
 
 
 class _WronskianEngine:
     """Evaluates the normalized x=0 matching Wronskian for one shape.
 
-    Batched over (strength, kappa) pairs so that bracketing, refinement
-    and sweeps over many strengths all cost one integration pass per
-    round.
+    The steps are the panels of default_grid(p, 2*nsteps, 2), so a
+    square well's edges fall on step ends and each of its steps is
+    exact. The right half of an uneven well is the left half of its
+    mirror image. Batched over (strength, kappa) pairs so that
+    bracketing, refinement and sweeps over many strengths all cost one
+    integration pass per round.
     """
 
     def __init__(self, p: Potential, nsteps: int = 4000):
-        self.even = p.is_even()
-        self.piecewise_constant = p.kind == "square_well"
-        self.halfwidth = p.a
-        self.L = p.support_radius(1e-12) + 5.0
-        self.h = self.L / nsteps
-        if not self.piecewise_constant:
-            xs = -self.L + self.h * np.arange(nsteps + 1)
-            xh = xs[:-1] + 0.5 * self.h
-            self.shape_left = (np.asarray(p.shape(xs)), np.asarray(p.shape(xh)))
-            if not self.even:
-                self.shape_right = (np.asarray(p.shape(-xs)), np.asarray(p.shape(-xh)))
+        g = default_grid(p, P=2 * nsteps, q=2)
+        shape = np.asarray(p.shape(g.nodes), dtype=float).reshape(g.P, 2)
+        half = g.P // 2
+        self.h = 2.0 * g.L / g.P
+        self.sides = [shape[:half]]
+        if not p.is_even():
+            self.sides.append(shape[half:][::-1, ::-1])
         self.evaluations = 0
-
-    def _left_solution_square_well(self, svec, kvec, count_nodes):
-        """Exact piecewise propagation for the flat-bottomed well.
-
-        RK4 across the jump at x = -a costs several digits, while the
-        two constant-coefficient intervals propagate in closed form.
-        """
-        a = self.halfwidth
-        # tail [-L, -a]: u = e^{kappa x}; normalize at -a
-        u, v = np.ones_like(kvec), kvec.copy()
-        c = kvec * kvec - svec  # inside coefficient, < 0 on the scan range
-        omega = np.sqrt(np.abs(c))
-        omega = np.where(omega == 0.0, 1e-300, omega)
-        osc = c < 0.0
-        cosw = np.where(osc, np.cos(omega * a), np.cosh(omega * a))
-        sinw_over = np.where(osc, np.sin(omega * a) / omega, np.sinh(omega * a) / omega)
-        dsin = np.where(osc, -omega * np.sin(omega * a), omega * np.sinh(omega * a))
-        u0 = cosw * u + sinw_over * v
-        v0 = dsin * u + cosw * v
-        nodes = np.zeros(kvec.shape, dtype=int)
-        if count_nodes:
-            t = np.linspace(0.0, a, 201)[1:]
-            wt = omega[:, None] * t[None, :]
-            oscc = osc[:, None]
-            ut = (
-                np.where(oscc, np.cos(wt), np.cosh(wt)) * u[:, None]
-                + np.where(oscc, np.sin(wt), np.sinh(wt)) / omega[:, None] * v[:, None]
-            )
-            nodes = np.sum(ut[:, 1:] * ut[:, :-1] < 0.0, axis=1) + (ut[:, 0] * u < 0.0)
-        return u0, v0, nodes
 
     def wronskian(self, svec, kvec, count_nodes=False):
         svec = np.asarray(svec, dtype=float)
         kvec = np.asarray(kvec, dtype=float)
         self.evaluations += 1
-        if self.piecewise_constant:
-            uL, vL, nL = self._left_solution_square_well(svec, kvec, count_nodes)
-        else:
-            uL, vL, nL = _rk4_sweep(*self.shape_left, svec, kvec, self.h, count_nodes)
-        if self.even:
-            uR, vR, nR = uL, vL, nL
-        else:
-            uR, vR, nR = _rk4_sweep(*self.shape_right, svec, kvec, self.h, count_nodes)
+        sols = [_propagate(side, svec, kvec, self.h, count_nodes) for side in self.sides]
+        (uL, vL, nL), (uR, vR, nR) = sols[0], sols[-1]
         # right solution at 0: u_R = uR, u_R' = -vR (mirror variable)
         W = (vL * uR + uL * vR) / (np.hypot(uL, vL) * np.hypot(uR, vR))
         return (W, nL + nR) if count_nodes else W
@@ -193,91 +186,93 @@ def _sign_change_brackets(ks, Ws):
     return out
 
 
-def shooting_sweep(p: Potential, s_values, nsteps: int = 4000):
+def shooting_sweep(p: Potential, s_values, nsteps: int = 4000) -> list:
     """Ground-state energies for one shape at many strengths.
 
     All strengths advance through bracketing and refinement together,
-    batched into shared integration passes.
+    batched into shared integration passes. A strength that fails
+    leaves the batch and the others go on.
 
-    Returns a list of BoundStateResult aligned with s_values.
-
-    Raises:
-        BracketFailure: some strength shows no Wronskian sign change.
-        NoConvergence: refinement exhausted its round budget.
+    Returns a list aligned with s_values holding, for each strength,
+    its BoundStateResult or the ShallowWellError it failed with:
+        BracketFailure: no attractive potential, or no Wronskian sign
+            change in the scan.
+        NoConvergence: the sign change was lost or the subdivision
+            stalled, or no bracket holds a nodeless state.
     """
-    s_values = [float(s) for s in s_values]
-    if any(s <= 0.0 for s in s_values) or p.shape_max() <= 0.0:
-        raise BracketFailure("shooting requires a nonzero attractive potential")
+    svec = np.asarray(s_values, dtype=float)
+    results: list = [
+        None if s > 0.0 and p.shape_max() > 0.0
+        else BracketFailure("shooting requires a nonzero attractive potential")
+        for s in svec
+    ]
+    active = [j for j, r in enumerate(results) if r is None]
+    if not active:
+        return results
     eng = _WronskianEngine(p, nsteps=nsteps)
-    ns = len(s_values)
-    svec = np.asarray(s_values)
-    kmax = np.sqrt(svec * p.shape_max()) * (1.0 - 1e-9)
+
+    def wronskian_rows(active, ks):
+        """W at one row of kappas per active strength, in one pass."""
+        return eng.wronskian(np.repeat(svec[active], ks.shape[1]), ks.ravel()).reshape(ks.shape)
 
     # ---- scan for sign changes, all strengths in one pass ----------------
-    ratio = np.geomspace(1.0, 1e-6, _SCAN_POINTS)
-    ks = kmax[:, None] * ratio[None, :]
-    Ws = eng.wronskian(
-        np.repeat(svec, _SCAN_POINTS), ks.ravel()
-    ).reshape(ns, _SCAN_POINTS)
-    brackets = []
-    for j in range(ns):
-        bj = _sign_change_brackets(ks[j], Ws[j])
-        if not bj:
-            raise BracketFailure(
-                f"no Wronskian sign change for strength s={s_values[j]:g}"
-            )
-        brackets.append(bj)
-
-    candidate = [0] * ns  # which bracket each strength is working on
-    lo = np.array([brackets[j][0][0] for j in range(ns)])
-    hi = np.array([brackets[j][0][1] for j in range(ns)])
+    kmax = np.sqrt(svec[active] * p.shape_max()) * (1.0 - 1e-9)
+    ks = kmax[:, None] * np.geomspace(1.0, 1e-6, _SCAN_POINTS)[None, :]
+    Ws = wronskian_rows(active, ks)
+    brackets = {j: _sign_change_brackets(ks[row], Ws[row]) for row, j in enumerate(active)}
+    for j in active:
+        if not brackets[j]:
+            results[j] = BracketFailure(f"no Wronskian sign change for strength s={svec[j]:g}")
+    active = [j for j in active if brackets[j]]
+    candidate = dict.fromkeys(active, 0)  # which bracket each strength is working on
+    lo, hi = np.zeros(len(svec)), np.ones(len(svec))
+    for j in active:
+        lo[j], hi[j] = brackets[j][0]
 
     def refine(active):
-        """Subdivide then polish the active brackets down to roundoff."""
-        rounds = 0
-        while True:
-            widths = (hi[active] - lo[active]) / hi[active]
-            if np.all(widths <= 1e-4):
+        """Subdivide then polish the active brackets down to roundoff.
+
+        Returns the strengths that survive and their roots; each one
+        that fails gets its error in results.
+        """
+        for _ in range(_MAX_ROUNDS):
+            if np.all((hi[active] - lo[active]) / hi[active] <= 1e-4):
                 break
-            rounds += 1
-            if rounds > _MAX_ROUNDS:
-                raise NoConvergence("bracket subdivision stalled")
-            grid = (
-                lo[active][:, None]
-                + (hi[active] - lo[active])[:, None]
-                * np.linspace(0.0, 1.0, _SUBDIV)[None, :]
-            )
-            Wg = eng.wronskian(
-                np.repeat(svec[active], _SUBDIV), grid.ravel()
-            ).reshape(len(active), _SUBDIV)
+            frac = np.linspace(0.0, 1.0, _SUBDIV)[None, :]
+            grid = lo[active][:, None] + (hi[active] - lo[active])[:, None] * frac
+            Wg = wronskian_rows(active, grid)
             for row, j in enumerate(active):
                 sub = _sign_change_brackets(grid[row], Wg[row])
-                if not sub:
-                    raise NoConvergence(
+                if sub:
+                    lo[j], hi[j] = sub[-1]  # largest-kappa root: the ground state
+                else:
+                    results[j] = NoConvergence(
                         f"sign change lost during subdivision at s={svec[j]:g}"
                     )
-                a, b = sub[-1]  # largest-kappa root: the ground state
-                lo[j], hi[j] = a, b
+            active = [j for j in active if results[j] is None]
+        for j in active:
+            if not (hi[j] - lo[j]) / hi[j] <= 1e-4:
+                results[j] = NoConvergence("bracket subdivision stalled")
+        active = [j for j in active if results[j] is None]
+        if not active:
+            return active, None
         # three linear least-squares polish rounds with shrinking windows
         root = 0.5 * (lo[active] + hi[active])
         width = hi[active] - lo[active]
+        t = np.linspace(-0.5, 0.5, _SUBDIV)
         for shrink in (1.0, 1e-2, 1e-4):
             w = np.maximum(width * shrink, np.abs(root) * 1e-13)
-            grid = root[:, None] + w[:, None] * np.linspace(-0.5, 0.5, _SUBDIV)[None, :]
-            Wg = eng.wronskian(
-                np.repeat(svec[active], _SUBDIV), grid.ravel()
-            ).reshape(len(active), _SUBDIV)
-            t = np.linspace(-0.5, 0.5, _SUBDIV)
+            Wg = wronskian_rows(active, root[:, None] + w[:, None] * t[None, :])
             slope = Wg @ t / (t @ t)
             mean = Wg.mean(axis=1)
             step = np.where(slope != 0.0, -mean / slope, 0.0)
             root = root + np.clip(step, -0.5, 0.5) * w
-        return root
+        return active, root
 
-    results: list = [None] * ns
-    active = list(range(ns))
     while active:
-        roots = refine(active)
+        active, roots = refine(active)
+        if not active:
+            break
         Wf, nodes = eng.wronskian(svec[active], roots, count_nodes=True)
         still = []
         for row, j in enumerate(active):
@@ -289,14 +284,13 @@ def shooting_sweep(p: Potential, s_values, nsteps: int = 4000):
                     iterations=eng.evaluations,
                     bracket=(-float(hi[j]) ** 2, -float(lo[j]) ** 2),
                 )
-            else:
-                candidate[j] += 1
-                if candidate[j] >= len(brackets[j]):
-                    raise NoConvergence(
-                        f"no nodeless state among brackets at s={svec[j]:g}"
-                    )
+                continue
+            candidate[j] += 1
+            if candidate[j] < len(brackets[j]):
                 lo[j], hi[j] = brackets[j][candidate[j]]
                 still.append(j)
+            else:
+                results[j] = NoConvergence(f"no nodeless state among brackets at s={svec[j]:g}")
         active = still
     return results
 
@@ -308,8 +302,14 @@ def shooting_solve(p: Potential, nsteps: int = 4000) -> BoundStateResult:
     decaying branches and locates the energy where the two solutions
     have a vanishing Wronskian, then checks that the matched solution is
     nodeless.
+
+    Raises:
+        ShallowWellError: the error shooting_sweep returns for p.s.
     """
-    return shooting_sweep(p, [p.s], nsteps=nsteps)[0]
+    result = shooting_sweep(p, [p.s], nsteps=nsteps)[0]
+    if isinstance(result, ShallowWellError):
+        raise result
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from .errors import TailNotDecayed
 
 #: candidate truncation radii probed by support_radius
 _RADIUS_LADDER = (5.0, 10.0, 20.0, 40.0)
+#: tail bound, relative to the peak, that fixes the support radius
+_EPS_TAIL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,22 +117,20 @@ class Potential:
     def is_even(self) -> bool:
         return self.kind != "tabulated"
 
-    def support_radius(self, eps_tail: float = 1e-12) -> float:
-        """Smallest ladder radius where the shape has decayed below eps_tail.
+    def support_radius(self) -> float:
+        """Smallest ladder radius where the shape has decayed below _EPS_TAIL.
 
         Relative to the peak value. Tabulated potentials are compactly
         supported by construction and return their outermost abscissa.
         """
-        if not (0.0 < eps_tail < 1.0):
-            raise ValueError("eps_tail must lie in (0, 1)")
         if self.kind == "tabulated":
             return float(max(abs(self.sample_x[0]), abs(self.sample_x[-1])))
         peak = self.shape_max()
         for radius in _RADIUS_LADDER:
-            if float(self.shape(radius)) / peak < eps_tail:
+            if float(self.shape(radius)) / peak < _EPS_TAIL:
                 return radius
         raise TailNotDecayed(
-            f"shape of kind {self.kind!r} has not decayed below {eps_tail:g} "
+            f"shape of kind {self.kind!r} has not decayed below {_EPS_TAIL:g} "
             f"within radius {_RADIUS_LADDER[-1]:g}"
         )
 

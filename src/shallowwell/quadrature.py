@@ -102,7 +102,7 @@ def default_grid(p, P: int = 128, q: int = 8, L: float | None = None) -> Quadrat
     ruins the panel rule.
     """
     if L is None:
-        L = p.support_radius(1e-12) + 5.0
+        L = p.support_radius() + 5.0
     if p.kind == "square_well":
         width0 = 2.0 * L / P
         m = max(1, round(p.a / width0))

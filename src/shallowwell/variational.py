@@ -99,12 +99,7 @@ class ExpSqrtTrial:
         return self.alpha * float(np.dot(w, np.sqrt(r + 2.0) / (1.0 + r))) / math.sqrt(z)
 
 
-_FAMILIES = {
-    "gaussian": GaussianTrial,
-    "expsqrt": ExpSqrtTrial,
-    GaussianTrial: GaussianTrial,
-    ExpSqrtTrial: ExpSqrtTrial,
-}
+_FAMILIES = {"gaussian": GaussianTrial, "expsqrt": ExpSqrtTrial}
 
 
 def rayleigh_quotient(tf, p: Potential, g: QuadratureGrid) -> float:

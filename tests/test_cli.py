@@ -251,6 +251,23 @@ def test_compare_small_sweep(tmp_path):
         assert var_e >= shoot - 1e-9
 
 
+def test_compare_shooting_failure_stays_in_its_row(tmp_path):
+    # s = 1e-13 binds far below the shooting scan; only its own row may lose the cell
+    cfg = _write(
+        tmp_path,
+        "c.ini",
+        GAUSS_CFG + "[sweep]\ns_min = 1e-13\ns_max = 0.5\nsteps = 2\n",
+    )
+    out = str(tmp_path / "sweep.csv")
+    assert main(["compare", "--config", cfg, "--out", out]) == 0
+    tiny, half = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert tiny.split(",")[5] == ""
+    assert "shooting: no Wronskian sign change for strength s=1e-13" in tiny
+    shoot = half.split(",")[5]
+    assert float(shoot) < 0.0
+    assert "shooting" not in half
+
+
 def test_figure_sweep_script(tmp_path, capsys):
     script = Path(__file__).resolve().parent.parent / "scripts" / "figure_sweep.py"
     spec = importlib.util.spec_from_file_location("figure_sweep", script)

@@ -52,7 +52,7 @@ def _fake_numerics(monkeypatch, shooting_fails: bool):
 
     def shooting_sweep(p, s_values):
         if shooting_fails:
-            raise BracketFailure("no sign change in [-10, 0]")
+            return [BracketFailure("no sign change in [-10, 0]") for s in s_values]
         return [BoundStateResult(-0.3 * s * s, 1.0e-12, 40, (-1.0, 0.0)) for s in s_values]
 
     def var_minimize(kind, p, g):

@@ -5,6 +5,7 @@ import pytest
 
 from shallowwell.errors import BracketFailure
 from shallowwell.oracles import (
+    _cosh_sinhc,
     erf_reference,
     exact_poschl_teller,
     exact_square_well,
@@ -53,6 +54,42 @@ def test_shooting_matches_exact(p, exact):
     assert res.energy == pytest.approx(exact, rel=1e-9)
     assert res.residual < 1e-10
     assert res.bracket[0] <= res.energy <= res.bracket[1]
+
+
+@pytest.mark.parametrize("s,a", sorted(_SQUARE_WELL_FROZEN))
+def test_shooting_square_well_exact_on_snapped_steps(s, a):
+    # the well edges +-a are step ends, so every step is a constant-coefficient
+    # propagator and even a coarse grid is exact to roundoff
+    res = shooting_solve(Potential.square_well(s, a=a), nsteps=250)
+    assert res.energy == pytest.approx(_SQUARE_WELL_FROZEN[(s, a)], rel=1e-12)
+    assert res.residual < 1e-10
+
+
+def test_shooting_uneven_well_matches_its_mirror_image():
+    # off-centre sech^2: the right half-line is the reversed tail of the grid
+    x = np.linspace(-10.7, 13.3, 2401)
+    v = -1.0 / np.cosh(x - 1.3) ** 2
+    p = Potential.tabulated(x, v, s=1.5)
+    mirror = Potential.tabulated(-x[::-1], v[::-1], s=1.5)
+    assert shooting_solve(mirror).energy == pytest.approx(shooting_solve(p).energy, rel=1e-13)
+
+
+def test_step_series_matches_cosh_and_cos():
+    # beyond |t| = 0.05 the series is scaled by 4^k and doubled back k times
+    r = np.geomspace(1e-6, math.sqrt(20.0), 400)
+    for t, C_exact, S_exact in (
+        (r * r, np.cosh(r), np.sinh(r) / r),
+        (-r * r, np.cos(r), np.sin(r) / r),
+    ):
+        C, S = _cosh_sinhc(t)
+        assert np.all(np.abs(C - C_exact) <= 1e-13 * np.maximum(1.0, np.abs(C_exact)))
+        assert np.all(np.abs(S - S_exact) <= 1e-13 * np.maximum(1.0, np.abs(S_exact)))
+
+
+def test_shooting_deep_poschl_teller():
+    # |t| = h^2 s shape reaches ~0.1 here, so the step series is scaled and doubled back
+    res = shooting_solve(Potential.poschl_teller(3000.0))
+    assert res.energy == pytest.approx(exact_poschl_teller(3000.0), rel=2e-9)
 
 
 def test_shooting_gaussian_regression():

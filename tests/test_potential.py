@@ -67,8 +67,6 @@ def test_validation_errors():
 def test_support_radius_ladder():
     assert Potential.gaussian(1.0).support_radius() == 10.0
     assert Potential.square_well(1.0, a=1.0).support_radius() == 5.0
-    with pytest.raises(ValueError):
-        Potential.gaussian(1.0).support_radius(eps_tail=2.0)
 
 
 def test_support_radius_square_well_wide_raises():
