@@ -392,6 +392,8 @@ def cmd_solve(cfg: RunConfig) -> Report:
 def cmd_greens_check(cfg: RunConfig) -> Report:
     p = cfg.potential
     g = _grid_for(cfg)
+    if g.P % 2:
+        raise ConfigError(f"greens-check needs x = 0 on a panel edge; panel count {g.P} is odd")
     e4_limit = evaluate_terms(load_terms(4), p, g)
     rows = []
     for beta in _BETA_LADDER:

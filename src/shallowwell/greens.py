@@ -6,21 +6,26 @@ The reduced-resolvent kernel G_gamma(x1, x2) at shift gamma admits a
 closed piecewise form in six regions (signs and ordering of x1, x2);
 its gamma-Taylor coefficients G^(l) = <x1|Omega^{l+1}|x2> carry the
 small-beta expansions used to assemble the finite-regulator fourth-order
-energy. The 1/beta pieces of that assembly cancel identically; the
-cancellation is demonstrated numerically here rather than re-proved.
+energy. Each expansion is a table of separable monomials plus one
+|x1 - x2|^(2l+1) kink term, so the assembly runs on the same O(N)
+contract() as the weak-coupling series. The 1/beta pieces of that
+assembly cancel identically; the cancellation is demonstrated
+numerically here rather than re-proved.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import DegenerateShift
+from .errors import DegenerateShift, InvalidGridSpec
 from .potential import Potential
-from .quadrature import QuadratureGrid, build_grid
+from .quadrature import QuadratureGrid, contract, integrate
 
 
 @dataclass(frozen=True)
@@ -114,6 +119,94 @@ def greens_spectral(params: GreensParams, x1: float, x2: float) -> float:
     return total / (2.0 * math.pi)
 
 
+#: Small-beta expansions of G^(l), l = 0..3, truncated after beta^0:
+#:
+#:     G^(l)(x1, x2) = kink * |x1 - x2|^(2l+1)
+#:                     + sum of coeff * beta^-e * x1^i1 |x1|^j1 * x2^i2 |x2|^j2
+#:
+#: over the rows "coeff e i1 j1 i2 j2". G^(l) is symmetric, so a row with
+#: (i1, j1) != (i2, j2) also stands for its mirror image. All but the kink
+#: term separate into functions of x1 and of x2.
+_EXPANSIONS = {
+    0: ("-1/2", """
+        1/4       1  0 0  0 0
+        -1/4      0  0 1  0 0
+    """),
+    1: ("1/12", """
+        1/16      3  0 0  0 0
+        -1/16     2  0 1  0 0
+        -3/32     1  2 0  0 0
+        1/4       1  1 0  1 0
+        1/16      1  0 1  0 1
+        1/32      0  2 1  0 0
+        3/32      0  2 0  0 1
+    """),
+    2: ("-1/240", """
+        1/32      5  0 0  0 0
+        -1/32     4  0 1  0 0
+        -1/64     3  2 0  0 0
+        1/16      3  1 0  1 0
+        1/32      3  0 1  0 1
+        1/192     2  2 1  0 0
+        1/64      2  2 0  0 1
+        5/768     1  4 0  0 0
+        -1/32     1  3 0  1 0
+        -1/192    1  2 1  0 1
+        5/128     1  2 0  2 0
+        -1/768    0  4 1  0 0
+        -5/768    0  4 0  0 1
+        -5/384    0  2 1  2 0
+    """),
+    3: ("1/10080", """
+        5/256     7  0 0  0 0
+        -5/256    6  0 1  0 0
+        -3/512    5  2 0  0 0
+        1/32      5  1 0  1 0
+        5/256     5  0 1  0 1
+        1/512     4  2 1  0 0
+        3/512     4  2 0  0 1
+        5/6144    3  4 0  0 0
+        -1/192    3  3 0  1 0
+        -1/512    3  2 1  0 1
+        5/1024    3  2 0  2 0
+        -1/6144   2  4 1  0 0
+        -5/6144   2  4 0  0 1
+        -5/3072   2  2 1  2 0
+        -7/36864  1  6 0  0 0
+        1/768     1  5 0  1 0
+        1/6144    1  4 1  0 1
+        -35/12288 1  4 0  2 0
+        5/1152    1  3 0  3 0
+        5/9216    1  2 1  2 1
+        1/36864   0  6 1  0 0
+        7/36864   0  6 0  0 1
+        7/12288   0  4 1  2 0
+        35/36864  0  4 0  2 1
+    """),
+}
+
+
+@lru_cache(maxsize=None)
+def _expansion(l: int):
+    """Kink coefficient and separable rows of G^(l), mirror images included."""
+    kink, text = _EXPANSIONS[l]
+    rows = []
+    for line in text.split("\n"):
+        if not line.strip():
+            continue
+        coeff, *powers = line.split()
+        c = float(Fraction(coeff))
+        e, i1, j1, i2, j2 = map(int, powers)
+        rows.append((c, e, i1, j1, i2, j2))
+        if (i1, j1) != (i2, j2):
+            rows.append((c, e, i2, j2, i1, j1))
+    return float(Fraction(kink)), tuple(rows)
+
+
+def _monomial(x, i: int, j: int):
+    return x**i * np.abs(x) ** j
+
+
 def greens_expansion(l: int, beta: float, x1, x2):
     """Truncated small-beta expansion of G^(l), l in 0..3.
 
@@ -124,85 +217,30 @@ def greens_expansion(l: int, beta: float, x1, x2):
         raise ValueError(f"expansion order must lie in 0..3, got {l}")
     if not (beta > 0.0):
         raise ValueError("beta must be positive")
-    b = beta
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    a1, a2 = np.abs(x1), np.abs(x2)
-    d = np.abs(x1 - x2)
-    if l == 0:
-        return 1.0 / (4 * b) + 0.25 * (-a1 - 2 * d - a2)
-    if l == 1:
-        return (
-            1.0 / (16 * b**3)
-            - (a1 + a2) / (16 * b**2)
-            + (2 * a1 * a2 - 3 * x1**2 + 8 * x1 * x2 - 3 * x2**2) / (32 * b)
-            + (
-                8 * d * (x1 - x2) ** 2
-                + 3 * a2 * (3 * x1**2 + x2**2)
-                + 3 * a1 * (x1**2 + 3 * x2**2)
-            )
-            / 96.0
-        )
-    if l == 2:
-        return (
-            1.0 / (32 * b**5)
-            - (a1 + a2) / (32 * b**4)
-            - (-2 * a1 * a2 + x1**2 - 4 * x1 * x2 + x2**2) / (64 * b**3)
-            + ((a1 + 3 * a2) * x1**2 + (3 * a1 + a2) * x2**2) / (192 * b**2)
-            + (
-                5 * x1**4
-                - 24 * x1**3 * x2
-                + 30 * x1**2 * x2**2
-                - 24 * x1 * x2**3
-                + 5 * x2**4
-                - 4 * a1 * a2 * (x1**2 + x2**2)
-            )
-            / (768 * b)
-            + (
-                -16 * d * (x1 - x2) ** 4
-                - 5 * a2 * (5 * x1**4 + 10 * x1**2 * x2**2 + x2**4)
-                - 5 * a1 * (x1**4 + 10 * x1**2 * x2**2 + 5 * x2**4)
-            )
-            / 3840.0
-        )
-    return (
-        5.0 / (256 * b**7)
-        - 5 * (a1 + a2) / (256 * b**6)
-        + (10 * a1 * a2 - 3 * x1**2 + 16 * x1 * x2 - 3 * x2**2) / (512 * b**5)
-        + ((a1 + 3 * a2) * x1**2 + (3 * a1 + a2) * x2**2) / (512 * b**4)
-        + (
-            5 * x1**4
-            - 32 * x1**3 * x2
-            + 30 * x1**2 * x2**2
-            - 32 * x1 * x2**3
-            + 5 * x2**4
-            - 12 * a1 * a2 * (x1**2 + x2**2)
-        )
-        / (6144 * b**3)
-        - (
-            (a1 + 5 * a2) * x1**4
-            + 10 * (a1 + a2) * x1**2 * x2**2
-            + (5 * a1 + a2) * x2**4
-        )
-        / (6144 * b**2)
-        + (
-            -7 * x1**6
-            + 48 * x1**5 * x2
-            - 105 * x1**4 * x2**2
-            + 160 * x1**3 * x2**3
-            - 105 * x1**2 * x2**4
-            + 48 * x1 * x2**5
-            - 7 * x2**6
-            + 2 * a1 * a2 * (3 * x1**2 + x2**2) * (x1**2 + 3 * x2**2)
-        )
-        / (36864 * b)
-        + (
-            128 * d * (x1 - x2) ** 6
-            + 35 * a2 * (7 * x1**6 + 35 * x1**4 * x2**2 + 21 * x1**2 * x2**4 + x2**6)
-            + 35 * a1 * (x1**6 + 21 * x1**4 * x2**2 + 35 * x1**2 * x2**4 + 7 * x2**6)
-        )
-        / 1290240.0
-    )
+    kink, rows = _expansion(l)
+    total = kink * np.abs(x1 - x2) ** (2 * l + 1)
+    for coeff, e, i1, j1, i2, j2 in rows:
+        total = total + coeff / beta**e * _monomial(x1, i1, j1) * _monomial(x2, i2, j2)
+    return total
+
+
+def _apply_expansion(l, beta, g, p, Vx, F):
+    """sum_j G^(l)(x_i, x_j) w_j V(x_j) F_j at every node x_i.
+
+    The kink term is one contraction; each separable row is a weighted
+    sum over x_j times a monomial in x_i.
+    """
+    kink, rows = _expansion(l)
+    x = g.nodes
+    sums = {}
+    out = kink * contract(g, p, 2 * l + 1, 0, F)
+    for coeff, e, i1, j1, i2, j2 in rows:
+        if (i2, j2) not in sums:
+            sums[i2, j2] = integrate(g, Vx * F * _monomial(x, i2, j2))
+        out = out + coeff / beta**e * sums[i2, j2] * _monomial(x, i1, j1)
+    return out
 
 
 def e4_finite_beta(p: Potential, g: QuadratureGrid, beta: float) -> float:
@@ -217,24 +255,33 @@ def e4_finite_beta(p: Potential, g: QuadratureGrid, beta: float) -> float:
     values taken in the regulator bound state psi0 = sqrt(beta)
     e^{-beta|x|}. The individual pieces diverge as powers of 1/beta but
     the combination is finite and tends to E(4) linearly in beta.
+
+    Each kernel is applied as weighted sums plus one contract() call, so
+    the grid must have x = 0 on a panel edge, where |x| and e^{-beta|x|}
+    have their kinks: the panel count must be even.
+
+    Raises:
+        ValueError: beta outside [1e-4, 0.1].
+        InvalidGridSpec: odd panel count.
     """
     if not (1e-4 <= beta <= 0.1):
         raise ValueError("beta must lie in [1e-4, 0.1]")
-    x, w = g.nodes, g.weights
-    Vx = np.asarray(p.evaluate(x), dtype=float)
-    ew = np.exp(-beta * np.abs(x))
-    vend = w * Vx * ew
-    vmid = w * Vx
-    X1, X2 = x[:, None], x[None, :]
-    M0 = greens_expansion(0, beta, X1, X2)
-    M1 = greens_expansion(1, beta, X1, X2)
-    M2 = greens_expansion(2, beta, X1, X2)
-    A = beta * float(np.sum(w * Vx * ew * ew))
-    B1 = beta * float(vend @ (M0 @ vend))
-    B2 = beta * float(vend @ (M1 @ vend))
-    B3 = beta * float(vend @ (M2 @ vend))
-    C = beta * float(vend @ (M1 @ (vmid * (M0 @ vend))))
-    D = beta * float(vend @ (M0 @ (vmid * (M0 @ (vmid * (M0 @ vend))))))
+    if g.P % 2:
+        raise InvalidGridSpec(f"x = 0 must be a panel edge, but the panel count {g.P} is odd")
+    Vx = np.asarray(p.evaluate(g.nodes), dtype=float)
+    ew = np.exp(-beta * np.abs(g.nodes))
+
+    def kernel(l, F):
+        return _apply_expansion(l, beta, g, p, Vx, F)
+
+    def expect(F):
+        return beta * integrate(g, Vx * ew * F)
+
+    A = expect(ew)
+    g0 = kernel(0, ew)
+    B1, B2, B3 = expect(g0), expect(kernel(1, ew)), expect(kernel(2, ew))
+    C = expect(kernel(1, g0))
+    D = expect(kernel(0, kernel(0, g0)))
     return B1 * B2 + 2.0 * A * C - A * A * B3 - D
 
 

@@ -2,24 +2,28 @@
 
 Every multi-dimensional integral in the energy corrections is reduced to
 repeated applications of contract() (apply one |x-y|^k kernel weighted by
-the potential) followed by a final integrate(). The |x-y|^k kernel with
-odd k has a kink on the diagonal; plain panel rules converge only as
-O(P^-2) there, so contract() re-integrates each target node's own panel
-with the panel split at the kink, interpolating the incoming grid
-function polynomially inside the panel. That restores spectral accuracy
-at moderate panel counts.
+the potential) followed by a final integrate(). The |x-y|^k kernels are
+polynomials once the sign of x-y is split off, so contract() applies them
+in O(N): an even power as k+1 weighted sums times powers of x_i, an odd
+power as prefix and suffix sums over the sorted nodes. An odd power also
+has a kink on the diagonal, where plain panel rules converge only as
+O(P^-2); contract() re-integrates each target node's own panel with the
+panel split at the kink, interpolating the incoming grid function
+polynomially inside the panel. That restores spectral accuracy at
+moderate panel counts. The split-panel geometry depends only on q, and V
+at the nodes and sub-nodes only on (grid, potential); both are built once
+and cached.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
 from .errors import InvalidGridSpec, LengthMismatch
-
-_ROW_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -27,9 +31,7 @@ class QuadratureGrid:
     """Composite Gauss-Legendre grid on [-L, L].
 
     P equal panels with q nodes each; nodes/weights are flattened in
-    increasing order. ref_nodes/ref_weights are the q-point rule on
-    [-1, 1]; interp is the inverse Legendre-Vandermonde matrix used to
-    interpolate grid functions inside a single panel.
+    increasing order.
     """
 
     L: float
@@ -38,9 +40,6 @@ class QuadratureGrid:
     nodes: np.ndarray
     weights: np.ndarray
     edges: np.ndarray
-    ref_nodes: np.ndarray
-    ref_weights: np.ndarray
-    interp: np.ndarray
 
     @property
     def size(self) -> int:
@@ -79,19 +78,7 @@ def build_grid(L: float, P: int, q: int) -> QuadratureGrid:
     half = L / P
     nodes = (edges[:-1, None] + half * (xs[None, :] + 1.0)).ravel()
     weights = np.tile(half * ws, int(P))
-    vand = legvander(xs, q - 1)
-    interp = np.linalg.inv(vand)
-    return QuadratureGrid(
-        L=float(L),
-        P=int(P),
-        q=int(q),
-        nodes=nodes,
-        weights=weights,
-        edges=edges,
-        ref_nodes=xs,
-        ref_weights=ws,
-        interp=interp,
-    )
+    return QuadratureGrid(float(L), int(P), int(q), nodes, weights, edges)
 
 
 def default_grid(p, P: int = 128, q: int = 8, L: float | None = None) -> QuadratureGrid:
@@ -128,13 +115,17 @@ def integrate(g: QuadratureGrid, f) -> float:
 
 
 def contract(g: QuadratureGrid, p, k: int, m: int, f) -> np.ndarray:
-    """One chain link: h_i = sum_j w_j |x_i - x_j|^k x_j^m V(x_j) f_j.
+    """One chain link: h_i = sum_j w_j |x_i - x_j|^k x_j^m V(x_j) f_j, in O(N).
 
-    Rows are processed in fixed-size chunks so no N x N kernel matrix is
-    ever materialized. For odd k the diagonal kink of |x_i - x_j|^k is
-    handled exactly: the contribution of node i's own panel is replaced
-    by two sub-panel Gauss rules split at x_i, with f interpolated in the
-    panel's Legendre basis and V evaluated directly at the sub-nodes.
+    The kernel is expanded binomially in powers of x - c, with c the
+    centroid of |w x^m V f|, so the powers stay small where the source
+    lives. An even k needs only the k+1 weighted sums of those powers; an
+    odd k is sgn(x_i - x_j)(x_i - x_j)^k, so the sums run over j < i and
+    j > i as prefix and suffix sums on the sorted nodes. For odd k the
+    diagonal kink is then handled exactly: the contribution of node i's
+    own panel is replaced by two sub-panel Gauss rules split at x_i, with
+    f interpolated in the panel and V taken at the sub-nodes from the
+    per-(grid, potential) kink plan.
 
     Args:
         g: quadrature grid.
@@ -146,55 +137,97 @@ def contract(g: QuadratureGrid, p, k: int, m: int, f) -> np.ndarray:
     if k < 0 or m < 0:
         raise ValueError("kernel and polynomial powers must be nonnegative")
     f = _check_aligned(g, f)
-    x, w = g.nodes, g.weights
-    N = g.size
-    Vx = np.asarray(p.evaluate(x), dtype=float)
+    x = g.nodes
+    Vx, Vsub = _plan(g, p)
     u = Vx * x**m * f
-    wu = w * u
-    h = np.empty(N)
-    for lo in range(0, N, _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, N)
-        kernel = np.abs(x[lo:hi, None] - x[None, :])
-        if k == 0:
-            block = np.ones_like(kernel)
-        elif k == 1:
-            block = kernel
-        else:
-            block = kernel**k
-        h[lo:hi] = block @ wu
+    h = _polynomial_sum(x, g.weights * u, k)
     if k % 2 == 1:
-        h += _kink_correction(g, p, k, m, f, u)
+        h += _kink_correction(g, k, m, f, u, Vsub)
     return h
 
 
-def _kink_correction(g, p, k, m, f, u):
+def _polynomial_sum(x, wu, k):
+    """h_i = sum_j |x_i - x_j|^k wu_j on sorted nodes, by k+1 sums per node."""
+    mass = np.abs(wu)
+    total = float(mass.sum())
+    y = x - (float(mass @ x) / total if total > 0.0 else 0.0)
+    # terms[b, j] = (-y_j)^b wu_j, so that (y_i - y_j)^k = sum_b C(k, b) y_i^(k-b) (-y_j)^b
+    terms = (-y) ** np.arange(k + 1)[:, None]
+    terms *= wu
+    if k % 2 == 0:
+        sums = terms.sum(axis=1, keepdims=True)
+    else:  # sums over j < i minus sums over j > i
+        sums = np.zeros_like(terms)
+        np.cumsum(terms[:, :-1], axis=1, out=sums[:, 1:])
+        sums[:, :-1] -= np.cumsum(terms[:, :0:-1], axis=1)[:, ::-1]
+    h = np.zeros_like(x)
+    for b in range(k + 1):  # Horner in y_i
+        h = h * y + math.comb(k, b) * sums[b]
+    return h
+
+
+@lru_cache(maxsize=None)
+def _split_rule(q: int):
+    """Reference geometry of the kink-split own-panel rule, per node r.
+
+    Node r of the q-point rule on [-1, 1] splits its panel into
+    [-1, xi_r] and [xi_r, 1], each carrying a q-point rule. Returns the
+    sub-nodes eta (q, 2q), sub-weights (q, 2q), distances |xi_r - eta|
+    (q, 2q), the interpolation from the q nodes to the sub-nodes
+    (q, 2q, q), the nodes' own weights (q,) and distances |xi_r - xi_t|
+    (q, q). Scaled by the panel half-width they hold for every panel.
+    There is one rule per q <= 16.
+    """
+    xi, om = leggauss(q)
+    left, right = (1.0 + xi)[:, None] / 2.0, (1.0 - xi)[:, None] / 2.0
+    eta = np.hstack([xi[:, None] - left * (1.0 - xi), xi[:, None] + right * (1.0 + xi)])
+    sub_weights = np.hstack([left * om, right * om])
+    dist = np.hstack([left * (1.0 - xi), right * (1.0 + xi)])
+    interp = legvander(eta, q - 1) @ np.linalg.inv(legvander(xi, q - 1))
+    own_dist = np.abs(xi[:, None] - xi[None, :])
+    rule = (eta, sub_weights, dist, interp, om, own_dist)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
+@lru_cache(maxsize=4)
+def _plan(g: QuadratureGrid, p):
+    """The kink plan of one (grid, potential) pair.
+
+    V at the grid nodes (N,) and at every node's kink-split sub-nodes
+    (P, q, 2q): all that contract() needs of the potential. Built on the
+    first contraction, so grids that are never contracted cost nothing;
+    four plans cover the coarse and fine grids of two potentials.
+    """
+    eta = _split_rule(g.q)[0]
+    plan = (
+        np.asarray(p.evaluate(g.nodes), dtype=float),
+        np.asarray(p.evaluate(_sub_nodes(g, eta)), dtype=float),
+    )
+    for a in plan:
+        a.setflags(write=False)
+    return plan
+
+
+def _sub_nodes(g, eta):
+    half = g.L / g.P
+    return g.edges[:-1, None, None] + half * (eta[None] + 1.0)
+
+
+def _kink_correction(g, k, m, f, u, Vsub):
     """Replace each node's own-panel contribution by a kink-split rule."""
-    x, w = g.nodes, g.weights
     P, q = g.P, g.q
-    panel = np.repeat(np.arange(P), q)
-    lo = g.edges[panel]
-    hi = g.edges[panel + 1]
-    span = hi - lo
-    # polynomial coefficients of f per panel in the Legendre basis
-    coeffs = f.reshape(P, q) @ g.interp.T
-    cnode = coeffs[panel]  # (N, q)
-    # crude own-panel contribution to subtract
-    x_own = x.reshape(P, q)[panel]
-    w_own = w.reshape(P, q)[panel]
-    u_own = u.reshape(P, q)[panel]
-    corr = -np.sum(w_own * np.abs(x[:, None] - x_own) ** k * u_own, axis=1)
-    # refined contribution: two Gauss rules split at the kink x_i
-    for a, b in ((lo, x), (x, hi)):
-        mid = 0.5 * (a + b)
-        halfw = 0.5 * (b - a)
-        y = mid[:, None] + halfw[:, None] * g.ref_nodes[None, :]
-        wy = halfw[:, None] * g.ref_weights[None, :]
-        local = 2.0 * (y - lo[:, None]) / span[:, None] - 1.0
-        vand = legvander(local.ravel(), q - 1).reshape(y.shape[0], q, q)
-        fy = np.einsum("nij,nj->ni", vand, cnode)
-        Vy = np.asarray(p.evaluate(y.ravel()), dtype=float).reshape(y.shape)
-        corr += np.sum(wy * np.abs(x[:, None] - y) ** k * Vy * y**m * fy, axis=1)
-    return corr
+    eta, sub_weights, dist, interp, om, own_dist = _split_rule(q)
+    usub = (f.reshape(P, q) @ interp.reshape(2 * q * q, q).T).reshape(P, q, 2 * q)
+    usub *= Vsub
+    if m:
+        ysub = _sub_nodes(g, eta)
+        ysub **= m
+        usub *= ysub
+    refined = np.einsum("rs,prs->pr", sub_weights * dist**k, usub)
+    crude = u.reshape(P, q) @ (om * own_dist**k).T
+    return (g.L / g.P) ** (k + 1) * (refined - crude).ravel()
 
 
 __all__ = ["QuadratureGrid", "build_grid", "default_grid", "integrate", "contract"]

@@ -230,6 +230,15 @@ def test_greens_check_residuals_shrink(tmp_path, capsys):
     assert abs(block["symmetrized"]) < 1e-8 * block["scale"]
 
 
+def test_greens_check_odd_panel_count_is_config_error(tmp_path, capsys):
+    # an odd panel count puts the kinks of |x| and e^{-beta|x|} inside a panel
+    cfg = _write(tmp_path, "c.ini", GAUSS_CFG)
+    assert main(["greens-check", "--config", cfg, "--grid", "15,129,8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "129" in captured.err
+
+
 def test_compare_small_sweep(tmp_path):
     cfg = _write(
         tmp_path,

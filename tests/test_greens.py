@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from reference import dense_e4_finite_beta, greens_expansion_formula
 
-from shallowwell.errors import DegenerateShift
+from shallowwell.errors import DegenerateShift, InvalidGridSpec
 from shallowwell.greens import (
     GreensParams,
     divergent_block,
@@ -13,7 +14,7 @@ from shallowwell.greens import (
 )
 from shallowwell.perturbation import evaluate_terms, load_terms
 from shallowwell.potential import Potential
-from shallowwell.quadrature import default_grid
+from shallowwell.quadrature import build_grid, default_grid
 
 
 def test_params_validation():
@@ -66,6 +67,42 @@ def test_expansion_kernels_symmetric():
             a = float(greens_expansion(l, 0.05, x1, x2))
             b = float(greens_expansion(l, 0.05, x2, x1))
             assert b == pytest.approx(a, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 3])
+def test_expansion_table_matches_formula(l):
+    rng = np.random.default_rng(5)
+    x1, x2 = rng.uniform(-4.0, 4.0, size=(2, 200))
+    for beta in (0.02, 0.01, 0.005):
+        table = greens_expansion(l, beta, x1, x2)
+        formula = greens_expansion_formula(l, beta, x1, x2)
+        assert np.max(np.abs(table - formula) / np.abs(formula)) <= 1e-12
+
+
+def test_e4_finite_beta_grid_converged():
+    # the kinks of |x1 - x2| are handled by contract() and those of |x| and
+    # e^{-beta|x|} sit on the panel edge at 0, so 64 panels already converge
+    p = Potential.gaussian(1.0)
+    L = default_grid(p).L
+    for beta in (0.02, 0.01, 0.005):
+        coarse = e4_finite_beta(p, build_grid(L, 64, 8), beta)
+        fine = e4_finite_beta(p, build_grid(L, 256, 8), beta)
+        assert abs(coarse - fine) <= 1e-10
+
+
+def test_e4_finite_beta_matches_dense_richardson():
+    # the dense panel rule converges at second order in the panel width
+    p = Potential.gaussian(1.0)
+    g = default_grid(p)
+    dense = [dense_e4_finite_beta(p, build_grid(g.L, P, g.q), 0.02) for P in (128, 256)]
+    extrapolated = (4.0 * dense[1] - dense[0]) / 3.0
+    assert abs(e4_finite_beta(p, g, 0.02) - extrapolated) <= 1e-8
+
+
+def test_e4_finite_beta_rejects_odd_panel_count():
+    p = Potential.gaussian(1.0)
+    with pytest.raises(InvalidGridSpec, match="129"):
+        e4_finite_beta(p, build_grid(15.0, 129, 8), 0.02)
 
 
 def test_e4_finite_beta_converges_to_e4():

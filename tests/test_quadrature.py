@@ -1,12 +1,29 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from reference import dense_contract
 from scipy.special import erf
 
 from shallowwell.errors import InvalidGridSpec, LengthMismatch
 from shallowwell.potential import Potential
 from shallowwell.quadrature import build_grid, contract, default_grid, integrate
+
+
+def _sech2(x0):
+    """Off-centre tabulated sech^2 well: 2,401 samples on [x0 - 12, x0 + 12]."""
+    xs = np.linspace(x0 - 12.0, x0 + 12.0, 2401)
+    return Potential.tabulated(xs, -1.0 / np.cosh(xs - x0) ** 2)
+
+
+SHAPES = {
+    "square_well": Potential.square_well(1.0),
+    "poschl_teller": Potential.poschl_teller(1.0),
+    "gaussian": Potential.gaussian(1.0),
+    # far from the origin (L = 27): powers of x alone would cancel badly
+    "sech2_x0_10": _sech2(10.0),
+}
 
 
 def test_build_grid_validation():
@@ -56,14 +73,45 @@ def test_default_grid_square_well_panel_alignment():
         assert np.min(np.abs(g.edges + a)) < 1e-12
 
 
+def _assert_matches_dense(g, p, k, m, f):
+    # roundoff bound per node: the sum with every summand in absolute value
+    got = contract(g, p, k, m, f)
+    want, scale = dense_contract(g, p, k, m, f)
+    worst = np.max(np.abs(got - want) / scale)
+    assert worst <= 1e-14, f"k={k} m={m}: {worst:.2e}"
+
+
 def test_contract_even_kernel_matches_dense():
     p = Potential.gaussian(1.0)
     g = build_grid(8.0, 32, 6)
-    f = np.cos(g.nodes)
-    got = contract(g, p, 2, 1, f)
-    x, w = g.nodes, g.weights
-    dense = ((x[:, None] - x[None, :]) ** 2 * (w * p.evaluate(x) * x * f)[None, :]).sum(axis=1)
-    assert np.max(np.abs(got - dense)) < 1e-12 * np.max(np.abs(dense))
+    _assert_matches_dense(g, p, 2, 1, np.cos(g.nodes))
+
+
+@pytest.mark.parametrize("fine", [False, True], ids=["coarse", "fine"])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_contract_matches_dense_oracle(shape, fine):
+    p = SHAPES[shape]
+    g = default_grid(p)
+    if fine:
+        g = build_grid(g.L, 2 * g.P, g.q)
+    for f in (np.ones_like(g.nodes), np.cos(0.7 * g.nodes) + 0.25 * g.nodes):
+        for k in range(6):
+            for m in range(5):
+                _assert_matches_dense(g, p, k, m, f)
+
+
+def test_contract_allocates_linear_memory():
+    # an N x N block at N = 16,384 would take about 2 GB
+    p = Potential.gaussian(1.0)
+    g = build_grid(15.0, 2048, 8)
+    f = np.ones_like(g.nodes)
+    tracemalloc.start()
+    try:
+        contract(g, p, 5, 4, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * g.size * 8
 
 
 def test_contract_odd_kernel_matches_closed_form():
