@@ -11,7 +11,6 @@ from .errors import (
     DegenerateShift,
     InvalidGridSpec,
     LengthMismatch,
-    NoConvergence,
     NonNormalizable,
     NonPathComponent,
     OptimizerStalled,
@@ -31,11 +30,8 @@ from .greens import (
 )
 from .oracles import (
     BoundStateResult,
-    erf_reference,
     exact_poschl_teller,
     exact_square_well,
-    fit_series_coefficients,
-    gaussian_closed_coefficients,
     shooting_solve,
     shooting_sweep,
 )

@@ -26,11 +26,7 @@ class DegenerateShift(ShallowWellError):
 
 
 class BracketFailure(ShallowWellError):
-    """No sign change found when bracketing a bound-state energy."""
-
-
-class NoConvergence(ShallowWellError):
-    """Iteration budget exhausted without meeting tolerance."""
+    """No bound state to bracket: no attractive potential, or no level in the shooting scan."""
 
 
 class SingularPade(ShallowWellError):

@@ -1,10 +1,11 @@
 """Independent ground truths for the series machinery.
 
-Exact eigenvalues for the square well and the Poschl-Teller well, the
-closed-form Gaussian series coefficients (including the two erf-integral
-pieces), a shooting/Wronskian bound-state solver with one fourth-order
-Magnus propagator for every shape, and the polynomial fit that recovers
-series coefficients from any solver.
+Exact eigenvalues for the square well and the Poschl-Teller well, and a
+shooting/Wronskian bound-state solver with one fourth-order Magnus
+propagator for every shape, which finds the ground state by counting
+levels (Sturm oscillation). The closed-form Gaussian coefficients, the
+erf reference and the series fit that only the tests use live in
+tests/reference.py.
 """
 from __future__ import annotations
 
@@ -12,11 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf as _erf
 
-from .errors import BracketFailure, NoConvergence, ShallowWellError
+from .errors import BracketFailure, ShallowWellError
 from .potential import Potential
-from .quadrature import build_grid, default_grid, integrate
+from .quadrature import default_grid
 
 # ---------------------------------------------------------------------------
 # exact solvers
@@ -141,7 +141,7 @@ def _propagate(shape, svec, kvec, h, count_nodes=False):
 
 
 class _WronskianEngine:
-    """Evaluates the normalized x=0 matching Wronskian for one shape.
+    """Evaluates the normalized x=0 matching Wronskian and level count for one shape.
 
     The steps are the panels of default_grid(p, 2*nsteps, 2), so a
     square well's edges fall on step ends and each of its steps is
@@ -162,6 +162,13 @@ class _WronskianEngine:
         self.evaluations = 0
 
     def wronskian(self, svec, kvec, count_nodes=False):
+        """W and the level count N at each (strength, kappa) pair.
+
+        N = n + [(-1)^n W < 0] is the number of levels below -kappa^2,
+        with n the nodes of the two half-line solutions. Without
+        count_nodes n is taken as 0, and N = [W < 0] is exact wherever
+        the true count is 0 or 1.
+        """
         svec = np.asarray(svec, dtype=float)
         kvec = np.asarray(kvec, dtype=float)
         self.evaluations += 1
@@ -169,7 +176,8 @@ class _WronskianEngine:
         (uL, vL, nL), (uR, vR, nR) = sols[0], sols[-1]
         # right solution at 0: u_R = uR, u_R' = -vR (mirror variable)
         W = (vL * uR + uL * vR) / (np.hypot(uL, vL) * np.hypot(uR, vR))
-        return (W, nL + nR) if count_nodes else W
+        n = nL + nR
+        return W, n + ((-1) ** n * W < 0.0)
 
 
 _SCAN_POINTS = 160
@@ -177,28 +185,19 @@ _SUBDIV = 64
 _MAX_ROUNDS = 40
 
 
-def _sign_change_brackets(ks, Ws):
-    """Adjacent sign changes, ordered from the largest kappa down."""
-    out = []
-    for i in range(len(ks) - 1):
-        if np.sign(Ws[i]) != np.sign(Ws[i + 1]) or Ws[i] == 0.0:
-            out.append((min(ks[i], ks[i + 1]), max(ks[i], ks[i + 1])))
-    return out
-
-
 def shooting_sweep(p: Potential, s_values, nsteps: int = 4000) -> list:
     """Ground-state energies for one shape at many strengths.
 
     All strengths advance through bracketing and refinement together,
-    batched into shared integration passes. A strength that fails
-    leaves the batch and the others go on.
+    batched into shared integration passes. The ground state's bracket
+    is the kappa step where the level count N (_WronskianEngine.wronskian)
+    first reaches 1. Nodes are counted only while a bracket may hold
+    more than one level; once N(lo) = 1, W changes sign once in it. A
+    strength that fails leaves the batch and the others go on.
 
     Returns a list aligned with s_values holding, for each strength,
-    its BoundStateResult or the ShallowWellError it failed with:
-        BracketFailure: no attractive potential, or no Wronskian sign
-            change in the scan.
-        NoConvergence: the sign change was lost or the subdivision
-            stalled, or no bracket holds a nodeless state.
+    its BoundStateResult or the BracketFailure it failed with: no
+    attractive potential, or no level in the scan.
     """
     svec = np.asarray(s_values, dtype=float)
     results: list = [
@@ -210,88 +209,62 @@ def shooting_sweep(p: Potential, s_values, nsteps: int = 4000) -> list:
     if not active:
         return results
     eng = _WronskianEngine(p, nsteps=nsteps)
+    lo, hi, levels = np.zeros(len(svec)), np.ones(len(svec)), np.zeros(len(svec), dtype=int)
 
-    def wronskian_rows(active, ks):
-        """W at one row of kappas per active strength, in one pass."""
-        return eng.wronskian(np.repeat(svec[active], ks.shape[1]), ks.ravel()).reshape(ks.shape)
+    def wronskian_rows(active, ks, count_nodes=False):
+        """W and N at one row of kappas per active strength, in one pass."""
+        W, N = eng.wronskian(np.repeat(svec[active], ks.shape[1]), ks.ravel(), count_nodes)
+        return W.reshape(ks.shape), N.reshape(ks.shape)
 
-    # ---- scan for sign changes, all strengths in one pass ----------------
+    def narrow(active, ks, N):
+        """Bracket each row of kappas (running downward) at its first level."""
+        rows = np.arange(len(active))
+        i = np.maximum(np.argmax(N >= 1, axis=1), 1)
+        lo[active], hi[active], levels[active] = ks[rows, i], ks[rows, i - 1], N[rows, i]
+
+    # ---- scan, all strengths in one counted pass -------------------------
     kmax = np.sqrt(svec[active] * p.shape_max()) * (1.0 - 1e-9)
     ks = kmax[:, None] * np.geomspace(1.0, 1e-6, _SCAN_POINTS)[None, :]
-    Ws = wronskian_rows(active, ks)
-    brackets = {j: _sign_change_brackets(ks[row], Ws[row]) for row, j in enumerate(active)}
-    for j in active:
-        if not brackets[j]:
+    _, N = wronskian_rows(active, ks, count_nodes=True)
+    narrow(active, ks, N)
+    for row, j in enumerate(active):
+        if not N[row].any():
             results[j] = BracketFailure(f"no Wronskian sign change for strength s={svec[j]:g}")
-    active = [j for j in active if brackets[j]]
-    candidate = dict.fromkeys(active, 0)  # which bracket each strength is working on
-    lo, hi = np.zeros(len(svec)), np.ones(len(svec))
-    for j in active:
-        lo[j], hi[j] = brackets[j][0]
+    active = [j for j in active if results[j] is None]
+    if not active:
+        return results
 
-    def refine(active):
-        """Subdivide then polish the active brackets down to roundoff.
-
-        Returns the strengths that survive and their roots; each one
-        that fails gets its error in results.
-        """
-        for _ in range(_MAX_ROUNDS):
-            if np.all((hi[active] - lo[active]) / hi[active] <= 1e-4):
-                break
-            frac = np.linspace(0.0, 1.0, _SUBDIV)[None, :]
-            grid = lo[active][:, None] + (hi[active] - lo[active])[:, None] * frac
-            Wg = wronskian_rows(active, grid)
-            for row, j in enumerate(active):
-                sub = _sign_change_brackets(grid[row], Wg[row])
-                if sub:
-                    lo[j], hi[j] = sub[-1]  # largest-kappa root: the ground state
-                else:
-                    results[j] = NoConvergence(
-                        f"sign change lost during subdivision at s={svec[j]:g}"
-                    )
-            active = [j for j in active if results[j] is None]
-        for j in active:
-            if not (hi[j] - lo[j]) / hi[j] <= 1e-4:
-                results[j] = NoConvergence("bracket subdivision stalled")
-        active = [j for j in active if results[j] is None]
-        if not active:
-            return active, None
-        # three linear least-squares polish rounds with shrinking windows
-        root = 0.5 * (lo[active] + hi[active])
-        width = hi[active] - lo[active]
-        t = np.linspace(-0.5, 0.5, _SUBDIV)
-        for shrink in (1.0, 1e-2, 1e-4):
-            w = np.maximum(width * shrink, np.abs(root) * 1e-13)
-            Wg = wronskian_rows(active, root[:, None] + w[:, None] * t[None, :])
-            slope = Wg @ t / (t @ t)
-            mean = Wg.mean(axis=1)
-            step = np.where(slope != 0.0, -mean / slope, 0.0)
-            root = root + np.clip(step, -0.5, 0.5) * w
-        return active, root
-
-    while active:
-        active, roots = refine(active)
-        if not active:
+    # ---- subdivide, counting only while a bracket may hold two levels ----
+    frac = np.linspace(0.0, 1.0, _SUBDIV)[::-1]
+    for _ in range(_MAX_ROUNDS):
+        multi = bool(np.any(levels[active] > 1))
+        if not multi and np.all((hi[active] - lo[active]) / hi[active] <= 1e-4):
             break
-        Wf, nodes = eng.wronskian(svec[active], roots, count_nodes=True)
-        still = []
-        for row, j in enumerate(active):
-            if nodes[row] == 0:
-                kappa = float(roots[row])
-                results[j] = BoundStateResult(
-                    energy=-kappa * kappa,
-                    residual=abs(float(Wf[row])),
-                    iterations=eng.evaluations,
-                    bracket=(-float(hi[j]) ** 2, -float(lo[j]) ** 2),
-                )
-                continue
-            candidate[j] += 1
-            if candidate[j] < len(brackets[j]):
-                lo[j], hi[j] = brackets[j][candidate[j]]
-                still.append(j)
-            else:
-                results[j] = NoConvergence(f"no nodeless state among brackets at s={svec[j]:g}")
-        active = still
+        grid = lo[active][:, None] + (hi[active] - lo[active])[:, None] * frac
+        _, N = wronskian_rows(active, grid, count_nodes=multi)
+        narrow(active, grid, N)
+
+    # ---- three linear least-squares polish rounds with shrinking windows -
+    root = 0.5 * (lo[active] + hi[active])
+    width = hi[active] - lo[active]
+    t = np.linspace(-0.5, 0.5, _SUBDIV)
+    for shrink in (1.0, 1e-2, 1e-4):
+        w = np.maximum(width * shrink, np.abs(root) * 1e-13)
+        Wg, _ = wronskian_rows(active, root[:, None] + w[:, None] * t[None, :])
+        slope = Wg @ t / (t @ t)
+        mean = Wg.mean(axis=1)
+        step = np.where(slope != 0.0, -mean / slope, 0.0)
+        root = root + np.clip(step, -0.5, 0.5) * w
+
+    Wf, _ = eng.wronskian(svec[active], root)
+    for row, j in enumerate(active):
+        kappa = float(root[row])
+        results[j] = BoundStateResult(
+            energy=-kappa * kappa,
+            residual=abs(float(Wf[row])),
+            iterations=eng.evaluations,
+            bracket=(-float(hi[j]) ** 2, -float(lo[j]) ** 2),
+        )
     return results
 
 
@@ -300,125 +273,16 @@ def shooting_solve(p: Potential, nsteps: int = 4000) -> BoundStateResult:
 
     Integrates u'' = (V - E) u inward from +-L on the asymptotic
     decaying branches and locates the energy where the two solutions
-    have a vanishing Wronskian, then checks that the matched solution is
-    nodeless.
+    have a vanishing Wronskian, in the bracket where the level count
+    first reaches 1, so the root is the ground state.
 
     Raises:
-        ShallowWellError: the error shooting_sweep returns for p.s.
+        BracketFailure: the error shooting_sweep returns for p.s.
     """
     result = shooting_sweep(p, [p.s], nsteps=nsteps)[0]
     if isinstance(result, ShallowWellError):
         raise result
     return result
-
-
-# ---------------------------------------------------------------------------
-# Gaussian closed-form coefficients
-
-
-def _f_integrand(x):
-    rp = math.pi**1.5
-    return (rp * np.exp(-2 * x * x) / 128.0) * (
-        np.exp(x * x)
-        * x
-        * (2 * _erf(x) - 1)
-        * (4 * math.sqrt(2) * x * _erf(math.sqrt(2) * x) - math.sqrt(math.pi) * _erf(x) ** 2)
-        - 2 * _erf(x) ** 2
-    )
-
-
-def _g_integrand(x):
-    pi = math.pi
-    rp = pi**1.5
-    e1 = np.exp(-x * x)
-    s2 = math.sqrt(2)
-    return (
-        pi**2 * e1 * x * _erf(x) ** 3 / (64 * s2)
-        + pi**2 * e1 * x * _erf(s2 * x) * _erf(x) ** 2 / (32 * s2)
-        + rp * np.exp(-3 * x * x) * _erf(x) ** 2 / 64.0
-        + rp * np.exp(-2 * x * x) * _erf(x) ** 2 / (64 * s2)
-        - rp * e1 * x * x * _erf(s2 * x) * _erf(x) / 16.0
-        - rp * e1 * x * x * _erf(s2 * x) ** 2 / 16.0
-    )
-
-
-def gaussian_closed_coefficients():
-    """Closed forms of the Gaussian-well c4, c5, c6.
-
-    The constant blocks are explicit surds; the remaining pieces are two
-    one-dimensional erf integrals evaluated by composite quadrature on
-    [-10, 10] (the integrands decay like e^{-x^2}).
-    """
-    pi = math.pi
-    g = build_grid(10.0, 64, 8)
-    int_f = integrate(g, _f_integrand(g.nodes))
-    int_g = integrate(g, _g_integrand(g.nodes))
-    c4 = -(pi / 8.0 + math.sqrt(3.0) * pi / 8.0 + pi**2 / 12.0)
-    c5 = 7.0 * pi / 96.0 + math.sqrt(1.5) * pi / 8.0 + 3.0 * pi**2 / (8.0 * math.sqrt(2.0)) + int_f
-    c6 = (
-        -3.0 * pi / 64.0
-        - 7.0 * pi / (96.0 * math.sqrt(2.0))
-        - 7.0 * pi / (96.0 * math.sqrt(5.0))
-        - 5.0 * pi**2 / 16.0
-        - pi**2 / (64.0 * math.sqrt(3.0))
-        - 7.0 * math.sqrt(3.0) * pi**2 / 64.0
-        - 2.0 * pi**3 / 45.0
-        + int_g
-    )
-    return c4, c5, c6
-
-
-def erf_reference(x: float, terms: int = 80) -> float:
-    """erf from first principles: Maclaurin series for small arguments,
-    a continued fraction for erfc beyond the series' comfort zone.
-
-    Used to verify the library erf rather than to replace it; accurate
-    to ~1e-14 everywhere.
-    """
-    if x < 0:
-        return -erf_reference(-x, terms)
-    if x <= 2.0:
-        total = 0.0
-        term = x
-        for n in range(terms):
-            total += term / (2 * n + 1)
-            term *= -x * x / (n + 1)
-        return 2.0 / math.sqrt(math.pi) * total
-    # erfc(x) = e^{-x^2}/sqrt(pi) * 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-    cf = 0.0
-    for n in range(60, 0, -1):
-        cf = (0.5 * n) / (x + cf)
-    erfc = math.exp(-x * x) / math.sqrt(math.pi) / (x + cf)
-    return 1.0 - erfc
-
-
-# ---------------------------------------------------------------------------
-# series-coefficient recovery
-
-
-def fit_series_coefficients(
-    energy_fn,
-    s_lo: float = 0.01,
-    s_hi: float = 0.05,
-    npts: int = 36,
-    degree: int = 11,
-):
-    """Recover c2..c6 from solver energies over a weak-coupling window.
-
-    Fits E(s) to a polynomial sum_{k=2}^{degree} b_k (s/s_hi)^k by least
-    squares. The guard terms beyond degree 6 matter: the true E(s) has
-    an s^7 tail whose projection onto a degree-6 basis shifts c6 by tens
-    of percent; with guard degree 11 the aliasing drops below 1e-4 for
-    all benchmark shapes.
-
-    Returns (c2, c3, c4, c5, c6).
-    """
-    s = np.linspace(s_lo, s_hi, npts)
-    E = np.array([energy_fn(float(v)) for v in s])
-    t = s / s_hi
-    basis = np.vstack([t**k for k in range(2, degree + 1)]).T
-    coeffs, *_ = np.linalg.lstsq(basis, E, rcond=None)
-    return tuple(coeffs[k - 2] / s_hi**k for k in range(2, 7))
 
 
 __all__ = [
@@ -427,7 +291,4 @@ __all__ = [
     "exact_poschl_teller",
     "shooting_solve",
     "shooting_sweep",
-    "gaussian_closed_coefficients",
-    "erf_reference",
-    "fit_series_coefficients",
 ]

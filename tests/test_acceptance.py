@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from reference import fit_series_coefficients, gaussian_closed_coefficients
 
 from shallowwell.cli import RunConfig, compare_rows
 from shallowwell.greens import (
@@ -20,13 +21,7 @@ from shallowwell.greens import (
     greens_closed,
     greens_spectral,
 )
-from shallowwell.oracles import (
-    exact_poschl_teller,
-    exact_square_well,
-    fit_series_coefficients,
-    gaussian_closed_coefficients,
-    shooting_sweep,
-)
+from shallowwell.oracles import exact_poschl_teller, exact_square_well, shooting_sweep
 from shallowwell.perturbation import (
     ClusterTerm,
     energy_series,

@@ -2,15 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from reference import erf_reference, fit_series_coefficients, gaussian_closed_coefficients
 
 from shallowwell.errors import BracketFailure
 from shallowwell.oracles import (
     _cosh_sinhc,
-    erf_reference,
+    _WronskianEngine,
     exact_poschl_teller,
     exact_square_well,
-    fit_series_coefficients,
-    gaussian_closed_coefficients,
     shooting_solve,
     shooting_sweep,
 )
@@ -90,6 +89,33 @@ def test_shooting_deep_poschl_teller():
     # |t| = h^2 s shape reaches ~0.1 here, so the step series is scaled and doubled back
     res = shooting_solve(Potential.poschl_teller(3000.0))
     assert res.energy == pytest.approx(exact_poschl_teller(3000.0), rel=2e-9)
+
+
+def test_shooting_sweep_deep_poschl_teller():
+    # several levels fall inside the first scan interval at these depths
+    s_values = [2000.0, 4000.0]
+    results = shooting_sweep(Potential.poschl_teller(1.0), s_values)
+    for s, res in zip(s_values, results):
+        assert res.energy == pytest.approx(exact_poschl_teller(s), rel=2e-9)
+
+
+def test_shooting_sweep_deep_gaussian_matches_oscillator_limit():
+    # -s exp(-x^2) ~ -s + s x^2 - s x^4 / 2: oscillator level plus its
+    # first anharmonic shift, -s + sqrt(s) - 3/8 + O(1/sqrt(s))
+    s_values = [5000.0, 1e4]
+    results = shooting_sweep(Potential.gaussian(1.0), s_values)
+    for s, res in zip(s_values, results):
+        assert abs(res.energy - (-s + math.sqrt(s) - 0.375)) < 1.0 / math.sqrt(s)
+
+
+def test_level_count_on_deep_poschl_teller():
+    # the levels of -s sech^2 sit at kappa_n = kappa_0 - n exactly
+    s = 2000.0
+    kappa0 = 0.5 * (math.sqrt(1.0 + 4.0 * s) - 1.0)
+    kappas = [kappa0 + 0.5] + [kappa0 - n - 0.5 for n in range(5)]
+    engine = _WronskianEngine(Potential.poschl_teller(1.0))
+    _, levels = engine.wronskian([s] * len(kappas), kappas, count_nodes=True)
+    assert levels.tolist() == [0, 1, 2, 3, 4, 5]
 
 
 def test_shooting_gaussian_regression():
