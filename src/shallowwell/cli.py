@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, ShallowWellError
+from .errors import ConfigError, InvalidGridSpec, ShallowWellError
 from .greens import divergent_block, e4_finite_beta
 from .oracles import shooting_solve, shooting_sweep
 from .perturbation import energy_series, evaluate_terms, load_terms
@@ -392,8 +392,6 @@ def cmd_solve(cfg: RunConfig) -> Report:
 def cmd_greens_check(cfg: RunConfig) -> Report:
     p = cfg.potential
     g = _grid_for(cfg)
-    if g.P % 2:
-        raise ConfigError(f"greens-check needs x = 0 on a panel edge; panel count {g.P} is odd")
     e4_limit = evaluate_terms(load_terms(4), p, g)
     rows = []
     for beta in _BETA_LADDER:
@@ -480,7 +478,8 @@ def main(argv=None) -> int:
         _apply_overrides(cfg, args)
         report = _COMMANDS[args.command](cfg)
         _write(cfg.out, report.render(cfg.fmt))
-    except ConfigError as exc:
+    # the config or its valid defaults set every grid, so a bad grid is a config error
+    except (ConfigError, InvalidGridSpec) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ShallowWellError as exc:

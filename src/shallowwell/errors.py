@@ -21,10 +21,6 @@ class NonPathComponent(ShallowWellError):
     """Absolute-value links of a term branch or form a cycle."""
 
 
-class DegenerateShift(ShallowWellError):
-    """Resolvent shift gamma = 0 where the closed form is singular."""
-
-
 class BracketFailure(ShallowWellError):
     """No bound state to bracket: no attractive potential, or no level in the shooting scan."""
 

@@ -2,121 +2,29 @@
 
 H0 = -d^2/dx^2 - 2*beta*delta(x) has a single bound state
 psi0(x) = sqrt(beta) e^{-beta|x|} with energy -beta^2 plus a continuum.
-The reduced-resolvent kernel G_gamma(x1, x2) at shift gamma admits a
-closed piecewise form in six regions (signs and ordering of x1, x2);
-its gamma-Taylor coefficients G^(l) = <x1|Omega^{l+1}|x2> carry the
-small-beta expansions used to assemble the finite-regulator fourth-order
-energy. Each expansion is a table of separable monomials plus one
-|x1 - x2|^(2l+1) kink term, so the assembly runs on the same O(N)
-contract() as the weak-coupling series. The 1/beta pieces of that
-assembly cancel identically; the cancellation is demonstrated
-numerically here rather than re-proved.
+The gamma-Taylor coefficients G^(l) = <x1|Omega^{l+1}|x2> of its
+reduced-resolvent kernel G_gamma(x1, x2) carry the small-beta expansions
+used to assemble the finite-regulator fourth-order energy. Each
+expansion is a table of separable monomials plus one |x1 - x2|^(2l+1)
+kink term, so the assembly runs on the same O(N) contract() as the
+weak-coupling series. The 1/beta pieces of that assembly cancel
+identically; the cancellation is demonstrated numerically here rather
+than re-proved. The closed six-region form of G_gamma and its spectral
+integral, which the expansions are checked against, are in
+tests/reference.py.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import DegenerateShift, InvalidGridSpec
+from .errors import InvalidGridSpec
 from .potential import Potential
 from .quadrature import QuadratureGrid, contract, integrate
-
-
-@dataclass(frozen=True)
-class GreensParams:
-    """Regulator strength beta > 0 and resolvent shift gamma >= 0."""
-
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        if not (self.beta > 0.0):
-            raise ValueError("beta must be positive")
-        if not (self.gamma >= 0.0):
-            raise ValueError("gamma must be nonnegative")
-
-    @property
-    def Gamma(self) -> float:
-        return math.sqrt(self.beta**2 + self.gamma)
-
-
-def greens_closed(params: GreensParams, x1: float, x2: float) -> float:
-    """Closed-form G_gamma(x1, x2), six theta-function regions.
-
-    Each region is the same three-exponential combination written with
-    the absolute values resolved; ties at x1 = x2 or x = 0 are broken
-    toward x1 >= x2 and x >= 0 (the kernel is continuous, so any
-    consistent tie-break is exact).
-
-    Raises:
-        DegenerateShift: gamma = 0 (gamma appears in denominators).
-    """
-    b, g = params.beta, params.gamma
-    if g == 0.0:
-        raise DegenerateShift("closed form is singular at gamma = 0")
-    G = params.Gamma
-    if x1 >= x2:
-        if x2 >= 0.0:
-            d, ssum = x1 - x2, x1 + x2
-        elif x1 <= 0.0:
-            d, ssum = x1 - x2, -x1 - x2
-        else:
-            d = ssum = x1 - x2
-    else:
-        if x1 >= 0.0:
-            d, ssum = x2 - x1, x1 + x2
-        elif x2 <= 0.0:
-            d, ssum = x2 - x1, -x1 - x2
-        else:
-            d = ssum = x2 - x1
-    return (
-        math.exp(-G * d) / (2.0 * G)
-        + b * (b + G) * math.exp(-G * ssum) / (2.0 * g * G)
-        - b * math.exp(-b * ssum) / g
-    )
-
-
-def greens_spectral(params: GreensParams, x1: float, x2: float) -> float:
-    """Independent check: continuum-eigenfunction p-integral for G_gamma.
-
-    Uses the even/odd scattering states of the delta well,
-
-        psi_even = sqrt(2)/sqrt(p^2+b^2) (p cos(px) - b sin(p|x|)),
-        psi_odd  = sqrt(2) sin(px),
-
-    and evaluates int_0^inf dp/(2 pi) [psi_e psi_e + psi_o psi_o] /
-    (p^2 + b^2 + gamma). The oscillatory pieces are integrated with
-    QUADPACK's cos/sin-weighted rule over the half line.
-    """
-    b = params.beta
-    G2 = b * b + params.gamma
-    a1, a2 = abs(x1), abs(x2)
-    sg = math.copysign(1.0, x1) * math.copysign(1.0, x2)
-    d, ssum = abs(a1 - a2), a1 + a2
-
-    def r1(p):
-        return (p * p / (p * p + b * b) + b * b / (p * p + b * b) + sg) / (p * p + G2)
-
-    def r2(p):
-        return (p * p / (p * p + b * b) - b * b / (p * p + b * b) - sg) / (p * p + G2)
-
-    def r3(p):
-        return -2 * b * p / ((p * p + b * b) * (p * p + G2))
-
-    total = 0.0
-    for r, wvar, weight in ((r1, d, "cos"), (r2, ssum, "cos"), (r3, ssum, "sin")):
-        if wvar == 0.0:
-            if weight == "cos":
-                total += quad(r, 0.0, np.inf)[0]
-        else:
-            total += quad(r, 0.0, np.inf, weight=weight, wvar=wvar, limlst=200)[0]
-    return total / (2.0 * math.pi)
 
 
 #: Small-beta expansions of G^(l), l = 0..3, truncated after beta^0:
@@ -268,7 +176,7 @@ def e4_finite_beta(p: Potential, g: QuadratureGrid, beta: float) -> float:
         raise ValueError("beta must lie in [1e-4, 0.1]")
     if g.P % 2:
         raise InvalidGridSpec(f"x = 0 must be a panel edge, but the panel count {g.P} is odd")
-    Vx = np.asarray(p.evaluate(g.nodes), dtype=float)
+    Vx = p.evaluate(g.nodes)
     ew = np.exp(-beta * np.abs(g.nodes))
 
     def kernel(l, F):
@@ -302,7 +210,7 @@ def divergent_block(p: Potential, n: int = 16):
     R = p.support_radius() + 1.0
     xs, ws = leggauss(n)
     x = R * xs
-    wv = R * ws * np.asarray(p.evaluate(x), dtype=float)
+    wv = R * ws * p.evaluate(x)
     D = np.abs(x[:, None] - x[None, :])
     W4 = (
         wv[:, None, None, None]
@@ -334,33 +242,4 @@ def divergent_block(p: Potential, n: int = 16):
     return value, scale
 
 
-def greens_gamma_derivative(
-    l: int, beta: float, x1: float, x2: float, step_scale: float = 1e-2
-) -> float:
-    """Estimate G^(l) from gamma-Taylor coefficients of greens_closed.
-
-    G_gamma = sum_l (-gamma)^l G^(l), so the degree-l coefficient of a
-    local polynomial model of gamma -> greens_closed carries G^(l) up to
-    sign. Samples at gamma = h..6h with h = step_scale * beta^2 stay
-    inside the Taylor region gamma << beta^2 while keeping the 1/gamma
-    cancellations of the closed form well conditioned. The result should
-    approach greens_expansion(l) up to O(beta).
-    """
-    if l not in (0, 1, 2, 3):
-        raise ValueError("l must lie in 0..3")
-    h = step_scale * beta * beta
-    t = np.arange(1, 7, dtype=float)
-    vals = [greens_closed(GreensParams(beta, float(ti) * h), x1, x2) for ti in t]
-    coeffs = np.polynomial.polynomial.polyfit(t, vals, 5)
-    return (-1.0) ** l * coeffs[l] / h**l
-
-
-__all__ = [
-    "GreensParams",
-    "greens_closed",
-    "greens_spectral",
-    "greens_expansion",
-    "e4_finite_beta",
-    "divergent_block",
-    "greens_gamma_derivative",
-]
+__all__ = ["greens_expansion", "e4_finite_beta", "divergent_block"]

@@ -1,11 +1,10 @@
-"""Independent ground truths for the series machinery.
+"""Independent ground truth for the series machinery.
 
-Exact eigenvalues for the square well and the Poschl-Teller well, and a
-shooting/Wronskian bound-state solver with one fourth-order Magnus
+A shooting/Wronskian bound-state solver with one fourth-order Magnus
 propagator for every shape, which finds the ground state by counting
-levels (Sturm oscillation). The closed-form Gaussian coefficients, the
-erf reference and the series fit that only the tests use live in
-tests/reference.py.
+levels (Sturm oscillation). The exact square-well and Poschl-Teller
+levels, the closed-form Gaussian coefficients, the erf reference and the
+series fit that only the tests use live in tests/reference.py.
 """
 from __future__ import annotations
 
@@ -17,53 +16,6 @@ import numpy as np
 from .errors import BracketFailure, ShallowWellError
 from .potential import Potential
 from .quadrature import default_grid
-
-# ---------------------------------------------------------------------------
-# exact solvers
-
-
-def exact_square_well(s: float, a: float = 1.0) -> float:
-    """Ground-state energy of the depth-s halfwidth-a square well.
-
-    Even-state matching condition k sin(ka) = sqrt(s - k^2) cos(ka) with
-    k in (0, min(sqrt(s), pi/2a)), solved by bisection to machine
-    precision. A single even bound state exists for every s > 0.
-    """
-    if not (s > 0.0):
-        raise ValueError("depth must be positive")
-
-    def f(k):
-        return k * math.sin(k * a) - math.sqrt(max(s - k * k, 0.0)) * math.cos(k * a)
-
-    lo = 1e-300
-    hi = min(math.sqrt(s), math.pi / (2.0 * a)) * (1.0 - 1e-15)
-    flo = f(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    k = 0.5 * (lo + hi)
-    return -(s - k * k)
-
-
-def exact_poschl_teller(s: float) -> float:
-    """Ground-state energy -kappa^2 of -s/cosh^2(x), kappa = (sqrt(1+4s)-1)/2."""
-    if not (s > 0.0):
-        raise ValueError("depth must be positive")
-    kappa = 0.5 * (math.sqrt(1.0 + 4.0 * s) - 1.0)
-    return -kappa * kappa
-
-
-# ---------------------------------------------------------------------------
-# shooting / Wronskian solver
 
 
 @dataclass(frozen=True)
@@ -285,10 +237,4 @@ def shooting_solve(p: Potential, nsteps: int = 4000) -> BoundStateResult:
     return result
 
 
-__all__ = [
-    "BoundStateResult",
-    "exact_square_well",
-    "exact_poschl_teller",
-    "shooting_solve",
-    "shooting_sweep",
-]
+__all__ = ["BoundStateResult", "shooting_solve", "shooting_sweep"]

@@ -178,7 +178,7 @@ def _chain(p, g, site_powers, link_powers, cache) -> float:
     if key not in cache:
         x = g.nodes
         f = _suffix(p, g, site_powers[1:], link_powers, cache)
-        cache[key] = integrate(g, np.asarray(p.evaluate(x)) * x ** site_powers[0] * f)
+        cache[key] = integrate(g, p.evaluate(x) * x ** site_powers[0] * f)
     return cache[key]
 
 

@@ -102,11 +102,11 @@ class Potential:
         return np.interp(x, xs, vs, left=0.0, right=0.0)
 
     def evaluate(self, x):
-        """V(x) = -s*shape(x); scalar in, scalar out; arrays pass through."""
-        v = -self.s * self.shape(x)
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(v)
-        return v
+        """V(x) = -s*shape(x) as a float array of the shape of x.
+
+        A scalar x gives an np.float64, which is a float.
+        """
+        return -self.s * self.shape(x)
 
     def shape_max(self) -> float:
         """Peak of the shape function (attained at x=0 for built-ins)."""

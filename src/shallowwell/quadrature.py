@@ -201,10 +201,7 @@ def _plan(g: QuadratureGrid, p):
     four plans cover the coarse and fine grids of two potentials.
     """
     eta = _split_rule(g.q)[0]
-    plan = (
-        np.asarray(p.evaluate(g.nodes), dtype=float),
-        np.asarray(p.evaluate(_sub_nodes(g, eta)), dtype=float),
-    )
+    plan = (p.evaluate(g.nodes), p.evaluate(_sub_nodes(g, eta)))
     for a in plan:
         a.setflags(write=False)
     return plan

@@ -85,21 +85,6 @@ def evaluate_pade(pa: PadeApproximant, s: float) -> float:
     return pa.alpha * s + p / q
 
 
-def taylor_coefficients(pa: PadeApproximant, order: int):
-    """Taylor coefficients t0..t_order of the full approximant at s=0."""
-    num = list(pa.numerator) + [0.0] * (order + 1 - len(pa.numerator))
-    den = pa.denominator
-    t = []
-    for k in range(order + 1):
-        val = num[k] - math.fsum(
-            den[i] * t[k - i] for i in range(1, min(k, len(den) - 1) + 1)
-        )
-        t.append(val)
-    if order >= 1:
-        t[1] += pa.alpha
-    return t
-
-
 def pade_with_asymptote(es: EnergySeries, depth_coefficient: float) -> PadeApproximant:
     """Deep-well-aware resummation of a sixth-order energy series.
 
@@ -122,10 +107,4 @@ def pade_with_asymptote(es: EnergySeries, depth_coefficient: float) -> PadeAppro
     )
 
 
-__all__ = [
-    "PadeApproximant",
-    "pade",
-    "evaluate_pade",
-    "taylor_coefficients",
-    "pade_with_asymptote",
-]
+__all__ = ["PadeApproximant", "pade", "evaluate_pade", "pade_with_asymptote"]

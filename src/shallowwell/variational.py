@@ -115,7 +115,7 @@ def rayleigh_quotient(tf, p: Potential, g: QuadratureGrid) -> float:
     norm = tf.norm()
     if not (norm > _NORM_FLOOR):
         raise NonNormalizable(f"trial norm {norm:g} underflows")
-    potential_term = integrate(g, np.asarray(p.evaluate(g.nodes)) * tf.psi_squared(g.nodes))
+    potential_term = integrate(g, p.evaluate(g.nodes) * tf.psi_squared(g.nodes))
     return (tf.kinetic() + potential_term) / norm
 
 

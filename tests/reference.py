@@ -3,17 +3,23 @@
 They are the direct, slow forms of what the package computes: dense
 N x N kernel sums in place of the O(N) contraction, and the small-beta
 resolvent expansions written out as formulas in place of the monomial
-tables. The Gaussian-well closed forms, an erf from first principles and
-the series fit of solver energies are independent oracles that only the
-tests use.
+tables. The Gaussian-well closed forms, an erf from first principles,
+the series fit of solver energies, the exact square-well and
+Poschl-Teller levels, the closed-form and spectral resolvents of the
+regulator delta well and the Taylor coefficients of a Pade approximant
+are independent oracles that only the tests use.
 """
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
+from scipy.integrate import quad
 from scipy.special import erf as _erf
 
+from shallowwell.errors import ShallowWellError
 from shallowwell.quadrature import build_grid, integrate
+from shallowwell.resummation import PadeApproximant
 
 _ROW_CHUNK = 256
 
@@ -279,3 +285,186 @@ def fit_series_coefficients(
     basis = np.vstack([t**k for k in range(2, degree + 1)]).T
     coeffs, *_ = np.linalg.lstsq(basis, E, rcond=None)
     return tuple(coeffs[k - 2] / s_hi**k for k in range(2, 7))
+
+
+# ---------------------------------------------------------------------------
+# exact solvers
+
+
+def exact_square_well(s: float, a: float = 1.0) -> float:
+    """Ground-state energy of the depth-s halfwidth-a square well.
+
+    Even-state matching condition k sin(ka) = sqrt(s - k^2) cos(ka) with
+    k in (0, min(sqrt(s), pi/2a)), solved by bisection to machine
+    precision. A single even bound state exists for every s > 0.
+    """
+    if not (s > 0.0):
+        raise ValueError("depth must be positive")
+
+    def f(k):
+        return k * math.sin(k * a) - math.sqrt(max(s - k * k, 0.0)) * math.cos(k * a)
+
+    lo = 1e-300
+    hi = min(math.sqrt(s), math.pi / (2.0 * a)) * (1.0 - 1e-15)
+    flo = f(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            lo = hi = mid
+            break
+        if (fm > 0.0) == (flo > 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    k = 0.5 * (lo + hi)
+    return -(s - k * k)
+
+
+def exact_poschl_teller(s: float) -> float:
+    """Ground-state energy -kappa^2 of -s/cosh^2(x), kappa = (sqrt(1+4s)-1)/2."""
+    if not (s > 0.0):
+        raise ValueError("depth must be positive")
+    kappa = 0.5 * (math.sqrt(1.0 + 4.0 * s) - 1.0)
+    return -kappa * kappa
+
+
+# ---------------------------------------------------------------------------
+# resolvent of the regulator delta well in closed form
+
+
+class DegenerateShift(ShallowWellError):
+    """Resolvent shift gamma = 0 where the closed form is singular."""
+
+
+@dataclass(frozen=True)
+class GreensParams:
+    """Regulator strength beta > 0 and resolvent shift gamma >= 0."""
+
+    beta: float
+    gamma: float
+
+    def __post_init__(self):
+        if not (self.beta > 0.0):
+            raise ValueError("beta must be positive")
+        if not (self.gamma >= 0.0):
+            raise ValueError("gamma must be nonnegative")
+
+    @property
+    def Gamma(self) -> float:
+        return math.sqrt(self.beta**2 + self.gamma)
+
+
+def greens_closed(params: GreensParams, x1: float, x2: float) -> float:
+    """Closed-form G_gamma(x1, x2), six theta-function regions.
+
+    Each region is the same three-exponential combination written with
+    the absolute values resolved; ties at x1 = x2 or x = 0 are broken
+    toward x1 >= x2 and x >= 0 (the kernel is continuous, so any
+    consistent tie-break is exact).
+
+    Raises:
+        DegenerateShift: gamma = 0 (gamma appears in denominators).
+    """
+    b, g = params.beta, params.gamma
+    if g == 0.0:
+        raise DegenerateShift("closed form is singular at gamma = 0")
+    G = params.Gamma
+    if x1 >= x2:
+        if x2 >= 0.0:
+            d, ssum = x1 - x2, x1 + x2
+        elif x1 <= 0.0:
+            d, ssum = x1 - x2, -x1 - x2
+        else:
+            d = ssum = x1 - x2
+    else:
+        if x1 >= 0.0:
+            d, ssum = x2 - x1, x1 + x2
+        elif x2 <= 0.0:
+            d, ssum = x2 - x1, -x1 - x2
+        else:
+            d = ssum = x2 - x1
+    return (
+        math.exp(-G * d) / (2.0 * G)
+        + b * (b + G) * math.exp(-G * ssum) / (2.0 * g * G)
+        - b * math.exp(-b * ssum) / g
+    )
+
+
+def greens_spectral(params: GreensParams, x1: float, x2: float) -> float:
+    """Independent check: continuum-eigenfunction p-integral for G_gamma.
+
+    Uses the even/odd scattering states of the delta well,
+
+        psi_even = sqrt(2)/sqrt(p^2+b^2) (p cos(px) - b sin(p|x|)),
+        psi_odd  = sqrt(2) sin(px),
+
+    and evaluates int_0^inf dp/(2 pi) [psi_e psi_e + psi_o psi_o] /
+    (p^2 + b^2 + gamma). The oscillatory pieces are integrated with
+    QUADPACK's cos/sin-weighted rule over the half line.
+    """
+    b = params.beta
+    G2 = b * b + params.gamma
+    a1, a2 = abs(x1), abs(x2)
+    sg = math.copysign(1.0, x1) * math.copysign(1.0, x2)
+    d, ssum = abs(a1 - a2), a1 + a2
+
+    def r1(p):
+        return (p * p / (p * p + b * b) + b * b / (p * p + b * b) + sg) / (p * p + G2)
+
+    def r2(p):
+        return (p * p / (p * p + b * b) - b * b / (p * p + b * b) - sg) / (p * p + G2)
+
+    def r3(p):
+        return -2 * b * p / ((p * p + b * b) * (p * p + G2))
+
+    total = 0.0
+    for r, wvar, weight in ((r1, d, "cos"), (r2, ssum, "cos"), (r3, ssum, "sin")):
+        if wvar == 0.0:
+            if weight == "cos":
+                total += quad(r, 0.0, np.inf)[0]
+        else:
+            total += quad(r, 0.0, np.inf, weight=weight, wvar=wvar, limlst=200)[0]
+    return total / (2.0 * math.pi)
+
+
+def greens_gamma_derivative(
+    l: int, beta: float, x1: float, x2: float, step_scale: float = 1e-2
+) -> float:
+    """Estimate G^(l) from gamma-Taylor coefficients of greens_closed.
+
+    G_gamma = sum_l (-gamma)^l G^(l), so the degree-l coefficient of a
+    local polynomial model of gamma -> greens_closed carries G^(l) up to
+    sign. Samples at gamma = h..6h with h = step_scale * beta^2 stay
+    inside the Taylor region gamma << beta^2 while keeping the 1/gamma
+    cancellations of the closed form well conditioned. The result should
+    approach greens_expansion(l) up to O(beta).
+    """
+    if l not in (0, 1, 2, 3):
+        raise ValueError("l must lie in 0..3")
+    h = step_scale * beta * beta
+    t = np.arange(1, 7, dtype=float)
+    vals = [greens_closed(GreensParams(beta, float(ti) * h), x1, x2) for ti in t]
+    coeffs = np.polynomial.polynomial.polyfit(t, vals, 5)
+    return (-1.0) ** l * coeffs[l] / h**l
+
+
+# ---------------------------------------------------------------------------
+# Pade approximants
+
+
+def taylor_coefficients(pa: PadeApproximant, order: int):
+    """Taylor coefficients t0..t_order of the full approximant at s=0."""
+    num = list(pa.numerator) + [0.0] * (order + 1 - len(pa.numerator))
+    den = pa.denominator
+    t = []
+    for k in range(order + 1):
+        val = num[k] - math.fsum(
+            den[i] * t[k - i] for i in range(1, min(k, len(den) - 1) + 1)
+        )
+        t.append(val)
+    if order >= 1:
+        t[1] += pa.alpha
+    return t

@@ -11,17 +11,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
-from reference import fit_series_coefficients, gaussian_closed_coefficients
-
-from shallowwell.cli import RunConfig, compare_rows
-from shallowwell.greens import (
+from reference import (
     GreensParams,
-    divergent_block,
-    e4_finite_beta,
+    exact_poschl_teller,
+    exact_square_well,
+    fit_series_coefficients,
+    gaussian_closed_coefficients,
     greens_closed,
     greens_spectral,
+    taylor_coefficients,
 )
-from shallowwell.oracles import exact_poschl_teller, exact_square_well, shooting_sweep
+
+from shallowwell.cli import RunConfig, compare_rows
+from shallowwell.greens import divergent_block, e4_finite_beta
+from shallowwell.oracles import shooting_sweep
 from shallowwell.perturbation import (
     ClusterTerm,
     energy_series,
@@ -31,11 +34,7 @@ from shallowwell.perturbation import (
 )
 from shallowwell.potential import Potential
 from shallowwell.quadrature import build_grid, default_grid
-from shallowwell.resummation import (
-    evaluate_pade,
-    pade_with_asymptote,
-    taylor_coefficients,
-)
+from shallowwell.resummation import pade_with_asymptote
 from shallowwell.variational import minimize
 
 

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
-from reference import dense_e4_finite_beta, greens_expansion_formula
-
-from shallowwell.errors import DegenerateShift, InvalidGridSpec
-from shallowwell.greens import (
+from reference import (
+    DegenerateShift,
     GreensParams,
-    divergent_block,
-    e4_finite_beta,
+    dense_e4_finite_beta,
     greens_closed,
-    greens_expansion,
+    greens_expansion_formula,
     greens_gamma_derivative,
     greens_spectral,
 )
+
+from shallowwell.errors import InvalidGridSpec
+from shallowwell.greens import divergent_block, e4_finite_beta, greens_expansion
 from shallowwell.perturbation import evaluate_terms, load_terms
 from shallowwell.potential import Potential
 from shallowwell.quadrature import build_grid, default_grid

@@ -2,17 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from reference import erf_reference, fit_series_coefficients, gaussian_closed_coefficients
-
-from shallowwell.errors import BracketFailure
-from shallowwell.oracles import (
-    _cosh_sinhc,
-    _WronskianEngine,
+from reference import (
+    erf_reference,
     exact_poschl_teller,
     exact_square_well,
-    shooting_solve,
-    shooting_sweep,
+    fit_series_coefficients,
+    gaussian_closed_coefficients,
 )
+
+from shallowwell.errors import BracketFailure
+from shallowwell.oracles import _cosh_sinhc, _WronskianEngine, shooting_solve, shooting_sweep
 from shallowwell.potential import Potential
 
 # transcendental square-well levels frozen from an independent bisection

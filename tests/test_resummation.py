@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
+from reference import taylor_coefficients
 
 from shallowwell.errors import PoleAtEvaluation, SingularPade
 from shallowwell.perturbation import EnergySeries
-from shallowwell.resummation import (
-    PadeApproximant,
-    evaluate_pade,
-    pade,
-    pade_with_asymptote,
-    taylor_coefficients,
-)
+from shallowwell.resummation import PadeApproximant, evaluate_pade, pade, pade_with_asymptote
 
 
 def _geometric_series(r, n):
