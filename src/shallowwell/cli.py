@@ -32,7 +32,6 @@ from .perturbation import energy_series, evaluate_terms, load_terms
 from .potential import Potential
 from .quadrature import default_grid
 from .resummation import evaluate_pade, pade_with_asymptote
-from .variational import minimize as _var_minimize
 
 #: exact rationals for the unit-halfwidth square well, c2..c6
 _SQUARE_WELL_RATIONALS = ("-1", "4/3", "-92/45", "1072/315", "-84752/14175")
@@ -45,6 +44,13 @@ _KNOWN_KEYS = {
 }
 
 _BETA_LADDER = (0.02, 0.01, 0.005)
+
+
+def _var_minimize(kind, p, g):
+    """variational.minimize, imported on first call: only compare needs scipy."""
+    from .variational import minimize
+
+    return minimize(kind, p, g)
 
 
 @dataclass

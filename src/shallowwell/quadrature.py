@@ -108,10 +108,66 @@ def _check_aligned(g: QuadratureGrid, f: np.ndarray) -> np.ndarray:
     return f
 
 
+#: the error bounds of integrate() need n u far below 1/n
+_MAX_EXTRACT = 2**26
+_TINY = math.ldexp(1.0, -1074)  # the smallest subnormal
+
+
 def integrate(g: QuadratureGrid, f) -> float:
-    """Sum w_i f_i with compensated (exact pairwise/fsum) accumulation."""
+    """Sum a_i = w_i f_i correctly rounded: bit for bit math.fsum(g.weights * f).
+
+    Error-free extraction at numpy speed (Rump, Ogita & Oishi, Accurate
+    floating-point summation I, SIAM J. Sci. Comput. 31, 189, 2008). With
+    sigma the power of two at least 2^M max|a|, M = ceil(log2(n + 2)), the
+    high parts (sigma + a) - sigma and the low parts a minus them are exact,
+    and the numpy sum of the high parts is exact too (see _extract). A
+    second pass splits the low parts the same way. The TwoSum s + e of the
+    two exact sums, plus the plain sum of what is left, gives c = e + sum;
+    a rigorous bound delta on the error of c certifies fl(s + c) as the
+    correctly rounded sum when fl(s + (c - delta)) == fl(s + (c + delta)).
+    When that fails, or max|a| is 0, not finite or too large for sigma, the
+    result is math.fsum(a) itself, so every value, sign of zero and
+    exception is that of math.fsum. The certificate holds on almost every
+    call; it fails only for sums that cancel to within delta of a rounding
+    boundary.
+    """
     f = _check_aligned(g, f)
-    return math.fsum(g.weights * f)
+    a = g.weights * f
+    n = a.size
+    M = (n + 1).bit_length()  # ceil(log2(n + 2))
+    mu = float(np.max(np.abs(a)))
+    if not 0.0 < mu < math.inf or math.frexp(mu)[1] + M > 1023 or n > _MAX_EXTRACT:
+        return math.fsum(a)
+    t1, r = _extract(a, mu, M)
+    mu = float(np.max(np.abs(r)))
+    t2, r = _extract(r, mu, M)
+    s = t1 + t2  # TwoSum: s + e == t1 + t2 exactly
+    b = s - t1
+    e = (t1 - (s - b)) + (t2 - b)
+    c = e + float(r.sum())
+    # With u = 2^-53: |r_i| <= u sigma <= 2^(M+1) u mu and n < 2^M, so the
+    # plain sum of r is off by at most 2(n-1)u * n 2^(M+1) u mu
+    # <= 2^(3M+2) u^2 mu, and e + sum(r) by u|c|. Four times that plus the
+    # smallest subnormal also covers rounding c -+ delta, and these terms
+    # where they fall below the normal range.
+    delta = 4.0 * (math.ldexp(mu, 3 * M - 104) + math.ldexp(abs(c), -53)) + _TINY
+    if s + (c - delta) == s + (c + delta):
+        return s + c
+    return math.fsum(a)
+
+
+def _extract(r, mu, M):
+    """Split r exactly into high parts, returned as their exact sum, and low parts.
+
+    mu = max|r| and sigma = 2^(floor(log2 mu) + 1 + M). Since |r_i| <= sigma/4,
+    fl(sigma + r_i) - sigma is exact (Sterbenz), and so is its difference
+    from r_i, at most 2^-53 sigma. The high parts are multiples of 2^-53 sigma
+    and sum to less than sigma in absolute value, as 2^M >= n + 2, so every
+    partial sum is exact, in any order.
+    """
+    sigma = math.ldexp(1.0, math.frexp(mu)[1] + M)
+    q = (sigma + r) - sigma
+    return float(q.sum()), r - q
 
 
 def contract(g: QuadratureGrid, p, k: int, m: int, f) -> np.ndarray:

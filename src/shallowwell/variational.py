@@ -6,7 +6,10 @@ ExpSqrtTrial   psi = e^{-alpha sqrt(beta^2 + x^2)}  (correct e^{-c|x|} tail)
 The kinetic term uses the |psi'|^2 form, which is variationally safe for
 the kinked-but-continuous second family. Norm and kinetic integrals are
 closed forms over the whole line (with Bickley functions, Abramowitz &
-Stegun 11.2); only int V psi^2 is integrated, on the caller's fixed grid.
+Stegun 11.2); only int V psi^2 is integrated, on the caller's fixed grid,
+so one objective call costs one correctly rounded quadrature.integrate at
+numpy speed. scipy is imported only with this module, which the CLI loads
+for compare alone.
 Minimization is a derivative-free simplex over log-parameters from a
 fixed ladder of starts, so results are deterministic.
 """

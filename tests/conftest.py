@@ -1,9 +1,17 @@
-"""Shared fixtures: the expensive series and grids, built once per session."""
+"""Shared fixtures: the expensive series and grids, built once per session.
+
+Hypothesis runs derandomized and without deadlines, so every property test
+sees the same examples on every run and cannot fail on a slow machine.
+"""
 import pytest
+from hypothesis import settings
 
 from shallowwell.perturbation import energy_series
 from shallowwell.potential import Potential
 from shallowwell.quadrature import default_grid
+
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,14 @@
 """Reference implementations that the tests compare the package against.
 
-They are the direct, slow forms of what the package computes: dense
-N x N kernel sums in place of the O(N) contraction, and the small-beta
-resolvent expansions written out as formulas in place of the monomial
-tables. The Gaussian-well closed forms, an erf from first principles,
-the series fit of solver energies, the exact square-well and
-Poschl-Teller levels, the closed-form and spectral resolvents of the
-regulator delta well and the Taylor coefficients of a Pade approximant
-are independent oracles that only the tests use.
+They are the direct, slow forms of what the package computes: math.fsum
+in place of the extraction sum of integrate, dense N x N kernel sums in
+place of the O(N) contraction, and the small-beta resolvent expansions
+written out as formulas in place of the monomial tables. The
+Gaussian-well closed forms, an erf from first principles, the series fit
+of solver energies, the exact square-well and Poschl-Teller levels, the
+closed-form and spectral resolvents of the regulator delta well and the
+Taylor coefficients of a Pade approximant are independent oracles that
+only the tests use.
 """
 import math
 from dataclasses import dataclass
@@ -24,6 +25,15 @@ from shallowwell.resummation import PadeApproximant
 _ROW_CHUNK = 256
 
 
+def fsum_oracle(a):
+    """The correctly rounded sum of a, one element at a time (math.fsum).
+
+    integrate(g, f) must equal fsum_oracle(g.weights * f) bit for bit,
+    including the sign of zero and the exception raised.
+    """
+    return math.fsum(a)
+
+
 def dense_contract(g, p, k, m, f):
     """Dense kernel sum with the own-panel kink correction, and its scale.
 
@@ -33,7 +43,7 @@ def dense_contract(g, p, k, m, f):
     value (the roundoff scale of h_i).
     """
     x, w = g.nodes, g.weights
-    u = np.asarray(p.evaluate(x), dtype=float) * x**m * f
+    u = p.evaluate(x) * x**m * f
     h, scale = np.empty(g.size), np.empty(g.size)
     for lo in range(0, g.size, _ROW_CHUNK):
         kernel = np.abs(x[lo : lo + _ROW_CHUNK, None] - x[None, :]) ** k
@@ -53,7 +63,7 @@ def dense_contract(g, p, k, m, f):
         y = 0.5 * (a + b)[:, None] + halfw[:, None] * xs[None, :]
         local = 2.0 * (y - lo[:, None]) / (hi - lo)[:, None] - 1.0
         vand = legvander(local.ravel(), q - 1).reshape(g.size, q, q)
-        uy = np.asarray(p.evaluate(y), dtype=float) * y**m * np.einsum("nij,nj->ni", vand, coeffs)
+        uy = p.evaluate(y) * y**m * np.einsum("nij,nj->ni", vand, coeffs)
         wk = halfw[:, None] * ws[None, :] * np.abs(x[:, None] - y) ** k
         h += np.sum(wk * uy, axis=1)
         scale += np.sum(wk * np.abs(uy), axis=1)
@@ -159,7 +169,7 @@ def dense_e4_finite_beta(p, g, beta):
     rows are built in chunks, so no N x N array is held.
     """
     x, w = g.nodes, g.weights
-    Vx = np.asarray(p.evaluate(x), dtype=float)
+    Vx = p.evaluate(x)
     ew = np.exp(-beta * np.abs(x))
     vend, vmid = w * Vx * ew, w * Vx
 

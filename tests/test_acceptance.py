@@ -187,7 +187,7 @@ def _ordered_tensor_integral(p, L, N, site_powers, link_powers):
         integrand = np.asarray(jac, dtype=float) * weight
         for site in range(m):
             yi = y[perm[site]]
-            integrand = integrand * np.asarray(p.evaluate(yi)) * yi ** site_powers[site]
+            integrand = integrand * p.evaluate(yi) * yi ** site_powers[site]
         for link, k in enumerate(link_powers):
             integrand = integrand * np.abs(y[perm[link]] - y[perm[link + 1]]) ** k
         total += float(integrand.sum())

@@ -27,14 +27,14 @@ from shallowwell.quadrature import build_grid, contract, default_grid, integrate
 
 
 def _mu0(p, g):
-    return integrate(g, np.asarray(p.evaluate(g.nodes)))
+    return integrate(g, p.evaluate(g.nodes))
 
 
 def _chain(p, g, *link_powers):
     f = np.ones_like(g.nodes)
     for k in reversed(link_powers):
         f = contract(g, p, k, 0, f)
-    return integrate(g, np.asarray(p.evaluate(g.nodes)) * f)
+    return integrate(g, p.evaluate(g.nodes) * f)
 
 
 def _e2(p, g):
@@ -166,7 +166,7 @@ def test_single_link_chain_matches_dense_tensor():
     g = build_grid(8.0, 64, 8)
     got = evaluate_term(ClusterTerm(Fraction(1), (0, 0), ((1, 2, 1),)), p, g)
     x, w = g.nodes, g.weights
-    v = w * np.asarray(p.evaluate(x))
+    v = w * p.evaluate(x)
     dense = v @ np.abs(x[:, None] - x[None, :]) @ v
     # dense tensor quadrature has no kink handling; agreement is modest
     assert got == pytest.approx(dense, rel=5e-4)

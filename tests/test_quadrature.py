@@ -3,9 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference import dense_contract
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from reference import dense_contract, fsum_oracle
 from scipy.special import erf
 
+from shallowwell import greens, perturbation, variational
 from shallowwell.errors import InvalidGridSpec, LengthMismatch
 from shallowwell.potential import Potential
 from shallowwell.quadrature import build_grid, contract, default_grid, integrate
@@ -62,6 +66,94 @@ def test_integrate_length_mismatch():
     g = build_grid(2.0, 16, 4)
     with pytest.raises(LengthMismatch):
         integrate(g, np.ones(g.nodes.size + 1))
+
+
+def _outcome(fn):
+    """The bits of a float result, or the type of the exception raised."""
+    try:
+        value = fn()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+    assert type(value) is float
+    return value.hex()  # tells -0.0 from 0.0; every nan is "nan"
+
+
+def _matches_oracle(g, f):
+    return _outcome(lambda: integrate(g, f)) == _outcome(lambda: fsum_oracle(g.weights * f))
+
+
+@st.composite
+def _grid_functions(draw):
+    """(grid, f) with mixed signs and magnitudes, subnormals, +-0.0 and cancellation.
+
+    Composite Gauss-Legendre weights are mirror-symmetric bit for bit, so
+    f - f[::-1] makes the products w_i f_i cancel in exact pairs.
+    """
+    g = build_grid(1.0, draw(st.integers(1, 24)), draw(st.integers(1, 16)))
+    wide = st.floats(min_value=-1e300, max_value=1e300)  # includes subnormals and +-0.0
+    mode = draw(st.sampled_from(["wide", "scaled", "cancel", "near"]))
+    if mode == "wide":
+        return g, draw(arrays(np.float64, g.size, elements=wide))
+    v = draw(arrays(np.float64, g.size, elements=st.floats(min_value=-1.0, max_value=1.0)))
+    v *= 10.0 ** draw(st.integers(-300, 300))
+    if mode == "cancel":
+        v = v - v[::-1]
+    elif mode == "near":
+        v = v - v[::-1] + 1e-14 * v
+    return g, v
+
+
+@settings(max_examples=400)
+@given(_grid_functions())
+def test_integrate_is_fsum_bit_for_bit(case):
+    g, f = case
+    assert _matches_oracle(g, f)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [1.0, math.nan, -2.0],
+        [1.0, math.inf, -2.0],
+        [-math.inf, 3.0],
+        [math.inf, -math.inf],
+        [1e308, 1e308, -1e308],  # an intermediate sum overflows
+        [1.7e308, 1.7e308],  # the sum overflows
+        [1.7e308, -1.7e308, 1e308],  # too large for the extraction, finite sum
+        [1e308, 1e308, -1e308, -1e308, 5e-324],
+        [0.0, -0.0],
+        [-0.0, -0.0],
+        [5e-324, -5e-324, -0.0],
+        [1.0, 2.0**-53],  # exact ties round to even
+        [1.0 + 2.0**-52, 2.0**-53],
+        [1.0, 2.0**-53, -(2.0**-160)],  # just below a tie
+        [1.0, 2.0**-53, 2.0**-1074],  # just above a tie
+    ],
+)
+def test_integrate_special_values_and_ties_match_fsum(values):
+    g = build_grid(len(values) / 2.0, len(values), 1)  # midpoint rule, every weight 1.0
+    assert np.all(g.weights == 1.0)
+    assert _matches_oracle(g, np.array(values))
+
+
+def test_integrate_matches_fsum_on_every_real_call(monkeypatch):
+    calls = []
+
+    def recording(g, f):
+        calls.append((g, np.array(f)))
+        return integrate(g, f)
+
+    for module in (perturbation, greens, variational):
+        monkeypatch.setattr(module, "integrate", recording)
+    for p in SHAPES.values():
+        if p.kind != "tabulated":
+            perturbation.energy_series(p, order=6)
+    p = SHAPES["gaussian"]
+    g = default_grid(p)
+    greens.e4_finite_beta(p, g, 0.01)
+    variational.minimize("expsqrt", p, g)
+    assert len(calls) > 2000
+    assert all(_matches_oracle(g, f) for g, f in calls)
 
 
 def test_default_grid_square_well_panel_alignment():
@@ -131,6 +223,6 @@ def test_contract_cubic_kernel_matches_dense_plus_correction():
     fine = build_grid(8.0, 512, 8)
     f_c = np.ones_like(coarse.nodes)
     f_f = np.ones_like(fine.nodes)
-    vc = integrate(coarse, np.asarray(p.evaluate(coarse.nodes)) * contract(coarse, p, 3, 0, f_c))
-    vf = integrate(fine, np.asarray(p.evaluate(fine.nodes)) * contract(fine, p, 3, 0, f_f))
+    vc = integrate(coarse, p.evaluate(coarse.nodes) * contract(coarse, p, 3, 0, f_c))
+    vf = integrate(fine, p.evaluate(fine.nodes) * contract(fine, p, 3, 0, f_f))
     assert vc == pytest.approx(vf, rel=1e-10)
