@@ -2,8 +2,12 @@
 
 A shooting/Wronskian bound-state solver with one fourth-order Magnus
 propagator for every shape, which finds the ground state by counting
-levels (Sturm oscillation). The exact square-well and Poschl-Teller
-levels, the closed-form Gaussian coefficients, the erf reference and the
+levels (Sturm oscillation). Each integration pass multiplies the step
+matrices pairwise into sub-block products, each short enough (by the
+Sturm bound on the spacing of zeros) to hold at most one zero of the
+solution, so counting levels costs one sign test per sub-block. The
+exact square-well and Poschl-Teller levels, the closed-form Gaussian
+coefficients, the erf reference, the step-by-step propagation and the
 series fit that only the tests use live in tests/reference.py.
 """
 from __future__ import annotations
@@ -30,9 +34,12 @@ class BoundStateResult:
 
 #: |t| below which the degree-5 series gives C and S to roundoff
 _SERIES_T = 0.05
-#: step-matrix entries built per block, bounding the temporaries (blocks
-#: of 32,768 entries added 5 MB to the peak memory of one solve)
-_BLOCK = 1 << 12
+#: step-matrix entries built per chunk of steps; this bounds the
+#: temporaries of one pass to about 2.5 MB up to 2,048 kappas per pass
+_BLOCK = 1 << 14
+#: fewest steps per chunk, so that a large batch still reduces several
+#: steps per vectorized product
+_MIN_CHUNK = 8
 #: weight of the commutator term of the two-node Magnus step
 _MAGNUS_D = math.sqrt(3.0) / 12.0
 
@@ -56,39 +63,77 @@ def _cosh_sinhc(t):
     return C, S
 
 
-def _propagate(shape, svec, kvec, h, count_nodes=False):
+def _products(m00, m01, m10, m11):
+    """Product M[:, r-1] ... M[:, 1] M[:, 0] of each run of 2x2 matrices.
+
+    The entries are (runs, r, batch) arrays; each pairwise level
+    multiplies neighbours, later on the left, with the four entries
+    written out, and pads an odd level with one identity matrix.
+    Returns the four (runs, batch) entries of the products.
+    """
+    while m00.shape[1] > 1:
+        if m00.shape[1] % 2:
+            one, zero = np.ones_like(m00[:, :1]), np.zeros_like(m00[:, :1])
+            m00, m01, m10, m11 = (
+                np.concatenate((m, e), axis=1)
+                for m, e in zip((m00, m01, m10, m11), (one, zero, zero, one))
+            )
+        a00, a01, a10, a11 = m00[:, 0::2], m01[:, 0::2], m10[:, 0::2], m11[:, 0::2]
+        b00, b01, b10, b11 = m00[:, 1::2], m01[:, 1::2], m10[:, 1::2], m11[:, 1::2]
+        m00, m01 = b00 * a00 + b01 * a10, b00 * a01 + b01 * a11
+        m10, m11 = b10 * a00 + b11 * a10, b10 * a01 + b11 * a11
+    return m00[:, 0], m01[:, 0], m10[:, 0], m11[:, 0]
+
+
+def _propagate(shape, svec, kvec, h):
     """Propagate u'' = (kappa^2 - s*shape) u across the steps of one half-line.
 
     shape holds each step's two Gauss-Legendre node values, in the
     direction of travel. Starts on the decaying branch u = e^{kappa x};
-    each step applies the fourth-order Magnus matrix C*I + S*[[d, h],
+    each step is the fourth-order Magnus matrix C*I + S*[[d, h],
     [h*cbar, -d]] of determinant 1, the exact propagator where the two
-    node values agree. u and u' are renormalized each step to avoid
-    overflow (scaling leaves the Wronskian direction intact). Returns
-    (u, u', sign changes of u at step ends).
+    node values agree. The steps are taken in sub-blocks of b steps with
+    h*b*sqrt(q) <= pi/2, q the largest kappa^2 or s*max(shape) of the
+    batch. All sub-blocks of a chunk are reduced at once to one product
+    each (_products; the last chunk is padded with identity steps), and
+    (u, u') is carried across the products, renormalized after each.
+
+    Each step is the exact flow of a constant-coefficient system that
+    turns the phase of (u, u') one way at every zero of u, at a rate of
+    at most sqrt(q) plus O(h*q); by Sturm comparison the zeros of u are
+    then at least about pi/sqrt(q) apart. So a sub-block holds at most
+    one zero, and the sign changes of u at sub-block ends count every
+    zero that a step-by-step count would. The same bound keeps each
+    product within about e^{pi/2} of norm 1, so none needs
+    renormalizing inside. Returns (u, u', sign changes of u).
     """
     u = np.ones_like(kvec)
     v = kvec.copy()
     k2 = kvec * kvec
     nodes = np.zeros(kvec.shape, dtype=int)
-    block = max(1, _BLOCK // kvec.size)
-    for b0 in range(0, len(shape), block):
-        c1 = k2 - svec * shape[b0 : b0 + block, :1]
-        c2 = k2 - svec * shape[b0 : b0 + block, 1:]
+    q = max(float(k2.max()), float(svec.max()) * float(shape.max()))
+    chunk = max(_MIN_CHUNK, _BLOCK // kvec.size)
+    b = min(max(1, int(0.5 * math.pi / (h * math.sqrt(q)))), chunk, len(shape))
+    chunk -= chunk % b
+    for b0 in range(0, len(shape), chunk):
+        c1 = k2 - svec * shape[b0 : b0 + chunk, :1]
+        c2 = k2 - svec * shape[b0 : b0 + chunk, 1:]
         d = (_MAGNUS_D * h * h) * (c1 - c2)
         hc = (0.5 * h) * (c1 + c2)
         C, S = _cosh_sinhc(d * d + h * hc)
-        m00, m11 = C + S * d, C - S * d
-        m01, m10 = S * h, S * hc
-        for i in range(len(m00)):
-            unew = m00[i] * u + m01[i] * v
-            v = m10[i] * u + m11[i] * v
-            if count_nodes:
-                nodes += (unew * u) < 0.0
+        m = C + S * d, S * h, S * hc, C - S * d
+        pad = -len(C) % b
+        if pad:
+            one, zero = np.ones((pad, kvec.size)), np.zeros((pad, kvec.size))
+            m = [np.concatenate((e, f)) for e, f in zip(m, (one, zero, zero, one))]
+        for p00, p01, p10, p11 in zip(*_products(*(e.reshape(-1, b, kvec.size) for e in m))):
+            unew = p00 * u + p01 * v
+            v = p10 * u + p11 * v
+            nodes += (unew * u) < 0.0
             u = unew
-            m = np.maximum(np.abs(u), np.abs(v))
-            u /= m
-            v /= m
+            r = np.maximum(np.abs(u), np.abs(v))
+            u /= r
+            v /= r
     return u, v, nodes
 
 
@@ -113,18 +158,16 @@ class _WronskianEngine:
             self.sides.append(shape[half:][::-1, ::-1])
         self.evaluations = 0
 
-    def wronskian(self, svec, kvec, count_nodes=False):
+    def wronskian(self, svec, kvec):
         """W and the level count N at each (strength, kappa) pair.
 
         N = n + [(-1)^n W < 0] is the number of levels below -kappa^2,
-        with n the nodes of the two half-line solutions. Without
-        count_nodes n is taken as 0, and N = [W < 0] is exact wherever
-        the true count is 0 or 1.
+        with n the nodes of the two half-line solutions.
         """
         svec = np.asarray(svec, dtype=float)
         kvec = np.asarray(kvec, dtype=float)
         self.evaluations += 1
-        sols = [_propagate(side, svec, kvec, self.h, count_nodes) for side in self.sides]
+        sols = [_propagate(side, svec, kvec, self.h) for side in self.sides]
         (uL, vL, nL), (uR, vR, nR) = sols[0], sols[-1]
         # right solution at 0: u_R = uR, u_R' = -vR (mirror variable)
         W = (vL * uR + uL * vR) / (np.hypot(uL, vL) * np.hypot(uR, vR))
@@ -143,8 +186,7 @@ def shooting_sweep(p: Potential, s_values, nsteps: int = 4000) -> list:
     All strengths advance through bracketing and refinement together,
     batched into shared integration passes. The ground state's bracket
     is the kappa step where the level count N (_WronskianEngine.wronskian)
-    first reaches 1. Nodes are counted only while a bracket may hold
-    more than one level; once N(lo) = 1, W changes sign once in it. A
+    first reaches 1; once N(lo) = 1, W changes sign once in it. A
     strength that fails leaves the batch and the others go on.
 
     Returns a list aligned with s_values holding, for each strength,
@@ -163,9 +205,9 @@ def shooting_sweep(p: Potential, s_values, nsteps: int = 4000) -> list:
     eng = _WronskianEngine(p, nsteps=nsteps)
     lo, hi, levels = np.zeros(len(svec)), np.ones(len(svec)), np.zeros(len(svec), dtype=int)
 
-    def wronskian_rows(active, ks, count_nodes=False):
+    def wronskian_rows(active, ks):
         """W and N at one row of kappas per active strength, in one pass."""
-        W, N = eng.wronskian(np.repeat(svec[active], ks.shape[1]), ks.ravel(), count_nodes)
+        W, N = eng.wronskian(np.repeat(svec[active], ks.shape[1]), ks.ravel())
         return W.reshape(ks.shape), N.reshape(ks.shape)
 
     def narrow(active, ks, N):
@@ -174,10 +216,10 @@ def shooting_sweep(p: Potential, s_values, nsteps: int = 4000) -> list:
         i = np.maximum(np.argmax(N >= 1, axis=1), 1)
         lo[active], hi[active], levels[active] = ks[rows, i], ks[rows, i - 1], N[rows, i]
 
-    # ---- scan, all strengths in one counted pass -------------------------
+    # ---- scan, all strengths in one pass ---------------------------------
     kmax = np.sqrt(svec[active] * p.shape_max()) * (1.0 - 1e-9)
     ks = kmax[:, None] * np.geomspace(1.0, 1e-6, _SCAN_POINTS)[None, :]
-    _, N = wronskian_rows(active, ks, count_nodes=True)
+    _, N = wronskian_rows(active, ks)
     narrow(active, ks, N)
     for row, j in enumerate(active):
         if not N[row].any():
@@ -186,14 +228,14 @@ def shooting_sweep(p: Potential, s_values, nsteps: int = 4000) -> list:
     if not active:
         return results
 
-    # ---- subdivide, counting only while a bracket may hold two levels ----
+    # ---- subdivide until each bracket holds one level and is narrow ------
     frac = np.linspace(0.0, 1.0, _SUBDIV)[::-1]
     for _ in range(_MAX_ROUNDS):
         multi = bool(np.any(levels[active] > 1))
         if not multi and np.all((hi[active] - lo[active]) / hi[active] <= 1e-4):
             break
         grid = lo[active][:, None] + (hi[active] - lo[active])[:, None] * frac
-        _, N = wronskian_rows(active, grid, count_nodes=multi)
+        _, N = wronskian_rows(active, grid)
         narrow(active, grid, N)
 
     # ---- three linear least-squares polish rounds with shrinking windows -

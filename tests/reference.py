@@ -3,7 +3,9 @@
 They are the direct, slow forms of what the package computes: math.fsum
 in place of the extraction sum of integrate, dense N x N kernel sums in
 place of the O(N) contraction, and the small-beta resolvent expansions
-written out as formulas in place of the monomial tables. The
+written out as formulas in place of the monomial tables, and the
+shooting propagation one Magnus step at a time in place of sub-block
+products. The
 Gaussian-well closed forms, an erf from first principles, the series fit
 of solver energies, the exact square-well and Poschl-Teller levels, the
 closed-form and spectral resolvents of the regulator delta well and the
@@ -19,10 +21,13 @@ from scipy.integrate import quad
 from scipy.special import erf as _erf
 
 from shallowwell.errors import ShallowWellError
+from shallowwell.oracles import _MAGNUS_D, _cosh_sinhc
 from shallowwell.quadrature import build_grid, integrate
 from shallowwell.resummation import PadeApproximant
 
 _ROW_CHUNK = 256
+#: step-matrix entries built per block by propagate_steps
+_STEP_BLOCK = 1 << 12
 
 
 def fsum_oracle(a):
@@ -32,6 +37,48 @@ def fsum_oracle(a):
     including the sign of zero and the exception raised.
     """
     return math.fsum(a)
+
+
+def propagate_steps(shape, svec, kvec, h):
+    """The shooting propagation of oracles._propagate, one step at a time.
+
+    Applies each Magnus step matrix to (u, u') in turn, renormalizing and
+    counting the sign changes of u after every step. Returns (u, u',
+    sign changes of u at step ends).
+    """
+    u = np.ones_like(kvec)
+    v = kvec.copy()
+    k2 = kvec * kvec
+    nodes = np.zeros(kvec.shape, dtype=int)
+    block = max(1, _STEP_BLOCK // kvec.size)
+    for b0 in range(0, len(shape), block):
+        c1 = k2 - svec * shape[b0 : b0 + block, :1]
+        c2 = k2 - svec * shape[b0 : b0 + block, 1:]
+        d = (_MAGNUS_D * h * h) * (c1 - c2)
+        hc = (0.5 * h) * (c1 + c2)
+        C, S = _cosh_sinhc(d * d + h * hc)
+        m00, m11 = C + S * d, C - S * d
+        m01, m10 = S * h, S * hc
+        for i in range(len(m00)):
+            unew = m00[i] * u + m01[i] * v
+            v = m10[i] * u + m11[i] * v
+            nodes += (unew * u) < 0.0
+            u = unew
+            m = np.maximum(np.abs(u), np.abs(v))
+            u /= m
+            v /= m
+    return u, v, nodes
+
+
+def wronskian_steps(engine, svec, kvec):
+    """W and the level count N of engine.wronskian, through propagate_steps."""
+    svec = np.asarray(svec, dtype=float)
+    kvec = np.asarray(kvec, dtype=float)
+    sols = [propagate_steps(side, svec, kvec, engine.h) for side in engine.sides]
+    (uL, vL, nL), (uR, vR, nR) = sols[0], sols[-1]
+    W = (vL * uR + uL * vR) / (np.hypot(uL, vL) * np.hypot(uR, vR))
+    n = nL + nR
+    return W, n + ((-1) ** n * W < 0.0)
 
 
 def dense_contract(g, p, k, m, f):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,15 @@ from reference import (
     exact_square_well,
     fit_series_coefficients,
     gaussian_closed_coefficients,
+    wronskian_steps,
 )
 
 from shallowwell.errors import BracketFailure
 from shallowwell.oracles import _cosh_sinhc, _WronskianEngine, shooting_solve, shooting_sweep
 from shallowwell.potential import Potential
+
+#: abscissas of an off-centre sech^2 well, x0 = 1.3 +- 12
+_SECH2_X = np.linspace(-10.7, 13.3, 2401)
 
 # transcendental square-well levels frozen from an independent bisection
 _SQUARE_WELL_FROZEN = {
@@ -113,8 +118,46 @@ def test_level_count_on_deep_poschl_teller():
     kappa0 = 0.5 * (math.sqrt(1.0 + 4.0 * s) - 1.0)
     kappas = [kappa0 + 0.5] + [kappa0 - n - 0.5 for n in range(5)]
     engine = _WronskianEngine(Potential.poschl_teller(1.0))
-    _, levels = engine.wronskian([s] * len(kappas), kappas, count_nodes=True)
+    _, levels = engine.wronskian([s] * len(kappas), kappas)
     assert levels.tolist() == [0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        Potential.square_well(1.0),
+        Potential.poschl_teller(1.0),
+        Potential.gaussian(1.0),
+        Potential.tabulated(_SECH2_X, -1.0 / np.cosh(_SECH2_X - 1.3) ** 2),
+    ],
+    ids=["square_well", "poschl_teller", "gaussian", "tabulated"],
+)
+def test_sub_block_products_match_step_loop(p):
+    # up to ~90 levels below -kappa^2 at s = 1e4: every zero of u must be
+    # counted at sub-block ends exactly as at step ends
+    rng = np.random.default_rng(7)
+    engine = _WronskianEngine(p)
+    for batch in (1, 3, 64, 160):
+        s = np.exp(rng.uniform(math.log(0.05), math.log(1e4), batch))
+        kappa = np.sqrt(s * p.shape_max()) * rng.uniform(0.0, 1.0, batch)
+        W, N = engine.wronskian(s, kappa)
+        W_ref, N_ref = wronskian_steps(engine, s, kappa)
+        assert N.tolist() == N_ref.tolist()
+        assert np.max(np.abs(W - W_ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("batch", [1, 64, 160, 480])
+def test_wronskian_pass_memory_is_bounded(batch):
+    engine = _WronskianEngine(Potential.gaussian(1.0))
+    s = np.geomspace(0.05, 1e4, batch)
+    kappa = 0.5 * np.sqrt(s)
+    tracemalloc.start()
+    try:
+        engine.wronskian(s, kappa)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
 
 
 def test_shooting_gaussian_regression():
