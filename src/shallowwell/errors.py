@@ -22,7 +22,7 @@ class NonPathComponent(ShallowWellError):
 
 
 class BracketFailure(ShallowWellError):
-    """No bound state to bracket: no attractive potential, or no level in the shooting scan."""
+    """No bound state to bracket: no attractive potential, or no level in the shooting search."""
 
 
 class SingularPade(ShallowWellError):

@@ -1,14 +1,17 @@
 """Independent ground truth for the series machinery.
 
 A shooting/Wronskian bound-state solver with one fourth-order Magnus
-propagator for every shape, which finds the ground state by counting
-levels (Sturm oscillation). Each integration pass multiplies the step
-matrices pairwise into sub-block products, each short enough (by the
-Sturm bound on the spacing of zeros) to hold at most one zero of the
-solution, so counting levels costs one sign test per sub-block. The
-exact square-well and Poschl-Teller levels, the closed-form Gaussian
-coefficients, the erf reference, the step-by-step propagation and the
-series fit that only the tests use live in tests/reference.py.
+propagator for every shape, matched at the peak of the well. It finds
+the ground state by bisection on the level count (Sturm oscillation),
+then by Illinois regula falsi on the Wronskian. Each integration pass
+multiplies the step matrices pairwise into sub-block products, each
+short enough (by the Sturm bound on the spacing of zeros) to hold at
+most one zero of the solution, so counting levels costs one sign test
+per sub-block. The exact square-well and Poschl-Teller levels, the
+closed-form Gaussian coefficients, the erf reference, the step-by-step
+propagation, the scan-and-polish search that this search replaced, a
+plain count bisection and the series fit that only the tests use live
+in tests/reference.py.
 """
 from __future__ import annotations
 
@@ -138,24 +141,26 @@ def _propagate(shape, svec, kvec, h):
 
 
 class _WronskianEngine:
-    """Evaluates the normalized x=0 matching Wronskian and level count for one shape.
+    """Evaluates the normalized matching Wronskian and level count for one shape.
 
     The steps are the panels of default_grid(p, 2*nsteps, 2), so a
     square well's edges fall on step ends and each of its steps is
-    exact. The right half of an uneven well is the left half of its
-    mirror image. Batched over (strength, kappa) pairs so that
-    bracketing, refinement and sweeps over many strengths all cost one
-    integration pass per round.
+    exact. An even well is matched at x = 0; an uneven one at the left
+    edge of the panel that holds its largest node value, inside the
+    core of the well, where W varies smoothly with kappa. The right
+    half-line runs backwards from +L, as the left half-line of the
+    mirror image. Batched over (strength, kappa) pairs, so that many
+    strengths cost one integration pass per round.
     """
 
     def __init__(self, p: Potential, nsteps: int = 4000):
         g = default_grid(p, P=2 * nsteps, q=2)
         shape = np.asarray(p.shape(g.nodes), dtype=float).reshape(g.P, 2)
-        half = g.P // 2
+        split = g.P // 2 if p.is_even() else max(int(np.argmax(shape)) // 2, 1)
         self.h = 2.0 * g.L / g.P
-        self.sides = [shape[:half]]
+        self.sides = [shape[:split]]
         if not p.is_even():
-            self.sides.append(shape[half:][::-1, ::-1])
+            self.sides.append(shape[split:][::-1, ::-1])
         self.evaluations = 0
 
     def wronskian(self, svec, kvec):
@@ -169,29 +174,33 @@ class _WronskianEngine:
         self.evaluations += 1
         sols = [_propagate(side, svec, kvec, self.h) for side in self.sides]
         (uL, vL, nL), (uR, vR, nR) = sols[0], sols[-1]
-        # right solution at 0: u_R = uR, u_R' = -vR (mirror variable)
+        # right solution at the split: u_R = uR, u_R' = -vR (mirror variable)
         W = (vL * uR + uL * vR) / (np.hypot(uL, vL) * np.hypot(uR, vR))
         n = nL + nR
         return W, n + ((-1) ** n * W < 0.0)
 
 
-_SCAN_POINTS = 160
-_SUBDIV = 64
-_MAX_ROUNDS = 40
-
-
 def shooting_sweep(p: Potential, s_values, nsteps: int = 4000) -> list:
     """Ground-state energies for one shape at many strengths.
 
-    All strengths advance through bracketing and refinement together,
-    batched into shared integration passes. The ground state's bracket
-    is the kappa step where the level count N (_WronskianEngine.wronskian)
-    first reaches 1; once N(lo) = 1, W changes sign once in it. A
-    strength that fails leaves the batch and the others go on.
+    Each strength searches kappa in [1e-6, 1] * sqrt(s * shape_max()),
+    one kappa per strength in each shared pass. Bisection on the exact
+    level count N (_WronskianEngine.wronskian) keeps N(lo) >= 1 and
+    N(hi) = 0, in log kappa while hi > 2 lo. While N(lo) >= 2 it probes
+    where N would reach 1 if those levels were evenly spaced in kappa^2,
+    and bisects after a probe that overshoots. Once N(lo) = 1 and
+    hi <= 2 lo, W changes sign once in the bracket, at the ground state.
+    Illinois regula falsi on W (Dowell & Jarratt, BIT 11, 168, 1971),
+    with sides taken from N, then runs until the bracket is a few ulps
+    wide or the next point is not inside it, as when W = 0 at an end.
+    A strength leaves the batch once it has converged or failed.
 
     Returns a list aligned with s_values holding, for each strength,
     its BoundStateResult or the BracketFailure it failed with: no
-    attractive potential, or no level in the scan.
+    attractive potential, or no level in the search range. A result's
+    bracket is the last count bracket, with one level below its lower
+    kappa and none below its upper, and its iterations are the passes
+    the strength took part in.
     """
     svec = np.asarray(s_values, dtype=float)
     results: list = [
@@ -199,76 +208,64 @@ def shooting_sweep(p: Potential, s_values, nsteps: int = 4000) -> list:
         else BracketFailure("shooting requires a nonzero attractive potential")
         for s in svec
     ]
-    active = [j for j, r in enumerate(results) if r is None]
-    if not active:
+    a = np.array([j for j, r in enumerate(results) if r is None], dtype=int)
+    if not a.size:
         return results
     eng = _WronskianEngine(p, nsteps=nsteps)
-    lo, hi, levels = np.zeros(len(svec)), np.ones(len(svec)), np.zeros(len(svec), dtype=int)
-
-    def wronskian_rows(active, ks):
-        """W and N at one row of kappas per active strength, in one pass."""
-        W, N = eng.wronskian(np.repeat(svec[active], ks.shape[1]), ks.ravel())
-        return W.reshape(ks.shape), N.reshape(ks.shape)
-
-    def narrow(active, ks, N):
-        """Bracket each row of kappas (running downward) at its first level."""
-        rows = np.arange(len(active))
-        i = np.maximum(np.argmax(N >= 1, axis=1), 1)
-        lo[active], hi[active], levels[active] = ks[rows, i], ks[rows, i - 1], N[rows, i]
-
-    # ---- scan, all strengths in one pass ---------------------------------
-    kmax = np.sqrt(svec[active] * p.shape_max()) * (1.0 - 1e-9)
-    ks = kmax[:, None] * np.geomspace(1.0, 1e-6, _SCAN_POINTS)[None, :]
-    _, N = wronskian_rows(active, ks)
-    narrow(active, ks, N)
-    for row, j in enumerate(active):
-        if not N[row].any():
+    n = len(svec)
+    hi = np.sqrt(np.maximum(svec, 0.0) * p.shape_max()) * (1.0 - 1e-9)
+    lo = hi * 1e-6
+    # N at lo (0 until probed), W at the ends and its Illinois weights, the
+    # end the last probe moved (-1 lo, +1 hi), and which strengths run Illinois
+    levels, side = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    w_lo, w_hi, f_lo, f_hi = (np.full(n, np.nan) for _ in range(4))
+    falsi = np.zeros(n, dtype=bool)
+    k = lo[a]
+    while a.size:
+        W, N = eng.wronskian(svec[a], k)
+        for j in a[(levels[a] == 0) & (N == 0)]:
             results[j] = BracketFailure(f"no Wronskian sign change for strength s={svec[j]:g}")
-    active = [j for j in active if results[j] is None]
-    if not active:
-        return results
-
-    # ---- subdivide until each bracket holds one level and is narrow ------
-    frac = np.linspace(0.0, 1.0, _SUBDIV)[::-1]
-    for _ in range(_MAX_ROUNDS):
-        multi = bool(np.any(levels[active] > 1))
-        if not multi and np.all((hi[active] - lo[active]) / hi[active] <= 1e-4):
-            break
-        grid = lo[active][:, None] + (hi[active] - lo[active])[:, None] * frac
-        _, N = wronskian_rows(active, grid)
-        narrow(active, grid, N)
-
-    # ---- three linear least-squares polish rounds with shrinking windows -
-    root = 0.5 * (lo[active] + hi[active])
-    width = hi[active] - lo[active]
-    t = np.linspace(-0.5, 0.5, _SUBDIV)
-    for shrink in (1.0, 1e-2, 1e-4):
-        w = np.maximum(width * shrink, np.abs(root) * 1e-13)
-        Wg, _ = wronskian_rows(active, root[:, None] + w[:, None] * t[None, :])
-        slope = Wg @ t / (t @ t)
-        mean = Wg.mean(axis=1)
-        step = np.where(slope != 0.0, -mean / slope, 0.0)
-        root = root + np.clip(step, -0.5, 0.5) * w
-
-    Wf, _ = eng.wronskian(svec[active], root)
-    for row, j in enumerate(active):
-        kappa = float(root[row])
-        results[j] = BoundStateResult(
-            energy=-kappa * kappa,
-            residual=abs(float(Wf[row])),
-            iterations=eng.evaluations,
-            bracket=(-float(hi[j]) ** 2, -float(lo[j]) ** 2),
-        )
+        below, above = N >= 1, (N == 0) & (levels[a] > 0)
+        up, down = a[below], a[above]
+        lo[up], w_lo[up], f_lo[up], levels[up] = k[below], W[below], W[below], N[below]
+        hi[down], w_hi[down], f_hi[down] = k[above], W[above], W[above]
+        # Illinois: an end kept twice in a row has its weight halved
+        f_hi[up[falsi[up] & (side[up] < 0)]] *= 0.5
+        f_lo[down[falsi[down] & (side[down] > 0)]] *= 0.5
+        side[up], side[down] = -1, 1
+        start = ~falsi & (levels == 1) & ~np.isnan(w_hi) & (hi <= 2.0 * lo)
+        side[start] = 0
+        falsi |= start
+        a = a[levels[a] > 0]
+        l, h, m = lo[a], hi[a], levels[a]
+        k = np.where(h <= 2.0 * l, 0.5 * (l + h), np.sqrt(l * h))
+        k = np.where((m >= 2) & (side[a] <= 0), np.sqrt(h * h - (h * h - l * l) / m), k)
+        k = np.where(falsi[a], h - f_hi[a] * (h - l) / (f_hi[a] - f_lo[a]), k)
+        done = ~((l < k) & (k < h)) | (falsi[a] & (h - l <= 4.0 * np.spacing(h)))
+        for j in a[done]:
+            if not falsi[j]:
+                results[j] = BracketFailure(f"no level bracket for strength s={svec[j]:g}")
+                continue
+            kappa, w = (lo[j], w_lo[j]) if abs(w_lo[j]) <= abs(w_hi[j]) else (hi[j], w_hi[j])
+            results[j] = BoundStateResult(
+                energy=-float(kappa) ** 2,
+                residual=abs(float(w)),
+                iterations=eng.evaluations,
+                bracket=(-float(hi[j]) ** 2, -float(lo[j]) ** 2),
+            )
+        a, k = a[~done], k[~done]
     return results
 
 
 def shooting_solve(p: Potential, nsteps: int = 4000) -> BoundStateResult:
-    """Ground-state energy of p by Wronskian matching at x = 0.
+    """Ground-state energy of p by Wronskian matching.
 
     Integrates u'' = (V - E) u inward from +-L on the asymptotic
-    decaying branches and locates the energy where the two solutions
-    have a vanishing Wronskian, in the bracket where the level count
-    first reaches 1, so the root is the ground state.
+    decaying branches to the matching point (x = 0 for an even well,
+    the peak panel of an uneven one) and locates the energy where the
+    two solutions have a vanishing Wronskian, in a bracket with one
+    level below its lower kappa and none below its upper, so the root is
+    the ground state.
 
     Raises:
         BracketFailure: the error shooting_sweep returns for p.s.

@@ -65,7 +65,8 @@ def build_grid(L: float, P: int, q: int) -> QuadratureGrid:
            midpoint rule).
 
     Raises:
-        InvalidGridSpec: parameters out of range.
+        InvalidGridSpec: parameters out of range, or more than _MAX_NODES
+            nodes, checked before anything is allocated.
     """
     if not (L > 0.0) or not math.isfinite(L):
         raise InvalidGridSpec(f"domain halfwidth must be positive, got {L}")
@@ -73,6 +74,8 @@ def build_grid(L: float, P: int, q: int) -> QuadratureGrid:
         raise InvalidGridSpec(f"panel count must be an integer >= 1, got {P}")
     if not (isinstance(q, (int, np.integer)) and 1 <= q <= 16):
         raise InvalidGridSpec(f"nodes per panel must satisfy 1 <= q <= 16, got {q}")
+    if P * q > _MAX_NODES:
+        raise InvalidGridSpec(f"{P} panels of {q} nodes exceed the {_MAX_NODES} nodes of one grid")
     xs, ws = leggauss(int(q))
     edges = np.linspace(-L, L, int(P) + 1)
     half = L / P
@@ -108,8 +111,8 @@ def _check_aligned(g: QuadratureGrid, f: np.ndarray) -> np.ndarray:
     return f
 
 
-#: the error bounds of integrate() need n u far below 1/n
-_MAX_EXTRACT = 2**26
+#: the most nodes of a grid; the error bounds of integrate() need n u far below 1/n
+_MAX_NODES = 2**26
 _TINY = math.ldexp(1.0, -1074)  # the smallest subnormal
 
 
@@ -136,7 +139,7 @@ def integrate(g: QuadratureGrid, f) -> float:
     n = a.size
     M = (n + 1).bit_length()  # ceil(log2(n + 2))
     mu = float(np.max(np.abs(a)))
-    if not 0.0 < mu < math.inf or math.frexp(mu)[1] + M > 1023 or n > _MAX_EXTRACT:
+    if not 0.0 < mu < math.inf or math.frexp(mu)[1] + M > 1023 or n > _MAX_NODES:
         return math.fsum(a)
     t1, r = _extract(a, mu, M)
     mu = float(np.max(np.abs(r)))

@@ -3,9 +3,10 @@
 They are the direct, slow forms of what the package computes: math.fsum
 in place of the extraction sum of integrate, dense N x N kernel sums in
 place of the O(N) contraction, and the small-beta resolvent expansions
-written out as formulas in place of the monomial tables, and the
-shooting propagation one Magnus step at a time in place of sub-block
-products. The
+written out as formulas in place of the monomial tables, the shooting
+propagation one Magnus step at a time in place of sub-block products,
+and the scan-and-polish search and a plain bisection on the level count
+in place of the bisection and Illinois search of shooting_sweep. The
 Gaussian-well closed forms, an erf from first principles, the series fit
 of solver energies, the exact square-well and Poschl-Teller levels, the
 closed-form and spectral resolvents of the regulator delta well and the
@@ -20,8 +21,8 @@ from numpy.polynomial.legendre import leggauss, legvander
 from scipy.integrate import quad
 from scipy.special import erf as _erf
 
-from shallowwell.errors import ShallowWellError
-from shallowwell.oracles import _MAGNUS_D, _cosh_sinhc
+from shallowwell.errors import BracketFailure, ShallowWellError
+from shallowwell.oracles import _MAGNUS_D, BoundStateResult, _cosh_sinhc, _WronskianEngine
 from shallowwell.quadrature import build_grid, integrate
 from shallowwell.resummation import PadeApproximant
 
@@ -79,6 +80,107 @@ def wronskian_steps(engine, svec, kvec):
     W = (vL * uR + uL * vR) / (np.hypot(uL, vL) * np.hypot(uR, vR))
     n = nL + nR
     return W, n + ((-1) ** n * W < 0.0)
+
+
+#: the scan, subdivision and polish of scan_search_sweep
+_SCAN_POINTS = 160
+_SUBDIV = 64
+_MAX_ROUNDS = 40
+
+
+def scan_search_sweep(p, s_values, nsteps=4000):
+    """The search that shooting_sweep replaced, on the same engine.
+
+    A 160-point geometric kappa scan down from sqrt(s * shape_max())
+    brackets each strength where the level count first reaches 1; rounds
+    of 64 evenly spaced kappas narrow every bracket to one level and
+    1e-4 relative width; three least-squares line fits of W over 64
+    kappas, in windows shrinking by 1e-2, polish the root. Returns what
+    shooting_sweep returns, with every strength taking every pass.
+    """
+    svec = np.asarray(s_values, dtype=float)
+    results: list = [
+        None if s > 0.0 and p.shape_max() > 0.0
+        else BracketFailure("shooting requires a nonzero attractive potential")
+        for s in svec
+    ]
+    active = [j for j, r in enumerate(results) if r is None]
+    if not active:
+        return results
+    eng = _WronskianEngine(p, nsteps=nsteps)
+    lo, hi, levels = np.zeros(len(svec)), np.ones(len(svec)), np.zeros(len(svec), dtype=int)
+
+    def wronskian_rows(active, ks):
+        """W and N at one row of kappas per active strength, in one pass."""
+        W, N = eng.wronskian(np.repeat(svec[active], ks.shape[1]), ks.ravel())
+        return W.reshape(ks.shape), N.reshape(ks.shape)
+
+    def narrow(active, ks, N):
+        """Bracket each row of kappas (running downward) at its first level."""
+        rows = np.arange(len(active))
+        i = np.maximum(np.argmax(N >= 1, axis=1), 1)
+        lo[active], hi[active], levels[active] = ks[rows, i], ks[rows, i - 1], N[rows, i]
+
+    # ---- scan, all strengths in one pass ---------------------------------
+    kmax = np.sqrt(svec[active] * p.shape_max()) * (1.0 - 1e-9)
+    ks = kmax[:, None] * np.geomspace(1.0, 1e-6, _SCAN_POINTS)[None, :]
+    _, N = wronskian_rows(active, ks)
+    narrow(active, ks, N)
+    for row, j in enumerate(active):
+        if not N[row].any():
+            results[j] = BracketFailure(f"no Wronskian sign change for strength s={svec[j]:g}")
+    active = [j for j in active if results[j] is None]
+    if not active:
+        return results
+
+    # ---- subdivide until each bracket holds one level and is narrow ------
+    frac = np.linspace(0.0, 1.0, _SUBDIV)[::-1]
+    for _ in range(_MAX_ROUNDS):
+        multi = bool(np.any(levels[active] > 1))
+        if not multi and np.all((hi[active] - lo[active]) / hi[active] <= 1e-4):
+            break
+        grid = lo[active][:, None] + (hi[active] - lo[active])[:, None] * frac
+        _, N = wronskian_rows(active, grid)
+        narrow(active, grid, N)
+
+    # ---- three linear least-squares polish rounds with shrinking windows -
+    root = 0.5 * (lo[active] + hi[active])
+    width = hi[active] - lo[active]
+    t = np.linspace(-0.5, 0.5, _SUBDIV)
+    for shrink in (1.0, 1e-2, 1e-4):
+        w = np.maximum(width * shrink, np.abs(root) * 1e-13)
+        Wg, _ = wronskian_rows(active, root[:, None] + w[:, None] * t[None, :])
+        slope = Wg @ t / (t @ t)
+        mean = Wg.mean(axis=1)
+        step = np.where(slope != 0.0, -mean / slope, 0.0)
+        root = root + np.clip(step, -0.5, 0.5) * w
+
+    Wf, _ = eng.wronskian(svec[active], root)
+    for row, j in enumerate(active):
+        kappa = float(root[row])
+        results[j] = BoundStateResult(
+            energy=-kappa * kappa,
+            residual=abs(float(Wf[row])),
+            iterations=eng.evaluations,
+            bracket=(-float(hi[j]) ** 2, -float(lo[j]) ** 2),
+        )
+    return results
+
+
+def count_bisection(p, s_values, nsteps=4000, steps=60):
+    """Ground-state energies by bisection on the level count alone.
+
+    Bisects kappa in [0, sqrt(s * shape_max())] steps times on N >= 1,
+    all strengths in each pass, and returns -kappa^2 at the midpoints.
+    """
+    svec = np.asarray(s_values, dtype=float)
+    eng = _WronskianEngine(p, nsteps=nsteps)
+    lo, hi = np.zeros_like(svec), np.sqrt(svec * p.shape_max())
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        _, N = eng.wronskian(svec, mid)
+        lo, hi = np.where(N >= 1, mid, lo), np.where(N >= 1, hi, mid)
+    return -(0.5 * (lo + hi)) ** 2
 
 
 def dense_contract(g, p, k, m, f):

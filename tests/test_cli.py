@@ -180,6 +180,17 @@ def test_square_well_grid_override_snaps_to_edges(tmp_path, capsys):
     assert max(abs(e) for e in payload["error_estimates"]) < 1e-14
 
 
+@pytest.mark.parametrize("command", ["series", "solve"])
+def test_tiny_square_well_is_config_error(tmp_path, capsys, command):
+    # panels of width a = 1e-9 would need 2e10 of them; refused before allocating
+    cfg = _write(tmp_path, "c.ini", "[potential]\nkind = square_well\ns = 1\na = 1e-9\n")
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # solve / pade / greens-check / compare
 
@@ -261,7 +272,7 @@ def test_compare_small_sweep(tmp_path):
 
 
 def test_compare_shooting_failure_stays_in_its_row(tmp_path):
-    # s = 1e-13 binds far below the shooting scan; only its own row may lose the cell
+    # s = 1e-13 binds far below the shooting search range; only its own row may lose the cell
     cfg = _write(
         tmp_path,
         "c.ini",

@@ -1,14 +1,17 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from reference import (
+    count_bisection,
     erf_reference,
     exact_poschl_teller,
     exact_square_well,
     fit_series_coefficients,
     gaussian_closed_coefficients,
+    scan_search_sweep,
     wronskian_steps,
 )
 
@@ -18,6 +21,8 @@ from shallowwell.potential import Potential
 
 #: abscissas of an off-centre sech^2 well, x0 = 1.3 +- 12
 _SECH2_X = np.linspace(-10.7, 13.3, 2401)
+#: strengths of the solve reports compared across search methods
+_S_LADDER = (0.1, 0.37, 1.0, 2.5, 4.0, 30.0, 300.0)
 
 # transcendental square-well levels frozen from an independent bisection
 _SQUARE_WELL_FROZEN = {
@@ -77,6 +82,58 @@ def test_shooting_uneven_well_matches_its_mirror_image():
     assert shooting_solve(mirror).energy == pytest.approx(shooting_solve(p).energy, rel=1e-13)
 
 
+@pytest.mark.parametrize(
+    "p",
+    [Potential.square_well(1.0), Potential.poschl_teller(1.0), Potential.gaussian(1.0)],
+    ids=["square_well", "poschl_teller", "gaussian"],
+)
+def test_search_matches_scan_oracle(p):
+    # the scan, 64-point rounds and polish of the replaced search, on the same engine
+    for s, ref in zip(_S_LADDER, scan_search_sweep(p, _S_LADDER)):
+        res = shooting_solve(replace(p, s=s))
+        assert res.energy == pytest.approx(ref.energy, rel=1e-13)
+        assert res.residual <= 1e-13
+        assert res.iterations <= 20
+
+
+def test_batched_sweep_matches_scan_oracle():
+    s_values = np.linspace(0.1, 3.0, 30)
+    p = Potential.gaussian(1.0)
+    for res, ref in zip(shooting_sweep(p, s_values), scan_search_sweep(p, s_values)):
+        assert res.energy == pytest.approx(ref.energy, rel=1e-13)
+
+
+@pytest.mark.parametrize("x0,s", [(1.3, 30.0), (1.3, 300.0), (1.9498, 30.0)])
+def test_deep_off_centre_well_matches_count_bisection(x0, s):
+    # matched in the core of the well, W varies smoothly with kappa at its root
+    x = np.linspace(x0 - 12.0, x0 + 12.0, 2401)
+    p = Potential.tabulated(x, -1.0 / np.cosh(x - x0) ** 2, s=s)
+    res = shooting_solve(p)
+    assert res.energy == pytest.approx(count_bisection(p, [s])[0], rel=1e-12)
+    assert res.residual <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        Potential.square_well(1.0, a=0.5),
+        Potential.poschl_teller(1.0),
+        Potential.gaussian(1.0),
+        Potential.tabulated(_SECH2_X, -1.0 / np.cosh(_SECH2_X - 1.3) ** 2),
+    ],
+    ids=["square_well", "poschl_teller", "gaussian", "tabulated"],
+)
+def test_sweep_matches_count_bisection_at_random_strengths(p):
+    # one batch from shallow to deep: strengths leave the batch at different passes
+    s = np.exp(np.random.default_rng(11).uniform(math.log(0.02), math.log(3000.0), 12))
+    results = shooting_sweep(p, s)
+    energies = np.array([r.energy for r in results])
+    assert np.all(np.abs(energies / count_bisection(p, s) - 1.0) <= 1e-12)
+    assert max(r.residual for r in results) <= 1e-12
+    for r in results:
+        assert r.bracket[0] <= r.energy <= r.bracket[1]
+
+
 def test_step_series_matches_cosh_and_cos():
     # beyond |t| = 0.05 the series is scaled by 4^k and doubled back k times
     r = np.geomspace(1e-6, math.sqrt(20.0), 400)
@@ -96,7 +153,7 @@ def test_shooting_deep_poschl_teller():
 
 
 def test_shooting_sweep_deep_poschl_teller():
-    # several levels fall inside the first scan interval at these depths
+    # dozens of levels lie below the lower end of the search at these depths
     s_values = [2000.0, 4000.0]
     results = shooting_sweep(Potential.poschl_teller(1.0), s_values)
     for s, res in zip(s_values, results):
