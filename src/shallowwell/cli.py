@@ -1,18 +1,19 @@
 """Batch front-end: config in, deterministic reports out.
 
-Subcommands
-    series       weak-coupling coefficients with error estimates
-    compare      five-curve sweep (series / Pade / two variational / shooting)
-    pade         asymptote-subtracted Pade coefficients and samples
+Subcommands, with the flags each reads besides --config, --out and --format
+    series       weak-coupling coefficients with error estimates; --order, --grid
+    compare      five-curve sweep: series, Pade, two variational, shooting; --grid
+    pade         Pade coefficients and samples, split at the deep-well limit; --grid
     solve        single shooting/Wronskian bound-state solve
-    greens-check finite-regulator consistency and divergence cancellation
+    greens-check finite-regulator consistency and divergence cancellation; --grid
 
-Configs are INI-style key=value files with a [potential] section; unknown
-keys are rejected before any computation starts. All floats print with 9
-significant digits, so identical configs produce byte-identical output;
-compare writes CSV whatever the format. Non-finite numbers are rejected, and
-grid overrides are snapped to the square-well edges like the default grid.
-Exit codes: 0 success, 2 config error, 3 numeric failure.
+_value checks each config key, and each flag as the key it sets, against the
+table _KEYS before any computation. Inputs nothing reads are refused; known
+sections a subcommand ignores are accepted, since subcommands share configs.
+Floats print with 9 significant digits, so identical configs give
+byte-identical reports; a non-finite result is a numeric failure. compare
+writes CSV whatever the format. Exit codes: 0 success, 2 config error,
+3 numeric failure, each on one stderr line.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import configparser
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,11 +38,17 @@ from .resummation import evaluate_pade, pade_with_asymptote
 #: exact rationals for the unit-halfwidth square well, c2..c6
 _SQUARE_WELL_RATIONALS = ("-1", "4/3", "-92/45", "1072/315", "-84752/14175")
 
-_KNOWN_KEYS = {
-    "potential": {"kind", "s", "a", "file"},
-    "grid": {"L", "P", "q"},
-    "run": {"order", "format", "out", "asymptote"},
-    "sweep": {"s_min", "s_max", "steps"},
+#: potential kind -> the key it reads besides kind and s
+_KINDS = {"square_well": "a", "poschl_teller": None, "gaussian": None, "tabulated": "file"}
+
+#: section -> key -> (type, allowed values): choices, an int range, a bound such as "> 0", or None
+_KEYS = {
+    "potential": {"kind": (str, _KINDS), "s": (float, ">= 0"), "a": (float, "> 0"),
+                  "file": (str, None)},
+    "grid": {"L": (float, "> 0"), "P": (int, ">= 1"), "q": (int, range(1, 17))},
+    "run": {"order": (int, range(2, 7)), "format": (str, ("text", "csv", "json")),
+            "out": (str, None)},
+    "sweep": {"s_min": (float, "> 0"), "s_max": (float, "> 0"), "steps": (int, ">= 2")},
 }
 
 _BETA_LADDER = (0.02, 0.01, 0.005)
@@ -55,47 +63,49 @@ def _var_minimize(kind, p, g):
 
 @dataclass
 class RunConfig:
-    """Validated run parameters shared by all subcommands."""
+    """Validated run parameters shared by all subcommands; order, format and out are [run] keys."""
 
     potential: Potential
     order: int = 6
-    fmt: str = "text"
+    format: str = "text"
     out: str | None = None
     grid: tuple | None = None  # (L, P, q) override
-    asymptote: float | None = None  # Pade split; default shape_max()
     sweep: tuple | None = None  # (s_min, s_max, steps)
 
 
-def _parse_float(name: str, raw: str) -> float:
+def _value(section: str, key: str, raw: str):
+    """One key's value, or that of the flag setting it: typed, finite and allowed by _KEYS."""
+    if key not in _KEYS[section]:
+        raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    kind, allowed = _KEYS[section][key]
+    name = f"[{section}] {key}={raw!r}"
     try:
-        value = float(raw)
+        value = kind(raw)
     except ValueError:
-        raise ConfigError(f"{name}={raw!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{name}={raw!r} is not a finite number")
+        raise ConfigError(f"{name} is not {'an integer' if kind is int else 'a number'}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{name} is not a finite number")
+    if isinstance(allowed, str):  # a bound such as "> 0"
+        op, bound = allowed.split()
+        if not (value > float(bound) if op == ">" else value >= float(bound)):
+            raise ConfigError(f"{name} must be {allowed}")
+    elif allowed is not None and value not in allowed:
+        raise ConfigError(f"{name} must be one of {', '.join(map(str, allowed))}")
     return value
-
-
-def _parse_int(name: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{name}={raw!r} is not an integer") from None
-
-
-def _parse_grid(where: str, L: str, P: str, q: str) -> tuple:
-    """An (L, P, q) grid override from [grid] or --grid."""
-    return _parse_float(f"{where} L", L), _parse_int(f"{where} P", P), _parse_int(f"{where} q", q)
 
 
 def _load_samples(path: str):
     """Two whitespace-separated columns (x, V), '#' comments."""
     try:
-        data = np.loadtxt(path, comments="#", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy warns on a file without rows
+            data = np.loadtxt(path, comments="#", ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read sample file {path!r}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"malformed sample file {path!r}: {exc}") from None
+    if data.size == 0:
+        raise ConfigError(f"sample file {path!r} has no data rows")
     if data.shape[1] != 2:
         raise ConfigError(f"sample file {path!r} must have exactly two columns")
     return data[:, 0], data[:, 1]
@@ -105,10 +115,10 @@ def load_config(path: str) -> RunConfig:
     """Parse and validate a key=value config file.
 
     Raises:
-        ConfigError: unreadable file, unknown section/key, bad value, or
-            missing potential specification.
+        ConfigError: unreadable file, unknown section/key, bad value, a key
+            its kind does not read, or missing potential specification.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     parser.optionxform = str  # keep key case so L and P read naturally
     try:
         with open(path, encoding="utf-8") as fh:
@@ -118,97 +128,46 @@ def load_config(path: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path!r}: {exc}") from None
 
+    values = {}
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _KEYS:
             raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    if "potential" not in parser:
-        raise ConfigError("config must contain a [potential] section")
-
-    pot = parser["potential"]
-    kind = pot.get("kind")
-    if kind is None:
-        raise ConfigError("[potential] must set kind")
-    s = _parse_float("[potential] s", pot.get("s", "1.0"))
+        values[section] = {key: _value(section, key, raw) for key, raw in parser[section].items()}
+    pot = values.get("potential", {})
+    if "kind" not in pot:
+        raise ConfigError("config must set kind in a [potential] section")
+    kind = pot["kind"]
+    unread = sorted(set(pot) - {"kind", "s", _KINDS[kind]})
+    if unread:
+        raise ConfigError(f"[potential] {unread[0]} is not read by kind = {kind}")
     try:
-        if kind == "square_well":
-            potential = Potential.square_well(s, a=_parse_float("[potential] a", pot.get("a", "1.0")))
-        elif kind == "poschl_teller":
-            potential = Potential.poschl_teller(s)
-        elif kind == "gaussian":
-            potential = Potential.gaussian(s)
-        elif kind == "tabulated":
-            if "file" not in pot:
-                raise ConfigError("[potential] kind=tabulated needs file=PATH")
-            xs, vs = _load_samples(pot["file"])
-            potential = Potential.tabulated(xs, vs, s=s)
+        if kind != "tabulated":
+            potential = Potential(kind, pot.get("s", 1.0), pot.get("a", 1.0))
+        elif "file" not in pot:
+            raise ConfigError("[potential] kind=tabulated needs file=PATH")
         else:
-            raise ConfigError(f"unknown potential kind {kind!r}")
+            potential = Potential.tabulated(*_load_samples(pot["file"]), s=pot.get("s", 1.0))
     except ValueError as exc:
         raise ConfigError(f"invalid potential parameters: {exc}") from None
 
-    cfg = RunConfig(potential=potential)
-
-    if "grid" in parser:
-        sec = parser["grid"]
-        if set(sec) and set(sec) != {"L", "P", "q"}:
-            raise ConfigError("[grid] must set all of L, P, q or none")
-        if set(sec):
-            cfg.grid = _parse_grid("[grid]", sec["L"], sec["P"], sec["q"])
-    if "run" in parser:
-        sec = parser["run"]
-        if "order" in sec:
-            cfg.order = _parse_int("[run] order", sec["order"])
-        if "format" in sec:
-            cfg.fmt = sec["format"]
-        if "out" in sec:
-            cfg.out = sec["out"]
-        if "asymptote" in sec:
-            cfg.asymptote = _parse_float("[run] asymptote", sec["asymptote"])
-    if "sweep" in parser:
-        sec = parser["sweep"]
-        missing = {"s_min", "s_max", "steps"} - set(sec)
-        if missing:
-            raise ConfigError(f"[sweep] missing keys: {sorted(missing)}")
-        cfg.sweep = (
-            _parse_float("[sweep] s_min", sec["s_min"]),
-            _parse_float("[sweep] s_max", sec["s_max"]),
-            _parse_int("[sweep] steps", sec["steps"]),
-        )
-    _validate(cfg)
-    return cfg
-
-
-def _validate(cfg: RunConfig) -> None:
-    if cfg.order not in (2, 3, 4, 5, 6):
-        raise ConfigError(f"order must lie in 2..6, got {cfg.order}")
-    if cfg.fmt not in ("text", "csv", "json"):
-        raise ConfigError(f"format must be text, csv or json, got {cfg.fmt!r}")
-    if cfg.grid is not None:
-        L, P, q = cfg.grid
-        if not (L > 0 and P >= 1 and 1 <= q <= 16):
-            raise ConfigError(f"invalid grid override L={L:g}, P={P}, q={q}")
-    if cfg.sweep is not None:
-        s_min, s_max, steps = cfg.sweep
-        if not (0.0 < s_min < s_max):
-            raise ConfigError(f"sweep needs 0 < s_min < s_max, got [{s_min:g}, {s_max:g}]")
-        if steps < 2:
-            raise ConfigError(f"sweep needs steps >= 2, got {steps}")
+    ranges = {}  # the (L, P, q) grid and the (s_min, s_max, steps) sweep
+    for section in ("grid", "sweep"):
+        sec = values.get(section)
+        if sec and set(sec) != set(_KEYS[section]):
+            raise ConfigError(f"[{section}] must set all of {', '.join(_KEYS[section])} or none")
+        ranges[section] = tuple(sec[key] for key in _KEYS[section]) if sec else None
+    if ranges["sweep"] and not ranges["sweep"][0] < ranges["sweep"][1]:
+        raise ConfigError("sweep needs s_min < s_max, got [{:g}, {:g}]".format(*ranges["sweep"]))
+    return RunConfig(potential, **ranges, **values.get("run", {}))
 
 
 def _grid_for(cfg: RunConfig):
-    if cfg.grid is None:
-        return default_grid(cfg.potential)
-    L, P, q = cfg.grid
-    return default_grid(cfg.potential, P=P, q=q, L=L)
-
-
-def _pade(cfg: RunConfig, es):
-    """Asymptote-subtracted Pade; the deep-well limit is E -> -s*shape_max()."""
-    depth = cfg.asymptote if cfg.asymptote is not None else cfg.potential.shape_max()
-    return pade_with_asymptote(es, depth)
+    """The [grid] override or the default grid; refused if a nonzero well is 0 at every node."""
+    p = cfg.potential
+    g = default_grid(p) if cfg.grid is None else default_grid(p, *cfg.grid[1:], L=cfg.grid[0])
+    if p.shape_max() > 0 and not np.any(p.shape(g.nodes)):
+        raise ConfigError(f"grid L={g.L:g} P={g.P} q={g.q} misses the well: shape 0 at every node")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +175,15 @@ def _pade(cfg: RunConfig, es):
 
 
 def _f9(v: float) -> str:
-    return format(float(v) + 0.0, ".9g")  # +0.0 normalizes -0.0
+    v = float(v)
+    if not math.isfinite(v):
+        raise ShallowWellError(f"result {v} is not finite")
+    return format(v + 0.0, ".9g")  # +0.0 normalizes -0.0
+
+
+def _why(exc: Exception) -> str:
+    """The reason for a failed cell; an OverflowError's own message holds a comma."""
+    return "float overflow" if isinstance(exc, OverflowError) else str(exc)
 
 
 def _round9(v: float) -> float:
@@ -237,13 +204,14 @@ def _csv(headers, rows) -> str:
 class Report:
     """What one subcommand produced, renderable as text, csv or json.
 
-    A report without a title or payload renders as csv in every format.
+    A report without a title or payload renders as csv in every format. A
+    report with a failure is still written, and the run then exits 3.
     """
 
     tables: list  # (headers, rows) pairs
     title: str | None = None
     payload: dict | None = None
-    exit_code: int = 0
+    failure: str | None = None  # why no row of the report is complete
 
     def render(self, fmt: str) -> str:
         if fmt == "json" and self.payload is not None:
@@ -296,12 +264,11 @@ COMPARE_HEADERS = [
 
 def compare_rows(cfg: RunConfig) -> list:
     """COMPARE_HEADERS cells per sweep strength; a failed cell is empty, its reason last."""
-    s_min, s_max, steps = cfg.sweep
-    s_values = np.linspace(s_min, s_max, steps)
+    s_values = np.linspace(*cfg.sweep)
     p = cfg.potential
     g = _grid_for(cfg)
     es = energy_series(p, order=6, g=g)
-    pa = _pade(cfg, es)
+    pa = pade_with_asymptote(es, p.shape_max())
 
     shots = shooting_sweep(p, s_values)
 
@@ -312,9 +279,9 @@ def compare_rows(cfg: RunConfig) -> list:
         def attempt(label, fn):
             try:
                 cells.append(_f9(fn()))
-            except ShallowWellError as exc:
+            except (ShallowWellError, OverflowError) as exc:
                 cells.append("")
-                reasons.append(f"{label}: {exc}")
+                reasons.append(f"{label}: {_why(exc)}")
 
         attempt("series", lambda: es.evaluate(s))
         attempt("pade", lambda: evaluate_pade(pa, s))
@@ -335,23 +302,19 @@ def cmd_compare(cfg: RunConfig) -> Report:
         raise ConfigError("compare needs a [sweep] section (s_min, s_max, steps)")
     rows = compare_rows(cfg)
     complete = any(all(c != "" for c in r[:-1]) for r in rows)
-    return Report([(COMPARE_HEADERS, rows)], exit_code=0 if complete else 3)
+    return Report([(COMPARE_HEADERS, rows)], failure=None if complete else "no row is complete")
 
 
 def cmd_pade(cfg: RunConfig) -> Report:
     es = energy_series(cfg.potential, order=6, g=_grid_for(cfg))
-    pa = _pade(cfg, es)
-    if cfg.sweep is not None:
-        s_min, s_max, steps = cfg.sweep
-        samples = np.linspace(s_min, s_max, steps)
-    else:
-        samples = np.asarray([0.25, 0.5, 1.0, 2.0, 3.0])
+    pa = pade_with_asymptote(es, cfg.potential.shape_max())
+    samples = np.linspace(*cfg.sweep) if cfg.sweep else np.array([0.25, 0.5, 1.0, 2.0, 3.0])
     sampled = []
     for s in samples.tolist():
         try:
             sampled.append((s, _f9(evaluate_pade(pa, s)), ""))
-        except ShallowWellError as exc:
-            sampled.append((s, "", str(exc)))
+        except (ShallowWellError, OverflowError) as exc:
+            sampled.append((s, "", _why(exc)))
 
     payload = {
         "shape": es.shape_kind,
@@ -431,8 +394,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as one ConfigError line instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shallowwell",
         description="Weak-well bound-state energy: series, resummation, oracles.",
     )
@@ -441,25 +411,24 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="key=value run configuration")
         sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--format", choices=("text", "csv", "json"), help="report format")
-        sp.add_argument("--order", type=int, help="series truncation order (2-6)")
-        sp.add_argument("--grid", help="grid override as L,P,q")
+        sp.add_argument("--format", help="report format: text, csv or json")
+        if name == "series":
+            sp.add_argument("--order", help="series truncation order (2-6)")
+        if name != "solve":
+            sp.add_argument("--grid", help="grid override as L,P,q")
     return parser
 
 
 def _apply_overrides(cfg: RunConfig, args) -> None:
-    if args.out is not None:
-        cfg.out = args.out
-    if args.format is not None:
-        cfg.fmt = args.format
-    if args.order is not None:
-        cfg.order = args.order
-    if args.grid is not None:
+    """Each flag sets the [run] or [grid] key of its name, checked as that key."""
+    for key in ("out", "format", "order"):
+        if getattr(args, key, None) is not None:
+            setattr(cfg, key, _value("run", key, getattr(args, key)))
+    if getattr(args, "grid", None) is not None:
         parts = args.grid.split(",")
         if len(parts) != 3:
             raise ConfigError(f"--grid must be L,P,q, got {args.grid!r}")
-        cfg.grid = _parse_grid("--grid", *parts)
-    _validate(cfg)
+        cfg.grid = tuple(_value("grid", key, raw) for key, raw in zip(("L", "P", "q"), parts))
 
 
 def _write(path: str | None, text: str) -> None:
@@ -474,24 +443,29 @@ def _write(path: str | None, text: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = _build_parser().parse_args(argv)
         cfg = load_config(args.config)
         _apply_overrides(cfg, args)
-        report = _COMMANDS[args.command](cfg)
-        _write(cfg.out, report.render(cfg.fmt))
+        # _f9 refuses the non-finite results that numpy would warn about on stderr
+        with np.errstate(all="ignore"):
+            report = _COMMANDS[args.command](cfg)
+        _write(cfg.out, report.render(cfg.format))
+    except SystemExit:  # --help has printed its text
+        return 0
     # the config or its valid defaults set every grid, so a bad grid is a config error
     except (ConfigError, InvalidGridSpec) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ShallowWellError as exc:
+    except (ShallowWellError, OverflowError, ValueError) as exc:
+        if isinstance(exc, ValueError) and "in fsum" not in str(exc):
+            raise  # of ValueErrors, only math.fsum's inf - inf is a numeric failure
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    return report.exit_code
+    if report.failure is not None:
+        print(f"numeric failure: {report.failure}", file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -59,10 +60,10 @@ def test_bad_grid_override_rejected(tmp_path):
         ("series", "[potential]\nkind = square_well\na = inf\n", []),
         ("series", GAUSS_CFG + "[grid]\nL = inf\nP = 64\nq = 8\n", []),
         ("series", GAUSS_CFG, ["--grid", "inf,64,8"]),
-        ("pade", GAUSS_CFG + "[run]\nasymptote = nan\n", []),
+        ("pade", GAUSS_CFG + "[sweep]\ns_min = -inf\ns_max = 0.5\nsteps = 3\n", []),
         ("pade", GAUSS_CFG + "[sweep]\ns_min = 0.5\ns_max = inf\nsteps = 3\n", []),
     ],
-    ids=["s", "a", "grid-L", "grid-flag", "asymptote", "s_max"],
+    ids=["s", "a", "grid-L", "grid-flag", "s_min", "s_max"],
 )
 def test_non_finite_numbers_rejected(tmp_path, capsys, monkeypatch, command, config, extra):
     def no_computation(*args, **kwargs):
@@ -72,6 +73,65 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, monkeypatch, command, con
     cfg = _write(tmp_path, "c.ini", config)
     assert main([command, "--config", cfg] + extra) == 2
     assert "is not a finite number" in capsys.readouterr().err
+
+
+def _one_line_exit(capsys, code, argv):
+    """Run the CLI; assert its exit code and one stderr line, no traceback; return (out, err)."""
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return out, err
+
+
+GRID_CFG = "[grid]\nL = 10\nP = 64\nq = 8\n"
+SWEEP_CFG = "[sweep]\ns_min = 0.5\ns_max = 1.5\nsteps = 3\n"
+# one non-numeric value under each numeric key: (command, config)
+NOT_NUMBERS = {
+    "s": ("series", "[potential]\nkind = gaussian\ns = banana\n"),
+    "a": ("series", "[potential]\nkind = square_well\na = banana\n"),
+    "L": ("series", GAUSS_CFG + GRID_CFG.replace("10", "banana")),
+    "P": ("series", GAUSS_CFG + GRID_CFG.replace("64", "banana")),
+    "q": ("series", GAUSS_CFG + GRID_CFG.replace("8", "banana")),
+    "order": ("series", GAUSS_CFG + "[run]\norder = banana\n"),
+    "s_min": ("pade", GAUSS_CFG + SWEEP_CFG.replace("0.5", "banana")),
+    "s_max": ("pade", GAUSS_CFG + SWEEP_CFG.replace("1.5", "banana")),
+    "steps": ("pade", GAUSS_CFG + SWEEP_CFG.replace("3", "banana")),
+}
+REFUSALS = {
+    "a-on-gaussian": ("solve", GAUSS_CFG + "a = 0.7\n", [], "a is not read by kind = gaussian"),
+    "a-not-a-number-on-gaussian": ("solve", GAUSS_CFG + "a = banana\n", [], "is not a number"),
+    "file-on-poschl_teller": (
+        "series",
+        "[potential]\nkind = poschl_teller\nfile = /nonexistent\n",
+        [],
+        "file is not read by kind = poschl_teller",
+    ),
+    **{
+        f"not-a-number-{key}": (command, config, [], f"{key}='banana' is not")
+        for key, (command, config) in NOT_NUMBERS.items()
+    },
+    "not-a-number-order-flag": ("series", GAUSS_CFG, ["--order", "banana"], "is not an integer"),
+    **{
+        f"order-flag-on-{command}": (command, GAUSS_CFG + SWEEP_CFG, ["--order", "2"], "--order")
+        for command in ("solve", "compare", "pade", "greens-check")
+    },
+    "grid-flag-on-solve": ("solve", GAUSS_CFG, ["--grid", "10,64,8"], "--grid"),
+    "run-asymptote": ("pade", GAUSS_CFG + "[run]\nasymptote = 1.0\n", [], "'asymptote'"),
+}
+
+
+@pytest.mark.parametrize("command, config, extra, fragment", REFUSALS.values(), ids=REFUSALS)
+def test_unread_or_mistyped_input_refused(
+    tmp_path, capsys, monkeypatch, command, config, extra, fragment
+):
+    def no_computation(*args, **kwargs):
+        raise AssertionError("computation ran on a refused input")
+
+    for name in ("energy_series", "shooting_solve", "shooting_sweep"):
+        monkeypatch.setattr(cli, name, no_computation)
+    cfg = _write(tmp_path, "c.ini", config)
+    out, err = _one_line_exit(capsys, 2, [command, "--config", cfg] + extra)
+    assert out == "" and err.startswith("config error: ") and fragment in err
 
 
 def test_sweep_validation(tmp_path):
@@ -99,6 +159,13 @@ def test_non_finite_tabulated_samples_rejected(tmp_path, capsys, samples):
     cfg = _write(tmp_path, "c.ini", f"[potential]\nkind = tabulated\nfile = {path}\n")
     assert main(["series", "--config", cfg]) == 2
     assert "tabulated samples must be finite" in capsys.readouterr().err
+
+
+def test_empty_sample_file_is_one_config_error(tmp_path, capsys):
+    path = _write(tmp_path, "samples.txt", "# x V\n# no rows\n")
+    cfg = _write(tmp_path, "c.ini", f"[potential]\nkind = tabulated\nfile = {path}\n")
+    _, err = _one_line_exit(capsys, 2, ["series", "--config", cfg])
+    assert "has no data rows" in err
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +258,38 @@ def test_tiny_square_well_is_config_error(tmp_path, capsys, command):
     assert captured.err.count("\n") == 1
 
 
+def _refuse_constant(name):
+    raise AssertionError(f"report holds {name}")
+
+
+@pytest.mark.parametrize(
+    "samples, extra",
+    [
+        ("-1e-5 0\n0 -1\n1e-5 0\n", []),
+        (None, ["--grid", "1e6,64,8"]),
+        (None, ["--grid", "1e300,64,8"]),
+    ],
+    ids=["tabulated-spike", "gaussian-L-1e6", "gaussian-L-1e300"],
+)
+def test_grid_missing_the_well_is_config_error(tmp_path, capsys, samples, extra):
+    # c2 = -(integral of shape)^2 / 4 < 0 for every nonzero well: an all-zero series is wrong
+    config = GAUSS_CFG
+    if samples is not None:
+        config = f"[potential]\nkind = tabulated\nfile = {_write(tmp_path, 's.txt', samples)}\n"
+    cfg = _write(tmp_path, "c.ini", config)
+    out, err = _one_line_exit(capsys, 2, ["series", "--config", cfg] + extra)
+    assert out == "" and "misses the well" in err and " P=" in err
+
+
+@pytest.mark.parametrize("halfwidth", ["1e31", "1e32", "1e40", "1e200"])
+def test_series_overflow_is_numeric_failure(tmp_path, capsys, halfwidth):
+    # a triangle of halfwidth W has c_n ~ W^(2n-2): c6 overflows, or an intermediate does
+    path = _write(tmp_path, "tri.txt", f"-{halfwidth} 0\n0 -1\n{halfwidth} 0\n")
+    cfg = _write(tmp_path, "c.ini", f"[potential]\nkind = tabulated\nfile = {path}\n")
+    out, err = _one_line_exit(capsys, 3, ["series", "--config", cfg, "--format", "json"])
+    assert out == "" and err.startswith("numeric failure: ")
+
+
 # ---------------------------------------------------------------------------
 # solve / pade / greens-check / compare
 
@@ -229,6 +328,13 @@ def test_unwritable_out_is_config_error(tmp_path, capsys):
     out = str(tmp_path / "missing" / "report.txt")
     assert main(["solve", "--config", cfg, "--out", out]) == 2
     assert "config error: cannot write" in capsys.readouterr().err
+
+
+def test_percent_sign_in_config_path_is_literal(tmp_path):
+    out = tmp_path / "100%.txt"
+    cfg = _write(tmp_path, "c.ini", f"[potential]\nkind = poschl_teller\n[run]\nout = {out}\n")
+    assert main(["solve", "--config", cfg]) == 0
+    assert out.read_text().startswith("# poschl_teller s=1 bound state")
 
 
 def test_greens_check_residuals_shrink(tmp_path, capsys):
@@ -304,3 +410,29 @@ def test_figure_sweep_script(tmp_path, capsys):
     assert summary[1].startswith("max |pade - shooting| / |shooting|:")
     assert summary[2].startswith("max |var_expsqrt - shooting| / |shooting|:")
     assert float(summary[2].split(":")[1]) < 1e-2
+
+
+HUGE_SWEEP = GAUSS_CFG + "[sweep]\ns_min = 1e100\ns_max = 1e200\nsteps = 2\n"
+
+
+def test_pade_overflowing_sample_fails_alone(tmp_path, capsys):
+    # s = 1e100 evaluates to the deep-well limit; at s = 1e200 the polynomials overflow
+    cfg = _write(tmp_path, "c.ini", HUGE_SWEEP)
+    assert main(["pade", "--config", cfg, "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    samples = json.loads(out, parse_constant=_refuse_constant)["samples"]
+    assert [row["energy"] for row in samples] == [-1e100, None]
+    assert [row["reason"] for row in samples] == ["", "result nan is not finite"]
+
+
+def test_compare_overflow_fails_only_its_cells(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.ini", HUGE_SWEEP)
+    out, err = _one_line_exit(capsys, 3, ["compare", "--config", cfg])
+    assert err == "numeric failure: no row is complete\n"
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["1e+100", "1e+200"]
+    for row in rows:
+        assert len(row) == len(cli.COMPARE_HEADERS)
+        assert row[1] == "" and "series: float overflow" in row[-1]
+        assert all(cell == "" or math.isfinite(float(cell)) for cell in row[:-1])
