@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import csv
+import io
 import json
 import math
 import sys
@@ -197,7 +199,10 @@ def _table(headers, rows) -> str:
 
 
 def _csv(headers, rows) -> str:
-    return "".join(",".join(str(c) for c in r) + "\n" for r in [headers, *rows])
+    """Comma-separated rows; a cell holding a comma or quote is quoted."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([headers, *rows])
+    return out.getvalue()
 
 
 @dataclass

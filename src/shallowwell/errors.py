@@ -37,8 +37,8 @@ class NonNormalizable(ShallowWellError):
     """Trial wavefunction norm underflows."""
 
 
-class OptimizerStalled(ShallowWellError):
-    """Simplex minimization failed to make progress."""
+class BelowWellFloor(ShallowWellError):
+    """Variational minimum at or below the well floor -s * shape_max: the grid misses the trial."""
 
 
 class ConfigError(ShallowWellError):

@@ -34,8 +34,6 @@ from .errors import NonPathComponent
 from .potential import Potential
 from .quadrature import QuadratureGrid, build_grid, contract, default_grid, integrate
 
-_MAX_MOMENT = 4
-
 
 @dataclass(frozen=True)
 class ClusterTerm:
@@ -150,13 +148,6 @@ def load_terms(order: int):
     return parse_terms(text, expected_degree=order - 2)
 
 
-def moment(p: Potential, g: QuadratureGrid, k: int) -> float:
-    """mu_k = integral of V(x) x^k dx on the grid (k <= 4): a one-site chain."""
-    if not (0 <= k <= _MAX_MOMENT):
-        raise ValueError(f"moment power must lie in 0..{_MAX_MOMENT}, got {k}")
-    return _chain(p, g, (k,), (), {})
-
-
 def _suffix(p, g, site_powers, link_powers, cache) -> np.ndarray:
     """Grid function of a chain's tail, contracted from the far end.
 
@@ -262,7 +253,6 @@ __all__ = [
     "EnergySeries",
     "parse_terms",
     "load_terms",
-    "moment",
     "evaluate_term",
     "evaluate_terms",
     "energy_series",

@@ -8,24 +8,25 @@ the kinked-but-continuous second family. Norm and kinetic integrals are
 closed forms over the whole line (with Bickley functions, Abramowitz &
 Stegun 11.2); only int V psi^2 is integrated, on the caller's fixed grid,
 so one objective call costs one correctly rounded quadrature.integrate at
-numpy speed. scipy is imported only with this module, which the CLI loads
-for compare alone.
-Minimization is a derivative-free simplex over log-parameters from a
-fixed ladder of starts, so results are deterministic.
+numpy speed. scipy.special is imported only with this module, which the
+CLI loads for compare alone.
+
+Both families are searched as alpha = c (1 + beta), beta = u / (1 - u),
+whose u = 1 edge is the Gaussian trial alpha = c / 2. Golden-section
+search (Kiefer 1953) in log c, and in u for exp-sqrt, needs no
+derivatives and is deterministic.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.optimize import minimize as _nm_minimize
 from scipy.special import iti0k0, k1e
 
-from .errors import NonNormalizable, OptimizerStalled
+from .errors import BelowWellFloor, NonNormalizable
 from .potential import Potential
 from .quadrature import QuadratureGrid, integrate
 
@@ -102,9 +103,6 @@ class ExpSqrtTrial:
         return self.alpha * float(np.dot(w, np.sqrt(r + 2.0) / (1.0 + r))) / math.sqrt(z)
 
 
-_FAMILIES = {"gaussian": GaussianTrial, "expsqrt": ExpSqrtTrial}
-
-
 def rayleigh_quotient(tf, p: Potential, g: QuadratureGrid) -> float:
     """(<psi'|psi'> + int V psi^2) / <psi|psi>.
 
@@ -122,54 +120,61 @@ def rayleigh_quotient(tf, p: Potential, g: QuadratureGrid) -> float:
     return (tf.kinetic() + potential_term) / norm
 
 
-_ALPHA_LADDER = (0.05, 0.2, 1.0, 5.0)
-_BETA_LADDER = (0.2, 1.0, 5.0)
+_LOG_C = (-80.0, 40.0)  # psi^2 = e^{-c x^2} at u = 1, e^{-2c|x|} at u = 0; norms stay >= e^{-40}
+_TOL = 1e-9
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden(f, a, b):
+    """Least f(x) of a golden-section search on [a, b]; f returns tuples led by the value."""
+    x1, x2 = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > _TOL:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INV_PHI * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INV_PHI * (b - a)
+            f2 = f(x2)
+    return min(f1, f2)
+
+
+def _trial(log_c, u):
+    """alpha = c (1 + beta) with beta = u / (1 - u); u = 1 is the Gaussian limit e^{-c x^2 / 2}."""
+    c = math.exp(log_c)
+    return GaussianTrial(0.5 * c) if u == 1.0 else ExpSqrtTrial(c / (1.0 - u), u / (1.0 - u))
 
 
 def minimize(tf_kind, p: Potential, g: QuadratureGrid):
     """Minimize the Rayleigh quotient over one trial family.
 
-    Nelder-Mead over log-parameters, restarted from a fixed ladder of
-    initial points; the best restart wins, ties broken by lexicographic
-    parameters. Deterministic by construction.
+    The Gaussian family is the search in log c at u = 1. The exp-sqrt
+    family searches u in [0, 1] over the log-c minima and keeps the
+    better of that and u = 1, so it never loses to the Gaussian family.
 
     Returns:
         (trial instance at the optimum, energy).
 
     Raises:
-        OptimizerStalled: no restart produced a usable minimum.
+        BelowWellFloor: the minimum is at or below -s * shape_max, which
+            no trial reaches; the grid does not resolve the trial.
     """
-    family = _FAMILIES.get(tf_kind)
-    if family is None:
+    if tf_kind not in ("gaussian", "expsqrt"):
         raise ValueError(f"unknown trial family {tf_kind!r}")
 
-    def objective(logparams):
-        tf = family(*(float(v) for v in np.exp(logparams)))
-        try:
-            return rayleigh_quotient(tf, p, g)
-        except NonNormalizable:
-            return 0.0  # flat ceiling; any bound state beats it
+    def at_u(u):
+        return _golden(lambda t: (rayleigh_quotient(_trial(t, u), p, g), t, u), *_LOG_C)
 
-    ladders = (_ALPHA_LADDER,) if family is GaussianTrial else (_ALPHA_LADDER, _BETA_LADDER)
-    starts = [[math.log(v) for v in x0] for x0 in itertools.product(*ladders)]
-    best = None
-    for x0 in starts:
-        res = _nm_minimize(
-            objective,
-            np.asarray(x0),
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 400},
-        )
-        if not np.isfinite(res.fun):
-            continue
-        params = tuple(float(v) for v in np.exp(res.x))
-        key = (res.fun, params)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        raise OptimizerStalled("all simplex restarts failed to produce a value")
-    value, params = best
-    return family(*params), float(value)
+    best = at_u(1.0)
+    if tf_kind == "expsqrt":
+        best = min(best, _golden(at_u, 0.0, 1.0))
+    energy, log_c, u = best
+    floor = -p.s * p.shape_max()
+    if energy <= floor:
+        raise BelowWellFloor(f"minimum {energy:.9g} at or below the well floor {floor:.9g}")
+    return _trial(log_c, u), float(energy)
 
 
 __all__ = [

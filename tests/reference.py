@@ -11,20 +11,24 @@ Gaussian-well closed forms, an erf from first principles, the series fit
 of solver energies, the exact square-well and Poschl-Teller levels, the
 closed-form and spectral resolvents of the regulator delta well and the
 Taylor coefficients of a Pade approximant are independent oracles that
-only the tests use.
+only the tests use. The Nelder-Mead ladder stands in for the
+golden-section search of variational.minimize.
 """
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 from scipy.integrate import quad
+from scipy.optimize import minimize as _nm_minimize
 from scipy.special import erf as _erf
 
-from shallowwell.errors import BracketFailure, ShallowWellError
+from shallowwell.errors import BracketFailure, NonNormalizable, ShallowWellError
 from shallowwell.oracles import _MAGNUS_D, BoundStateResult, _cosh_sinhc, _WronskianEngine
 from shallowwell.quadrature import build_grid, integrate
 from shallowwell.resummation import PadeApproximant
+from shallowwell.variational import ExpSqrtTrial, GaussianTrial, rayleigh_quotient
 
 _ROW_CHUNK = 256
 #: step-matrix entries built per block by propagate_steps
@@ -627,3 +631,58 @@ def taylor_coefficients(pa: PadeApproximant, order: int):
     if order >= 1:
         t[1] += pa.alpha
     return t
+
+
+# ---------------------------------------------------------------------------
+# variational minima
+
+
+_FAMILIES = {"gaussian": GaussianTrial, "expsqrt": ExpSqrtTrial}
+_ALPHA_LADDER = (0.05, 0.2, 1.0, 5.0)
+_BETA_LADDER = (0.2, 1.0, 5.0)
+
+
+def nelder_mead_minimize(tf_kind, p, g):
+    """Minimize the Rayleigh quotient over one trial family.
+
+    Nelder-Mead over log-parameters, restarted from a fixed ladder of
+    initial points; the best restart wins, ties broken by lexicographic
+    parameters. Deterministic by construction.
+
+    Returns:
+        (trial instance at the optimum, energy).
+
+    Raises:
+        ShallowWellError: no restart produced a usable minimum.
+    """
+    family = _FAMILIES.get(tf_kind)
+    if family is None:
+        raise ValueError(f"unknown trial family {tf_kind!r}")
+
+    def objective(logparams):
+        tf = family(*(float(v) for v in np.exp(logparams)))
+        try:
+            return rayleigh_quotient(tf, p, g)
+        except NonNormalizable:
+            return 0.0  # flat ceiling; any bound state beats it
+
+    ladders = (_ALPHA_LADDER,) if family is GaussianTrial else (_ALPHA_LADDER, _BETA_LADDER)
+    starts = [[math.log(v) for v in x0] for x0 in itertools.product(*ladders)]
+    best = None
+    for x0 in starts:
+        res = _nm_minimize(
+            objective,
+            np.asarray(x0),
+            method="Nelder-Mead",
+            options={"xatol": 1e-9, "fatol": 1e-13, "maxiter": 400},
+        )
+        if not np.isfinite(res.fun):
+            continue
+        params = tuple(float(v) for v in np.exp(res.x))
+        key = (res.fun, params)
+        if best is None or key < best:
+            best = key
+    if best is None:
+        raise ShallowWellError("all simplex restarts failed to produce a value")
+    value, params = best
+    return family(*params), float(value)

@@ -1,4 +1,6 @@
+import csv
 import importlib.util
+import io
 import json
 import math
 from pathlib import Path
@@ -436,3 +438,19 @@ def test_compare_overflow_fails_only_its_cells(tmp_path, capsys):
         assert len(row) == len(cli.COMPARE_HEADERS)
         assert row[1] == "" and "series: float overflow" in row[-1]
         assert all(cell == "" or math.isfinite(float(cell)) for cell in row[:-1])
+
+
+def test_compare_deep_well_variational_cells_fail_at_the_floor(tmp_path, capsys):
+    # the default grid misses the narrow optimal trials at these strengths, so
+    # both quotients fall below the floor -s; only those cells are lost
+    cfg = _write(tmp_path, "c.ini", GAUSS_CFG + "[sweep]\ns_min = 1e6\ns_max = 2e6\nsteps = 2\n")
+    out, err = _one_line_exit(capsys, 3, ["compare", "--config", cfg])
+    assert err == "numeric failure: no row is complete\n"
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[0] for row in rows] == ["1000000", "2000000"]
+    for row, floor in zip(rows, ("-1000000", "-2000000")):
+        assert row[3] == row[4] == ""
+        assert float(floor) < float(row[5]) < 0.0  # shooting stays
+        for label in ("var_gaussian", "var_expsqrt"):
+            assert f"{label}: minimum" in row[-1]
+        assert row[-1].count(f"at or below the well floor {floor}") == 2

@@ -4,12 +4,14 @@ The numeric calls that ``cli`` imports are replaced by fixed values, so
 the files under ``tests/golden/`` pin how reports are formatted, not what
 the solvers compute; they stay valid when the numerics change.
 """
+import csv
+import io
 from pathlib import Path
 
 import pytest
 
 from shallowwell import cli
-from shallowwell.errors import BracketFailure, OptimizerStalled
+from shallowwell.errors import BelowWellFloor, BracketFailure
 from shallowwell.oracles import BoundStateResult
 from shallowwell.perturbation import EnergySeries
 
@@ -57,7 +59,7 @@ def _fake_numerics(monkeypatch, shooting_fails: bool):
 
     def var_minimize(kind, p, g):
         if kind == "expsqrt" and p.s > 1.2:
-            raise OptimizerStalled("no restart converged")
+            raise BelowWellFloor("no restart converged")
         return None, (-0.29 if kind == "gaussian" else -0.295) * p.s * p.s
 
     def e4_finite_beta(p, g, beta):
@@ -88,3 +90,10 @@ def test_report_matches_golden(name, fmt, tmp_path, monkeypatch, capsys):
     rc, out = run_case(name, fmt, tmp_path, monkeypatch, capsys)
     assert rc == CASES[name][3]
     assert out == (GOLDEN / f"{name}.{fmt}").read_bytes().decode("utf-8")
+
+
+def test_reason_holding_a_comma_is_one_csv_field(tmp_path, monkeypatch, capsys):
+    _, out = run_case("compare_incomplete", "csv", tmp_path, monkeypatch, capsys)
+    rows = list(csv.reader(io.StringIO(out)))
+    assert [len(row) for row in rows] == [7] * 4
+    assert rows[1][-1] == "shooting: no sign change in [-10, 0]"

@@ -13,7 +13,9 @@ import shallowwell
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith(("scipy.", "shallowwell.")))
 import shallowwell.cli
 cli = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"package": loaded, "cli": cli}))
+import shallowwell.variational
+variational = sorted(m for m in sys.modules if m == "scipy.optimize" or m.startswith("scipy.optimize."))
+print(json.dumps({"package": loaded, "cli": cli, "variational": variational}))
 """
 
 
@@ -27,3 +29,4 @@ def test_import_loads_only_what_is_run():
     loaded = json.loads(out)
     assert loaded["package"] == []
     assert loaded["cli"] == []  # scipy loads only when compare runs the variational fits
+    assert loaded["variational"] == []  # scipy.special only: its search is golden-section

@@ -1,10 +1,13 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
+from reference import nelder_mead_minimize
 from scipy.integrate import quad
 
-from shallowwell.errors import NonNormalizable
+from shallowwell import variational
+from shallowwell.errors import BelowWellFloor, NonNormalizable
 from shallowwell.oracles import shooting_solve
 from shallowwell.potential import Potential
 from shallowwell.quadrature import build_grid, default_grid
@@ -48,8 +51,7 @@ def test_expsqrt_reduces_to_pure_exponential_at_zero_beta():
 
 def test_expsqrt_trial_tends_to_gaussian_trial():
     # psi^2 = e^{-2 alpha (sqrt(beta^2 + x^2) - beta)} -> e^{-alpha x^2 / beta} as
-    # beta -> inf; the minimizer drifts along this valley when the Gaussian
-    # limit is the family's best
+    # beta -> inf; minimize searches this limit as the u = 1 edge of the family
     p = Potential.gaussian(1.0)
     g = default_grid(p)
     beta = 1e20
@@ -166,3 +168,64 @@ def test_cut_off_quotient_matches_whole_line(kind, family):
         g = default_grid(p)
         tf, _ = minimize(family, p, g)
         assert rayleigh_quotient(tf, p, g) == pytest.approx(_whole_line_quotient(tf, p), rel=1e-10)
+
+
+def _sech2(x0, s):
+    """Off-centre tabulated sech^2 well: 2,401 samples on [x0 - 12, x0 + 12]."""
+    xs = np.linspace(x0 - 12.0, x0 + 12.0, 2401)
+    return Potential.tabulated(xs, -1.0 / np.cosh(xs - x0) ** 2, s=s)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "expsqrt"])
+@pytest.mark.parametrize(
+    "p",
+    [
+        Potential.gaussian(1e-13),
+        Potential.gaussian(1e4),
+        Potential.poschl_teller(1.0),
+        Potential.square_well(2.5),
+        _sech2(1.3, 0.6),
+        _sech2(1.3, 2.0),
+    ],
+    ids=["gaussian-1e-13", "gaussian-1e4", "poschl_teller-1", "square_well-2.5",
+         "sech2_x0_1.3-0.6", "sech2_x0_1.3-2"],
+)
+def test_golden_section_matches_nelder_mead_ladder(p, family):
+    g = default_grid(p)
+    _, got = minimize(family, p, g)
+    _, want = nelder_mead_minimize(family, p, g)
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_expsqrt_never_loses_to_gaussian_in_the_valley():
+    # off centre, the exp-sqrt optimum lies at beta -> inf: the Gaussian
+    # limit, which the search reaches as u = 1
+    p = _sech2(1.3, 2.0)
+    g = default_grid(p)
+    assert minimize("expsqrt", p, g)[1] <= minimize("gaussian", p, g)[1]
+
+
+def test_objective_calls_per_minimize(monkeypatch, gaussian_unit, gaussian_grid):
+    # log c in [-80, 40] shrinks to 1e-9 in 54 golden steps after 2 starts;
+    # u in [0, 1] takes 44 steps after 2 starts, plus the u = 1 search
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rayleigh_quotient(*args)
+
+    monkeypatch.setattr(variational, "rayleigh_quotient", counted)
+    minimize("gaussian", gaussian_unit, gaussian_grid)
+    assert len(calls) == 56
+    calls.clear()
+    minimize("expsqrt", gaussian_unit, gaussian_grid)
+    assert len(calls) == 47 * 56
+
+
+@pytest.mark.parametrize("family", ["gaussian", "expsqrt"])
+def test_minimum_below_the_well_floor_raises(family):
+    # at s = 1e6 the optimal trial (width ~ s^{-1/4}) is narrower than the
+    # default grid resolves, and the quotient drops below -s, the floor
+    p = Potential.gaussian(1e6)
+    with pytest.raises(BelowWellFloor, match="at or below the well floor -1000000"):
+        minimize(family, p, default_grid(p))
