@@ -12,8 +12,10 @@ table _KEYS before any computation. Inputs nothing reads are refused; known
 sections a subcommand ignores are accepted, since subcommands share configs.
 Floats print with 9 significant digits, so identical configs give
 byte-identical reports; a non-finite result is a numeric failure. compare
-writes CSV whatever the format. Exit codes: 0 success, 2 config error,
-3 numeric failure, each on one stderr line.
+writes CSV whatever the format; a cell that fails there is empty, with its
+reason in the row's last column, and the run exits 3 if no row is complete.
+Exit codes: 0 success, 2 config error, 3 numeric failure, each on one
+stderr line.
 """
 from __future__ import annotations
 
@@ -29,13 +31,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, InvalidGridSpec, ShallowWellError
+from .errors import ConfigError, InvalidGridSpec, ShallowWellError, SingularPade
 from .greens import divergent_block, e4_finite_beta
 from .oracles import shooting_solve, shooting_sweep
 from .perturbation import energy_series, evaluate_terms, load_terms
 from .potential import Potential
 from .quadrature import default_grid
 from .resummation import evaluate_pade, pade_with_asymptote
+from .variational import minimize
 
 #: exact rationals for the unit-halfwidth square well, c2..c6
 _SQUARE_WELL_RATIONALS = ("-1", "4/3", "-92/45", "1072/315", "-84752/14175")
@@ -54,13 +57,6 @@ _KEYS = {
 }
 
 _BETA_LADDER = (0.02, 0.01, 0.005)
-
-
-def _var_minimize(kind, p, g):
-    """variational.minimize, imported on first call: only compare needs scipy."""
-    from .variational import minimize
-
-    return minimize(kind, p, g)
 
 
 @dataclass
@@ -188,6 +184,13 @@ def _why(exc: Exception) -> str:
     return "float overflow" if isinstance(exc, OverflowError) else str(exc)
 
 
+def _unless_failed(result):
+    """result, raised instead when it is the error a failed computation left in its place."""
+    if isinstance(result, ShallowWellError):
+        raise result
+    return result
+
+
 def _round9(v: float) -> float:
     return float(_f9(v))
 
@@ -273,7 +276,10 @@ def compare_rows(cfg: RunConfig) -> list:
     p = cfg.potential
     g = _grid_for(cfg)
     es = energy_series(p, order=6, g=g)
-    pa = pade_with_asymptote(es, p.shape_max())
+    try:
+        pa = pade_with_asymptote(es, p.shape_max())
+    except SingularPade as exc:  # an all-zero well: its pade cells fail alone
+        pa = exc
 
     shots = shooting_sweep(p, s_values)
 
@@ -289,15 +295,11 @@ def compare_rows(cfg: RunConfig) -> list:
                 reasons.append(f"{label}: {_why(exc)}")
 
         attempt("series", lambda: es.evaluate(s))
-        attempt("pade", lambda: evaluate_pade(pa, s))
+        attempt("pade", lambda: evaluate_pade(_unless_failed(pa), s))
         ps = replace(p, s=s)
-        attempt("var_gaussian", lambda: _var_minimize("gaussian", ps, g)[1])
-        attempt("var_expsqrt", lambda: _var_minimize("expsqrt", ps, g)[1])
-        if isinstance(shot, ShallowWellError):
-            cells.append("")
-            reasons.append(f"shooting: {shot}")
-        else:
-            cells.append(_f9(shot.energy))
+        attempt("var_gaussian", lambda: minimize("gaussian", ps, g)[1])
+        attempt("var_expsqrt", lambda: minimize("expsqrt", ps, g)[1])
+        attempt("shooting", lambda: _unless_failed(shot).energy)
         rows.append([_f9(s)] + cells + ["; ".join(reasons)])
     return rows
 

@@ -111,7 +111,7 @@ class Potential:
     def shape_max(self) -> float:
         """Peak of the shape function (attained at x=0 for built-ins)."""
         if self.kind == "tabulated":
-            return float(np.max(self.sample_shape)) if self.sample_shape else 0.0
+            return float(np.max(self.sample_shape))
         return 1.0
 
     def is_even(self) -> bool:

@@ -4,12 +4,11 @@ GaussianTrial  psi = e^{-alpha x^2}          (wrong e^{-c x^2} tail)
 ExpSqrtTrial   psi = e^{-alpha sqrt(beta^2 + x^2)}  (correct e^{-c|x|} tail)
 
 The kinetic term uses the |psi'|^2 form, which is variationally safe for
-the kinked-but-continuous second family. Norm and kinetic integrals are
-closed forms over the whole line (with Bickley functions, Abramowitz &
-Stegun 11.2); only int V psi^2 is integrated, on the caller's fixed grid,
-so one objective call costs one correctly rounded quadrature.integrate at
-numpy speed. scipy.special is imported only with this module, which the
-CLI loads for compare alone.
+the kinked-but-continuous second family. Norm and kinetic integrals run
+over the whole line: closed forms for the Gaussian, one trapezoid sum in
+x = beta sinh t for exp-sqrt. Only int V psi^2 is integrated on the
+caller's fixed grid, so one objective call costs one correctly rounded
+quadrature.integrate at numpy speed. The module needs numpy alone.
 
 Both families are searched as alpha = c (1 + beta), beta = u / (1 - u),
 whose u = 1 edge is the Gaussian trial alpha = c / 2. Golden-section
@@ -18,31 +17,19 @@ derivatives and is deterministic.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
-from scipy.special import iti0k0, k1e
 
 from .errors import BelowWellFloor, NonNormalizable
 from .potential import Potential
 from .quadrature import QuadratureGrid, integrate
 
 _NORM_FLOOR = 1e-280
-# below this z = 2 alpha beta, z K_1(z) = 1 to double precision (and K_1
-# overflows for subnormal z): the norm is its beta = 0 value 1/alpha
+# below this z = 2 alpha beta, 2 beta e^z K_1(z) = 1/alpha to double precision,
+# and x = beta sinh t degenerates as beta -> 0
 _Z_MIN = 1e-300
-_LARGE_Z = 2.0  # from here on, the kinetic bracket is a Gauss-Laguerre sum
-
-
-@functools.cache  # built on first use: at import it would load LAPACK into every run
-def _laguerre_rule():
-    """48 points for int_0^inf e^{-v} v^{1/2} f(v) dv = int_R e^{-w^2} w^2 f(w^2) dw."""
-    w, h = hermgauss(97)
-    v = w[w > 0.0] ** 2
-    return v, 2.0 * h[w > 0.0] * v
 
 
 @dataclass(frozen=True)
@@ -56,13 +43,10 @@ class GaussianTrial:
     def psi_squared(self, x):
         return np.exp(-2.0 * self.alpha * x * x)
 
-    def norm(self) -> float:
-        """<psi|psi> over the whole line."""
-        return math.sqrt(0.5 * math.pi / self.alpha)
-
-    def kinetic(self) -> float:
-        """<psi'|psi'> = int 4 alpha^2 x^2 psi^2 = alpha <psi|psi>."""
-        return self.alpha * self.norm()
+    def norm_and_kinetic(self):
+        """<psi|psi> and <psi'|psi'> = int 4 alpha^2 x^2 psi^2 = alpha <psi|psi>."""
+        norm = math.sqrt(0.5 * math.pi / self.alpha)
+        return norm, self.alpha * norm
 
 
 @dataclass(frozen=True)
@@ -84,40 +68,49 @@ class ExpSqrtTrial:
             return np.exp(-2.0 * self.alpha * r)
         return np.exp(-2.0 * self.alpha * x * x / (r + self.beta))
 
-    def norm(self) -> float:
-        """<psi|psi> = 2 beta e^z K_1(z) with z = 2 alpha beta (x = beta sinh t)."""
-        z = 2.0 * self.alpha * self.beta
-        return 2.0 * self.beta * float(k1e(z)) if z > _Z_MIN else 1.0 / self.alpha
+    def norm_and_kinetic(self):
+        """<psi|psi> and <psi'|psi'> over the whole line, from one trapezoid sum.
 
-    def kinetic(self) -> float:
-        """<psi'|psi'> = 2 alpha^2 beta e^z [K_1(z) - Ki_1(z)], as sinh^2/cosh = cosh - 1/cosh.
-
-        For large z, where the two terms cancel to about z ulps, the bracket
-        is int_0^inf e^{-zu} sqrt(u (u+2)) / (1+u) du with u = cosh t - 1."""
+        With x = beta sinh t, z = 2 alpha beta and a = cosh t - 1, psi^2 is
+        e^{-za}, <psi|psi> = 2 beta int_0^inf cosh t psi^2 dt (DLMF 10.32.9)
+        and <psi'|psi'> = 2 alpha^2 beta int_0^inf sinh t tanh t psi^2 dt.
+        Both integrands are even and entire in t, where the trapezoid rule
+        converges exponentially (Trefethen & Weideman, SIAM Rev. 56, 385,
+        2014). The step resolves psi^2's width 1/sqrt(z); the sum stops at
+        psi^2 = e^{-40}.
+        """
         z = 2.0 * self.alpha * self.beta
-        if z < _LARGE_Z:  # no cancellation; Ki_1(z) = pi/2 - int_0^z K_0
-            exp_ki1 = math.exp(z) * (0.5 * math.pi - float(iti0k0(z)[1]))
-            return self.alpha * (self.alpha * self.norm() - z * exp_ki1)
-        v, w = _laguerre_rule()
-        r = v / z  # v = zu
-        return self.alpha * float(np.dot(w, np.sqrt(r + 2.0) / (1.0 + r))) / math.sqrt(z)
+        if z <= _Z_MIN:  # psi = e^{-alpha |x|}
+            return 1.0 / self.alpha, self.alpha
+        h = min(0.25, 0.25 / math.sqrt(z))
+        # a = 2 sinh^2(t/2) at t = 0, h, 2h, ...: no cancellation at small t
+        a = 2.0 * np.sinh(np.arange(0.0, math.asinh(math.sqrt(20.0 / z)), 0.5 * h)) ** 2
+        w = np.exp(-z * a)
+        w[0] = 0.5  # the t = 0 node is shared by both halves of the line
+        aw = a * w
+        edge = float(aw.sum())
+        scale = 2.0 * h * self.beta
+        # cosh t = 1 + a and sinh t tanh t = a + a / (1 + a)
+        norm = scale * (float(w.sum()) + edge)
+        return norm, scale * self.alpha**2 * (edge + float(np.dot(aw, 1.0 / (1.0 + a))))
 
 
 def rayleigh_quotient(tf, p: Potential, g: QuadratureGrid) -> float:
     """(<psi'|psi'> + int V psi^2) / <psi|psi>.
 
-    The norm and kinetic terms are the trial's closed forms; int V psi^2
-    is integrated on g. V = -s*shape <= 0, so cutting that integral off at
-    +-L can only raise the quotient, which stays an upper bound.
+    The norm and kinetic terms come from one trial.norm_and_kinetic() call
+    over the whole line; int V psi^2 is integrated on g. V = -s*shape <= 0,
+    so cutting that integral off at +-L can only raise the quotient, which
+    stays an upper bound.
 
     Raises:
         NonNormalizable: the norm underflows (parameters too extreme).
     """
-    norm = tf.norm()
+    norm, kinetic = tf.norm_and_kinetic()
     if not (norm > _NORM_FLOOR):
         raise NonNormalizable(f"trial norm {norm:g} underflows")
     potential_term = integrate(g, p.evaluate(g.nodes) * tf.psi_squared(g.nodes))
-    return (tf.kinetic() + potential_term) / norm
+    return (kinetic + potential_term) / norm
 
 
 _LOG_C = (-80.0, 40.0)  # psi^2 = e^{-c x^2} at u = 1, e^{-2c|x|} at u = 0; norms stay >= e^{-40}

@@ -440,6 +440,20 @@ def test_compare_overflow_fails_only_its_cells(tmp_path, capsys):
         assert all(cell == "" or math.isfinite(float(cell)) for cell in row[:-1])
 
 
+def test_compare_zero_well_fails_only_its_pade_cells(tmp_path, capsys):
+    # an all-zero series has no Pade approximant; the report is still written
+    samples = _write(tmp_path, "zeros.txt", "# x V\n-1 0\n0 0\n1 0\n")
+    cfg = _write(tmp_path, "c.ini", f"[potential]\nkind = tabulated\nfile = {samples}\n" + SWEEP_CFG)
+    out, err = _one_line_exit(capsys, 3, ["compare", "--config", cfg])
+    assert err == "numeric failure: no row is complete\n"
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[0] for row in rows] == ["0.5", "1", "1.5"]
+    for row in rows:
+        assert row[1] == "0" and row[2] == ""
+        assert float(row[3]) >= 0.0 and float(row[4]) >= 0.0  # upper bounds on no bound state
+        assert row[-1].startswith("pade: denominator system is rank deficient")
+
+
 def test_compare_deep_well_variational_cells_fail_at_the_floor(tmp_path, capsys):
     # the default grid misses the narrow optimal trials at these strengths, so
     # both quotients fall below the floor -s; only those cells are lost

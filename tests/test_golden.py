@@ -68,7 +68,7 @@ def _fake_numerics(monkeypatch, shooting_fails: bool):
     monkeypatch.setattr(cli, "energy_series", energy_series)
     monkeypatch.setattr(cli, "shooting_solve", shooting_solve)
     monkeypatch.setattr(cli, "shooting_sweep", shooting_sweep)
-    monkeypatch.setattr(cli, "_var_minimize", var_minimize)
+    monkeypatch.setattr(cli, "minimize", var_minimize)
     monkeypatch.setattr(cli, "e4_finite_beta", e4_finite_beta)
     monkeypatch.setattr(cli, "divergent_block", lambda p: (-3.5e-18, 0.0625))
     monkeypatch.setattr(cli, "evaluate_terms", lambda terms, p, g: E4_LIMIT)

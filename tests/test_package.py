@@ -12,10 +12,9 @@ import json, sys
 import shallowwell
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith(("scipy.", "shallowwell.")))
 import shallowwell.cli
-cli = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 import shallowwell.variational
-variational = sorted(m for m in sys.modules if m == "scipy.optimize" or m.startswith("scipy.optimize."))
-print(json.dumps({"package": loaded, "cli": cli, "variational": variational}))
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"package": loaded, "scipy": scipy}))
 """
 
 
@@ -28,5 +27,4 @@ def test_import_loads_only_what_is_run():
     ).stdout
     loaded = json.loads(out)
     assert loaded["package"] == []
-    assert loaded["cli"] == []  # scipy loads only when compare runs the variational fits
-    assert loaded["variational"] == []  # scipy.special only: its search is golden-section
+    assert loaded["scipy"] == []  # the package runs on numpy alone
