@@ -205,7 +205,7 @@ def shooting_sweep(p: Potential, s_values, nsteps: int = 4000) -> list:
     svec = np.asarray(s_values, dtype=float)
     results: list = [
         None if s > 0.0 and p.shape_max() > 0.0
-        else BracketFailure("shooting requires a nonzero attractive potential")
+        else BracketFailure("a nonzero attractive potential is required")
         for s in svec
     ]
     a = np.array([j for j, r in enumerate(results) if r is None], dtype=int)

@@ -11,9 +11,10 @@ caller's fixed grid, so one objective call costs one correctly rounded
 quadrature.integrate at numpy speed. The module needs numpy alone.
 
 Both families are searched as alpha = c (1 + beta), beta = u / (1 - u),
-whose u = 1 edge is the Gaussian trial alpha = c / 2. Golden-section
-search (Kiefer 1953) in log c, and in u for exp-sqrt, needs no
-derivatives and is deterministic.
+whose u = 1 edge is the Gaussian trial alpha = c / 2. Brent's search
+(Brent 1973, ch. 5), golden-section steps sped up by parabolic
+interpolation, in log c, and in u for exp-sqrt, needs no derivatives
+and is deterministic.
 """
 from __future__ import annotations
 
@@ -106,32 +107,77 @@ def rayleigh_quotient(tf, p: Potential, g: QuadratureGrid) -> float:
     Raises:
         NonNormalizable: the norm underflows (parameters too extreme).
     """
+    return _quotient(tf, p.evaluate(g.nodes), g)
+
+
+def _quotient(tf, v, g: QuadratureGrid) -> float:
+    """rayleigh_quotient with V already evaluated at the nodes of g."""
     norm, kinetic = tf.norm_and_kinetic()
     if not (norm > _NORM_FLOOR):
         raise NonNormalizable(f"trial norm {norm:g} underflows")
-    potential_term = integrate(g, p.evaluate(g.nodes) * tf.psi_squared(g.nodes))
-    return (kinetic + potential_term) / norm
+    return (kinetic + integrate(g, v * tf.psi_squared(g.nodes))) / norm
 
 
 _LOG_C = (-80.0, 40.0)  # psi^2 = e^{-c x^2} at u = 1, e^{-2c|x|} at u = 0; norms stay >= e^{-40}
 _TOL = 1e-9
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def _golden(f, a, b):
-    """Least f(x) of a golden-section search on [a, b]; f returns tuples led by the value."""
-    x1, x2 = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > _TOL:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = f(x1)
+def _brent(f, a, b):
+    """Least f(x) of Brent's search on [a, b]; f returns tuples led by the value.
+
+    Brent's localmin (Algorithms for Minimization without Derivatives,
+    1973, ch. 5): a parabola through the three best points when its
+    vertex lies inside the bracket and the step keeps shrinking, a
+    golden-section step otherwise. It stops once both ends of the bracket
+    are within 2 tol of the best point x, tol = 1.5e-8 |x| + _TOL / 3.
+    """
+    x = w = v = a + _CGOLD * (b - a)
+    best = f(x)
+    fx = fw = fv = best[0]
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol = 1.5e-8 * abs(x) + _TOL / 3.0
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            return best
+        p = q = r = 0.0
+        if abs(e) > tol:  # parabola through x, w and v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            u = x + d
+            if u - a < 2.0 * tol or b - u < 2.0 * tol:
+                d = tol if x < m else -tol
+        else:  # golden-section step into the larger part of the bracket
+            e = (b if x < m else a) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol else tol if d > 0.0 else -tol)
+        got = f(u)
+        best = min(best, got)
+        fu = got[0]
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = f(x2)
-    return min(f1, f2)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def _trial(log_c, u):
@@ -157,12 +203,14 @@ def minimize(tf_kind, p: Potential, g: QuadratureGrid):
     if tf_kind not in ("gaussian", "expsqrt"):
         raise ValueError(f"unknown trial family {tf_kind!r}")
 
+    v = p.evaluate(g.nodes)
+
     def at_u(u):
-        return _golden(lambda t: (rayleigh_quotient(_trial(t, u), p, g), t, u), *_LOG_C)
+        return _brent(lambda t: (_quotient(_trial(t, u), v, g), t, u), *_LOG_C)
 
     best = at_u(1.0)
     if tf_kind == "expsqrt":
-        best = min(best, _golden(at_u, 0.0, 1.0))
+        best = min(best, _brent(at_u, 0.0, 1.0))
     energy, log_c, u = best
     floor = -p.s * p.shape_max()
     if energy <= floor:

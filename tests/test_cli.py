@@ -454,6 +454,19 @@ def test_compare_zero_well_fails_only_its_pade_cells(tmp_path, capsys):
         assert row[-1].startswith("pade: denominator system is rank deficient")
 
 
+def test_compare_zero_well_labels_its_shooting_reason_once(tmp_path, capsys):
+    # compare prefixes each reason with its column label; the shooting
+    # message must not carry a second one
+    samples = _write(tmp_path, "zeros.txt", "-1 0\n0 0\n1 0\n")
+    cfg = _write(tmp_path, "c.ini", f"[potential]\nkind = tabulated\nfile = {samples}\n" + SWEEP_CFG)
+    out, _ = _one_line_exit(capsys, 3, ["compare", "--config", cfg])
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 3
+    for row in rows:
+        assert row[-1].count("shooting:") == 1 and row[-1].count("shooting") == 1
+        assert row[-1].endswith("; shooting: a nonzero attractive potential is required")
+
+
 def test_compare_deep_well_variational_cells_fail_at_the_floor(tmp_path, capsys):
     # the default grid misses the narrow optimal trials at these strengths, so
     # both quotients fall below the floor -s; only those cells are lost

@@ -151,8 +151,10 @@ def test_integrate_matches_fsum_on_every_real_call(monkeypatch):
     p = SHAPES["gaussian"]
     g = default_grid(p)
     greens.e4_finite_beta(p, g, 0.01)
+    before = len(calls)
     variational.minimize("expsqrt", p, g)
-    assert len(calls) > 2000
+    # one integrate per objective call of the search (test_variational pins 264)
+    assert before > 100 and len(calls) - before == 264
     assert all(_matches_oracle(g, f) for g, f in calls)
 
 

@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from reference import nelder_mead_minimize
+from reference import golden_section_minimize, nelder_mead_minimize
 from scipy.integrate import quad
 
 from shallowwell import variational
@@ -79,9 +79,11 @@ def _mp_norm_kinetic(alpha, beta):
 
 @pytest.mark.parametrize(
     "z",
-    # the golden-section search visits z = 1.2e-15 to 3.2e6 on the built-in
-    # wells and up to 1e20 on the off-centre tabulated sech^2 (x0 = 1.3, s = 2)
-    [0.0, 1e-15, 1e-12, 1e-6, 1e-3, 0.5, 2.0, 3.0, 10.0, 100.0, 1e4, 1e9, 1e12, 1e15, 4e19, 1e20],
+    # Brent's search visits z up to 1.41e20 on the off-centre tabulated
+    # sech^2 (x0 = 1.3, s = 2), where u comes within 4e-8 of the Gaussian
+    # edge u = 1
+    [0.0, 1e-15, 1e-12, 1e-6, 1e-3, 0.5, 2.0, 3.0, 10.0, 100.0, 1e4, 1e9, 1e12, 1e15, 4e19, 1e20,
+     1.5e20, 1e21],
 )
 def test_expsqrt_closed_forms_match_mpmath(z):
     alpha = 0.7
@@ -171,8 +173,7 @@ def _sech2(x0, s):
     return Potential.tabulated(xs, -1.0 / np.cosh(xs - x0) ** 2, s=s)
 
 
-@pytest.mark.parametrize("family", ["gaussian", "expsqrt"])
-@pytest.mark.parametrize(
+_SEARCH_CASES = pytest.mark.parametrize(
     "p",
     [
         Potential.gaussian(1e-13),
@@ -185,11 +186,35 @@ def _sech2(x0, s):
     ids=["gaussian-1e-13", "gaussian-1e4", "poschl_teller-1", "square_well-2.5",
          "sech2_x0_1.3-0.6", "sech2_x0_1.3-2"],
 )
-def test_golden_section_matches_nelder_mead_ladder(p, family):
+
+
+@pytest.mark.parametrize("family", ["gaussian", "expsqrt"])
+@_SEARCH_CASES
+def test_brent_matches_nelder_mead_ladder(p, family):
     g = default_grid(p)
     _, got = minimize(family, p, g)
     _, want = nelder_mead_minimize(family, p, g)
     assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "expsqrt"])
+@_SEARCH_CASES
+def test_golden_section_matches_nelder_mead_ladder(p, family):
+    # the two oracles of minimize agree with each other
+    g = default_grid(p)
+    _, got = golden_section_minimize(family, p, g)
+    _, want = nelder_mead_minimize(family, p, g)
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "expsqrt"])
+@_SEARCH_CASES
+def test_brent_matches_golden_section(p, family):
+    # same brackets, nesting and _TOL, so both searches land on the same minima
+    g = default_grid(p)
+    _, got = minimize(family, p, g)
+    _, want = golden_section_minimize(family, p, g)
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_expsqrt_never_loses_to_gaussian_in_the_valley():
@@ -201,20 +226,22 @@ def test_expsqrt_never_loses_to_gaussian_in_the_valley():
 
 
 def test_objective_calls_per_minimize(monkeypatch, gaussian_unit, gaussian_grid):
-    # log c in [-80, 40] shrinks to 1e-9 in 54 golden steps after 2 starts;
-    # u in [0, 1] takes 44 steps after 2 starts, plus the u = 1 search
+    # Brent's search in log c over [-80, 40] stops after 20 calls here; the
+    # exp-sqrt family adds the search in u over [0, 1], whose calls each run
+    # one log-c search, for 264 in all
     calls = []
+    quotient = variational._quotient
 
     def counted(*args):
         calls.append(args)
-        return rayleigh_quotient(*args)
+        return quotient(*args)
 
-    monkeypatch.setattr(variational, "rayleigh_quotient", counted)
+    monkeypatch.setattr(variational, "_quotient", counted)
     minimize("gaussian", gaussian_unit, gaussian_grid)
-    assert len(calls) == 56
+    assert len(calls) == 20
     calls.clear()
     minimize("expsqrt", gaussian_unit, gaussian_grid)
-    assert len(calls) == 47 * 56
+    assert len(calls) == 264
 
 
 @pytest.mark.parametrize("family", ["gaussian", "expsqrt"])
