@@ -12,10 +12,10 @@ table _KEYS before any computation. Inputs nothing reads are refused; known
 sections a subcommand ignores are accepted, since subcommands share configs.
 Floats print with 9 significant digits, so identical configs give
 byte-identical reports; a non-finite result is a numeric failure. compare
-writes CSV whatever the format; a cell that fails there is empty, with its
-reason in the row's last column, and the run exits 3 if no row is complete.
-Exit codes: 0 success, 2 config error, 3 numeric failure, each on one
-stderr line.
+writes CSV whatever the format. A compare cell or pade sample that fails
+numerically is empty, with its reason beside it (_cell), and compare exits
+3 if no row is complete. Exit codes: 0 success, 2 config error, 3 numeric
+failure (_numeric), each on one stderr line.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidGridSpec, ShallowWellError, SingularPade
 from .greens import divergent_block, e4_finite_beta
-from .oracles import shooting_solve, shooting_sweep
+from .oracles import shooting_sweep
 from .perturbation import energy_series, evaluate_terms, load_terms
 from .potential import Potential
 from .quadrature import default_grid
@@ -179,9 +179,24 @@ def _f9(v: float) -> str:
     return format(v + 0.0, ".9g")  # +0.0 normalizes -0.0
 
 
-def _why(exc: Exception) -> str:
-    """The reason for a failed cell; an OverflowError's own message holds a comma."""
-    return "float overflow" if isinstance(exc, OverflowError) else str(exc)
+#: the errors a numeric failure can raise: a package error, an overflow, math.fsum's inf - inf
+_NUMERIC = (ShallowWellError, OverflowError, ValueError)
+
+
+def _numeric(exc: Exception) -> bool:
+    """Whether exc, one of _NUMERIC, is a numeric failure: of ValueErrors, only fsum's is."""
+    return not isinstance(exc, ValueError) or "in fsum" in str(exc)
+
+
+def _cell(fn) -> tuple:
+    """(9-digit cell of fn(), "") or, if fn fails numerically, ("", the reason)."""
+    try:
+        return _f9(fn()), ""
+    except _NUMERIC as exc:
+        if not _numeric(exc):
+            raise
+        # an OverflowError's own message holds a comma
+        return "", "float overflow" if isinstance(exc, OverflowError) else str(exc)
 
 
 def _unless_failed(result):
@@ -285,22 +300,16 @@ def compare_rows(cfg: RunConfig) -> list:
 
     rows = []
     for s, shot in zip(s_values.tolist(), shots):
-        cells, reasons = [], []
-
-        def attempt(label, fn):
-            try:
-                cells.append(_f9(fn()))
-            except (ShallowWellError, OverflowError) as exc:
-                cells.append("")
-                reasons.append(f"{label}: {_why(exc)}")
-
-        attempt("series", lambda: es.evaluate(s))
-        attempt("pade", lambda: evaluate_pade(_unless_failed(pa), s))
         ps = replace(p, s=s)
-        attempt("var_gaussian", lambda: minimize("gaussian", ps, g)[1])
-        attempt("var_expsqrt", lambda: minimize("expsqrt", ps, g)[1])
-        attempt("shooting", lambda: _unless_failed(shot).energy)
-        rows.append([_f9(s)] + cells + ["; ".join(reasons)])
+        cells = {
+            "series": _cell(lambda: es.evaluate(s)),
+            "pade": _cell(lambda: evaluate_pade(_unless_failed(pa), s)),
+            "var_gaussian": _cell(lambda: minimize("gaussian", ps, g)[1]),
+            "var_expsqrt": _cell(lambda: minimize("expsqrt", ps, g)[1]),
+            "shooting": _cell(lambda: _unless_failed(shot).energy),
+        }
+        reasons = [f"{label}: {why}" for label, (cell, why) in cells.items() if not cell]
+        rows.append([_f9(s)] + [cell for cell, _ in cells.values()] + ["; ".join(reasons)])
     return rows
 
 
@@ -316,12 +325,7 @@ def cmd_pade(cfg: RunConfig) -> Report:
     es = energy_series(cfg.potential, order=6, g=_grid_for(cfg))
     pa = pade_with_asymptote(es, cfg.potential.shape_max())
     samples = np.linspace(*cfg.sweep) if cfg.sweep else np.array([0.25, 0.5, 1.0, 2.0, 3.0])
-    sampled = []
-    for s in samples.tolist():
-        try:
-            sampled.append((s, _f9(evaluate_pade(pa, s)), ""))
-        except (ShallowWellError, OverflowError) as exc:
-            sampled.append((s, "", _why(exc)))
+    sampled = [(s, *_cell(lambda: evaluate_pade(pa, s))) for s in samples.tolist()]
 
     payload = {
         "shape": es.shape_kind,
@@ -347,7 +351,7 @@ def cmd_pade(cfg: RunConfig) -> Report:
 
 def cmd_solve(cfg: RunConfig) -> Report:
     p = cfg.potential
-    res = shooting_solve(p)
+    res = _unless_failed(shooting_sweep(p, [p.s])[0])
     rows = [
         ["energy", _f9(res.energy)],
         ["residual", _f9(res.residual)],
@@ -464,9 +468,9 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidGridSpec) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ShallowWellError, OverflowError, ValueError) as exc:
-        if isinstance(exc, ValueError) and "in fsum" not in str(exc):
-            raise  # of ValueErrors, only math.fsum's inf - inf is a numeric failure
+    except _NUMERIC as exc:
+        if not _numeric(exc):
+            raise
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if report.failure is not None:

@@ -193,14 +193,18 @@ def e4_finite_beta(p: Potential, g: QuadratureGrid, beta: float) -> float:
     return B1 * B2 + 2.0 * A * C - A * A * B3 - D
 
 
-def divergent_block(p: Potential, n: int = 16):
+#: Gauss-Legendre points per axis of divergent_block's tensor grid
+_BLOCK_NODES = 16
+
+
+def divergent_block(p: Potential):
     """The isolated 1/beta kernel of the fourth order, symmetrized.
 
     The kernel (|x1-x2| + |x2-x3| - 2|x3-x4|)/32 multiplies V at all
     four sites. Averaged over the 4! relabelings of the integration
     variables it vanishes identically; this evaluates both the
     symmetrized integral and the magnitude scale of the unsymmetrized
-    pieces on an n-point tensor grid.
+    pieces on a _BLOCK_NODES-point tensor grid.
 
     Returns:
         (symmetrized value, unsymmetrized magnitude scale).
@@ -208,7 +212,7 @@ def divergent_block(p: Potential, n: int = 16):
     from numpy.polynomial.legendre import leggauss
 
     R = p.support_radius() + 1.0
-    xs, ws = leggauss(n)
+    xs, ws = leggauss(_BLOCK_NODES)
     x = R * xs
     wv = R * ws * p.evaluate(x)
     D = np.abs(x[:, None] - x[None, :])
@@ -221,9 +225,8 @@ def divergent_block(p: Potential, n: int = 16):
 
     def pair_kernel(a, b):
         shape = [1] * 4
-        shape[a] = n
-        shape[b] = n
-        return np.broadcast_to(D.reshape(shape), (n, n, n, n))
+        shape[a] = shape[b] = _BLOCK_NODES
+        return np.broadcast_to(D.reshape(shape), W4.shape)
 
     K12 = pair_kernel(0, 1)
     K23 = pair_kernel(1, 2)
@@ -233,7 +236,7 @@ def divergent_block(p: Potential, n: int = 16):
     v34 = float(np.sum(W4 * K34)) / 32.0
     scale = abs(v12) + abs(v23) + 2.0 * abs(v34)
 
-    sym = np.zeros((n, n, n, n))
+    sym = np.zeros(W4.shape)
     base = K12 + K23 - 2.0 * K34
     for perm in itertools.permutations(range(4)):
         sym += np.transpose(base, perm)

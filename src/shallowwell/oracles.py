@@ -1,17 +1,18 @@
 """Independent ground truth for the series machinery.
 
 A shooting/Wronskian bound-state solver with one fourth-order Magnus
-propagator for every shape, matched at the peak of the well. It finds
-the ground state by bisection on the level count (Sturm oscillation),
-then by Illinois regula falsi on the Wronskian. Each integration pass
-multiplies the step matrices pairwise into sub-block products, each
-short enough (by the Sturm bound on the spacing of zeros) to hold at
-most one zero of the solution, so counting levels costs one sign test
-per sub-block. The exact square-well and Poschl-Teller levels, the
-closed-form Gaussian coefficients, the erf reference, the step-by-step
-propagation, the scan-and-polish search that this search replaced, a
-plain count bisection and the series fit that only the tests use live
-in tests/reference.py.
+propagator for every shape, matched at the peak of the well. Its one
+entry point is shooting_sweep; a single strength is a sweep of one. It
+finds the ground state by bisection on the level count (Sturm
+oscillation), then by Illinois regula falsi on the Wronskian. Each
+integration pass multiplies the step matrices pairwise into sub-block
+products, each short enough (by the Sturm bound on the spacing of zeros)
+to hold at most one zero of the solution, so counting levels costs one
+sign test per sub-block. The exact square-well and Poschl-Teller levels,
+the closed-form Gaussian coefficients, the erf reference, the
+step-by-step propagation, the scan-and-polish search that this search
+replaced, a plain count bisection and the series fit that only the
+tests use live in tests/reference.py.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure, ShallowWellError
+from .errors import BracketFailure
 from .potential import Potential
 from .quadrature import default_grid
 
@@ -257,23 +258,4 @@ def shooting_sweep(p: Potential, s_values, nsteps: int = 4000) -> list:
     return results
 
 
-def shooting_solve(p: Potential, nsteps: int = 4000) -> BoundStateResult:
-    """Ground-state energy of p by Wronskian matching.
-
-    Integrates u'' = (V - E) u inward from +-L on the asymptotic
-    decaying branches to the matching point (x = 0 for an even well,
-    the peak panel of an uneven one) and locates the energy where the
-    two solutions have a vanishing Wronskian, in a bracket with one
-    level below its lower kappa and none below its upper, so the root is
-    the ground state.
-
-    Raises:
-        BracketFailure: the error shooting_sweep returns for p.s.
-    """
-    result = shooting_sweep(p, [p.s], nsteps=nsteps)[0]
-    if isinstance(result, ShallowWellError):
-        raise result
-    return result
-
-
-__all__ = ["BoundStateResult", "shooting_solve", "shooting_sweep"]
+__all__ = ["BoundStateResult", "shooting_sweep"]

@@ -8,7 +8,9 @@ the kinked-but-continuous second family. Norm and kinetic integrals run
 over the whole line: closed forms for the Gaussian, one trapezoid sum in
 x = beta sinh t for exp-sqrt. Only int V psi^2 is integrated on the
 caller's fixed grid, so one objective call costs one correctly rounded
-quadrature.integrate at numpy speed. The module needs numpy alone.
+quadrature.integrate at numpy speed. minimize evaluates V at the nodes
+once and calls the public rayleigh_quotient(tf, v, g) as its objective.
+The module needs numpy alone.
 
 Both families are searched as alpha = c (1 + beta), beta = u / (1 - u),
 whose u = 1 edge is the Gaussian trial alpha = c / 2. Brent's search
@@ -96,8 +98,8 @@ class ExpSqrtTrial:
         return norm, scale * self.alpha**2 * (edge + float(np.dot(aw, 1.0 / (1.0 + a))))
 
 
-def rayleigh_quotient(tf, p: Potential, g: QuadratureGrid) -> float:
-    """(<psi'|psi'> + int V psi^2) / <psi|psi>.
+def rayleigh_quotient(tf, v, g: QuadratureGrid) -> float:
+    """(<psi'|psi'> + int V psi^2) / <psi|psi>, with v the values of V at g.nodes.
 
     The norm and kinetic terms come from one trial.norm_and_kinetic() call
     over the whole line; int V psi^2 is integrated on g. V = -s*shape <= 0,
@@ -107,11 +109,6 @@ def rayleigh_quotient(tf, p: Potential, g: QuadratureGrid) -> float:
     Raises:
         NonNormalizable: the norm underflows (parameters too extreme).
     """
-    return _quotient(tf, p.evaluate(g.nodes), g)
-
-
-def _quotient(tf, v, g: QuadratureGrid) -> float:
-    """rayleigh_quotient with V already evaluated at the nodes of g."""
     norm, kinetic = tf.norm_and_kinetic()
     if not (norm > _NORM_FLOOR):
         raise NonNormalizable(f"trial norm {norm:g} underflows")
@@ -206,7 +203,7 @@ def minimize(tf_kind, p: Potential, g: QuadratureGrid):
     v = p.evaluate(g.nodes)
 
     def at_u(u):
-        return _brent(lambda t: (_quotient(_trial(t, u), v, g), t, u), *_LOG_C)
+        return _brent(lambda t: (rayleigh_quotient(_trial(t, u), v, g), t, u), *_LOG_C)
 
     best = at_u(1.0)
     if tf_kind == "expsqrt":

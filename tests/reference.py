@@ -667,10 +667,12 @@ def nelder_mead_minimize(tf_kind, p, g):
     if family is None:
         raise ValueError(f"unknown trial family {tf_kind!r}")
 
+    vx = p.evaluate(g.nodes)
+
     def objective(logparams):
         tf = family(*(float(v) for v in np.exp(logparams)))
         try:
-            return rayleigh_quotient(tf, p, g)
+            return rayleigh_quotient(tf, vx, g)
         except NonNormalizable:
             return 0.0  # flat ceiling; any bound state beats it
 
@@ -732,8 +734,10 @@ def golden_section_minimize(tf_kind, p, g):
     if tf_kind not in _FAMILIES:
         raise ValueError(f"unknown trial family {tf_kind!r}")
 
+    vx = p.evaluate(g.nodes)
+
     def at_u(u):
-        return _golden(lambda t: (rayleigh_quotient(_trial(t, u), p, g), t, u), *_LOG_C)
+        return _golden(lambda t: (rayleigh_quotient(_trial(t, u), vx, g), t, u), *_LOG_C)
 
     best = at_u(1.0)
     if tf_kind == "expsqrt":

@@ -129,7 +129,7 @@ def test_unread_or_mistyped_input_refused(
     def no_computation(*args, **kwargs):
         raise AssertionError("computation ran on a refused input")
 
-    for name in ("energy_series", "shooting_solve", "shooting_sweep"):
+    for name in ("energy_series", "shooting_sweep"):
         monkeypatch.setattr(cli, name, no_computation)
     cfg = _write(tmp_path, "c.ini", config)
     out, err = _one_line_exit(capsys, 2, [command, "--config", cfg] + extra)
@@ -303,6 +303,19 @@ def test_solve_poschl_teller(tmp_path, capsys):
     assert payload["energy"] == pytest.approx(-1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize(
+    "s, reason",
+    [
+        ("0", "a nonzero attractive potential is required"),
+        ("1e200", "no Wronskian sign change for strength s=1e+200"),
+    ],
+)
+def test_solve_failure_is_one_numeric_failure_line(tmp_path, capsys, s, reason):
+    cfg = _write(tmp_path, "c.ini", f"[potential]\nkind = gaussian\ns = {s}\n")
+    out, err = _one_line_exit(capsys, 3, ["solve", "--config", cfg])
+    assert out == "" and err == f"numeric failure: BracketFailure: {reason}\n"
+
+
 def test_pade_reports_reference_denominator(tmp_path, capsys):
     cfg = _write(tmp_path, "c.ini", GAUSS_CFG)
     assert main(["pade", "--config", cfg, "--format", "json"]) == 0
@@ -438,6 +451,21 @@ def test_compare_overflow_fails_only_its_cells(tmp_path, capsys):
         assert len(row) == len(cli.COMPARE_HEADERS)
         assert row[1] == "" and "series: float overflow" in row[-1]
         assert all(cell == "" or math.isfinite(float(cell)) for cell in row[:-1])
+
+
+def test_compare_series_inf_minus_inf_fails_only_its_cell(tmp_path, capsys):
+    # a triangle of halfwidth 1e20 has c_n ~ 1e20^(2n-2) of both signs; at
+    # s = 1e30 the terms c_n s^n overflow to +-inf and math.fsum raises
+    # ValueError on inf - inf, which fails the series cell and nothing more
+    path = _write(tmp_path, "tri.txt", "-1e20 0\n0 -1\n1e20 0\n")
+    sweep = "[sweep]\ns_min = 1\ns_max = 1e30\nsteps = 2\n"
+    cfg = _write(tmp_path, "c.ini", f"[potential]\nkind = tabulated\nfile = {path}\n" + sweep)
+    out, err = _one_line_exit(capsys, 3, ["compare", "--config", cfg])
+    assert err == "numeric failure: no row is complete\n"
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[0] for row in rows] == ["1", "1e+30"]
+    assert rows[0][1] == "-2.47398435e+198" and "series:" not in rows[0][-1]
+    assert rows[1][1] == "" and rows[1][-1].startswith("series: -inf + inf in fsum; ")
 
 
 def test_compare_zero_well_fails_only_its_pade_cells(tmp_path, capsys):

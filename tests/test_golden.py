@@ -49,10 +49,9 @@ def _fake_numerics(monkeypatch, shooting_fails: bool):
     def energy_series(p, order=6, g=None):
         return EnergySeries(COEFFICIENTS[:order], p.kind, (10.0, 128, 8), ERRORS[:order])
 
-    def shooting_solve(p):
-        return BoundStateResult(-0.25 * p.s, 3.0e-13, 41, (-0.5, -0.125))
-
     def shooting_sweep(p, s_values):
+        if len(s_values) == 1:  # solve's one strength
+            return [BoundStateResult(-0.25 * p.s, 3.0e-13, 41, (-0.5, -0.125))]
         if shooting_fails:
             return [BracketFailure("no sign change in [-10, 0]") for s in s_values]
         return [BoundStateResult(-0.3 * s * s, 1.0e-12, 40, (-1.0, 0.0)) for s in s_values]
@@ -66,7 +65,6 @@ def _fake_numerics(monkeypatch, shooting_fails: bool):
         return E4_LIMIT + 0.37 * beta
 
     monkeypatch.setattr(cli, "energy_series", energy_series)
-    monkeypatch.setattr(cli, "shooting_solve", shooting_solve)
     monkeypatch.setattr(cli, "shooting_sweep", shooting_sweep)
     monkeypatch.setattr(cli, "minimize", var_minimize)
     monkeypatch.setattr(cli, "e4_finite_beta", e4_finite_beta)

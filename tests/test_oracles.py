@@ -16,7 +16,7 @@ from reference import (
 )
 
 from shallowwell.errors import BracketFailure
-from shallowwell.oracles import _cosh_sinhc, _WronskianEngine, shooting_solve, shooting_sweep
+from shallowwell.oracles import _cosh_sinhc, _WronskianEngine, shooting_sweep
 from shallowwell.potential import Potential
 
 #: abscissas of an off-centre sech^2 well, x0 = 1.3 +- 12
@@ -29,6 +29,12 @@ _SQUARE_WELL_FROZEN = {
     (1.0, 1.0): -0.4537531658603282,
     (5.0, 0.5): -2.5144309772746936,
 }
+
+
+def _solve(p, nsteps=4000):
+    """p's ground state at its own strength: the result of a one-strength sweep."""
+    (result,) = shooting_sweep(p, [p.s], nsteps=nsteps)
+    return result
 
 
 def test_exact_square_well_frozen_values():
@@ -58,7 +64,7 @@ def test_exact_poschl_teller_closed_form():
     ],
 )
 def test_shooting_matches_exact(p, exact):
-    res = shooting_solve(p)
+    res = _solve(p)
     assert res.energy == pytest.approx(exact, rel=1e-9)
     assert res.residual < 1e-10
     assert res.bracket[0] <= res.energy <= res.bracket[1]
@@ -68,7 +74,7 @@ def test_shooting_matches_exact(p, exact):
 def test_shooting_square_well_exact_on_snapped_steps(s, a):
     # the well edges +-a are step ends, so every step is a constant-coefficient
     # propagator and even a coarse grid is exact to roundoff
-    res = shooting_solve(Potential.square_well(s, a=a), nsteps=250)
+    res = _solve(Potential.square_well(s, a=a), nsteps=250)
     assert res.energy == pytest.approx(_SQUARE_WELL_FROZEN[(s, a)], rel=1e-12)
     assert res.residual < 1e-10
 
@@ -79,7 +85,7 @@ def test_shooting_uneven_well_matches_its_mirror_image():
     v = -1.0 / np.cosh(x - 1.3) ** 2
     p = Potential.tabulated(x, v, s=1.5)
     mirror = Potential.tabulated(-x[::-1], v[::-1], s=1.5)
-    assert shooting_solve(mirror).energy == pytest.approx(shooting_solve(p).energy, rel=1e-13)
+    assert _solve(mirror).energy == pytest.approx(_solve(p).energy, rel=1e-13)
 
 
 @pytest.mark.parametrize(
@@ -90,7 +96,7 @@ def test_shooting_uneven_well_matches_its_mirror_image():
 def test_search_matches_scan_oracle(p):
     # the scan, 64-point rounds and polish of the replaced search, on the same engine
     for s, ref in zip(_S_LADDER, scan_search_sweep(p, _S_LADDER)):
-        res = shooting_solve(replace(p, s=s))
+        res = _solve(replace(p, s=s))
         assert res.energy == pytest.approx(ref.energy, rel=1e-13)
         assert res.residual <= 1e-13
         assert res.iterations <= 20
@@ -108,7 +114,7 @@ def test_deep_off_centre_well_matches_count_bisection(x0, s):
     # matched in the core of the well, W varies smoothly with kappa at its root
     x = np.linspace(x0 - 12.0, x0 + 12.0, 2401)
     p = Potential.tabulated(x, -1.0 / np.cosh(x - x0) ** 2, s=s)
-    res = shooting_solve(p)
+    res = _solve(p)
     assert res.energy == pytest.approx(count_bisection(p, [s])[0], rel=1e-12)
     assert res.residual <= 1e-12
 
@@ -148,7 +154,7 @@ def test_step_series_matches_cosh_and_cos():
 
 def test_shooting_deep_poschl_teller():
     # |t| = h^2 s shape reaches ~0.1 here, so the step series is scaled and doubled back
-    res = shooting_solve(Potential.poschl_teller(3000.0))
+    res = _solve(Potential.poschl_teller(3000.0))
     assert res.energy == pytest.approx(exact_poschl_teller(3000.0), rel=2e-9)
 
 
@@ -218,7 +224,7 @@ def test_wronskian_pass_memory_is_bounded(batch):
 
 
 def test_shooting_gaussian_regression():
-    res = shooting_solve(Potential.gaussian(1.0))
+    res = _solve(Potential.gaussian(1.0))
     assert res.energy == pytest.approx(-0.35399185761383634, rel=1e-9)
 
 
@@ -231,15 +237,14 @@ def test_shooting_sweep_monotone_in_strength():
 
 def test_shooting_step_halving_is_fourth_order():
     p = Potential.poschl_teller(2.0)
-    errs = [abs(shooting_solve(p, nsteps=n).energy + 1.0) for n in (250, 500, 1000)]
+    errs = [abs(_solve(p, nsteps=n).energy + 1.0) for n in (250, 500, 1000)]
     for coarse, fine in zip(errs, errs[1:]):
         assert 8.0 < coarse / fine < 32.0
 
 
 def test_shooting_rejects_zero_potential():
     p = Potential.tabulated([-1.0, 0.0, 1.0], [0.0, 0.0, 0.0], s=1.0)
-    with pytest.raises(BracketFailure):
-        shooting_solve(p)
+    assert isinstance(_solve(p), BracketFailure)
 
 
 def test_erf_reference_against_stdlib():

@@ -8,21 +8,22 @@ from scipy.integrate import quad
 
 from shallowwell import variational
 from shallowwell.errors import BelowWellFloor, NonNormalizable
-from shallowwell.oracles import shooting_solve
+from shallowwell.oracles import shooting_sweep
 from shallowwell.potential import Potential
 from shallowwell.quadrature import build_grid, default_grid
 from shallowwell.variational import ExpSqrtTrial, GaussianTrial, minimize, rayleigh_quotient
 
 
-def _zero_potential():
-    return Potential.tabulated([-1.0, 0.0, 1.0], [0.0, 0.0, 0.0])
+def _zero_v(g):
+    """V at the nodes of g for a well that is zero everywhere."""
+    return np.zeros(g.size)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_gaussian_trial_kinetic_energy(alpha):
     # <T> / <1> = alpha for psi = e^{-alpha x^2} and V = 0
     g = build_grid(12.0, 256, 8)
-    assert rayleigh_quotient(GaussianTrial(alpha), _zero_potential(), g) == pytest.approx(
+    assert rayleigh_quotient(GaussianTrial(alpha), _zero_v(g), g) == pytest.approx(
         alpha, rel=1e-12
     )
 
@@ -39,7 +40,7 @@ def test_trial_parameter_validation():
 def test_expsqrt_reduces_to_pure_exponential_at_zero_beta():
     # psi = e^{-alpha |x|}: <T>/<1> = alpha^2 for the |psi'|^2 form
     g = build_grid(20.0, 400, 8)
-    val = rayleigh_quotient(ExpSqrtTrial(1.3, beta=0.0), _zero_potential(), g)
+    val = rayleigh_quotient(ExpSqrtTrial(1.3, beta=0.0), _zero_v(g), g)
     assert val == pytest.approx(1.3**2, rel=1e-6)
 
 
@@ -48,16 +49,17 @@ def test_expsqrt_trial_tends_to_gaussian_trial():
     # beta -> inf; minimize searches this limit as the u = 1 edge of the family
     p = Potential.gaussian(1.0)
     g = default_grid(p)
+    v = p.evaluate(g.nodes)
     beta = 1e20
-    near_gaussian = rayleigh_quotient(ExpSqrtTrial(0.6 * beta, beta), p, g)
-    assert near_gaussian == pytest.approx(rayleigh_quotient(GaussianTrial(0.3), p, g), rel=1e-12)
+    near_gaussian = rayleigh_quotient(ExpSqrtTrial(0.6 * beta, beta), v, g)
+    assert near_gaussian == pytest.approx(rayleigh_quotient(GaussianTrial(0.3), v, g), rel=1e-12)
 
 
 def test_norm_underflow_raises():
     # the closed-form norm of psi = e^{-alpha |x|} is 1/alpha = 1e-300
     g = build_grid(4.0, 16, 4)
     with pytest.raises(NonNormalizable):
-        rayleigh_quotient(ExpSqrtTrial(1e300), _zero_potential(), g)
+        rayleigh_quotient(ExpSqrtTrial(1e300), _zero_v(g), g)
 
 
 def _mp_norm_kinetic(alpha, beta):
@@ -112,7 +114,7 @@ def test_minimize_is_deterministic(gaussian_unit, gaussian_grid):
 def test_minimize_upper_bounds_and_family_ordering(gaussian_unit, gaussian_grid):
     tf_g, e_g = minimize("gaussian", gaussian_unit, gaussian_grid)
     tf_e, e_e = minimize("expsqrt", gaussian_unit, gaussian_grid)
-    exact = shooting_solve(gaussian_unit).energy
+    exact = shooting_sweep(gaussian_unit, [gaussian_unit.s])[0].energy
     assert e_g >= exact - 1e-9
     assert e_e >= exact - 1e-9
     # the exponential-tail family contains better approximants
@@ -127,7 +129,7 @@ def test_minimize_tracks_weak_coupling():
     p = Potential.gaussian(0.1)
     g = build_grid(10.0, 128, 8)
     _, e = minimize("expsqrt", p, g)
-    exact = shooting_solve(p).energy
+    exact = shooting_sweep(p, [p.s])[0].energy
     assert e >= exact - 1e-9
     assert e == pytest.approx(exact, rel=1e-2)
 
@@ -164,7 +166,8 @@ def test_cut_off_quotient_matches_whole_line(kind, family):
         p = Potential(kind, s)
         g = default_grid(p)
         tf, _ = minimize(family, p, g)
-        assert rayleigh_quotient(tf, p, g) == pytest.approx(_whole_line_quotient(tf, p), rel=1e-10)
+        quotient = rayleigh_quotient(tf, p.evaluate(g.nodes), g)
+        assert quotient == pytest.approx(_whole_line_quotient(tf, p), rel=1e-10)
 
 
 def _sech2(x0, s):
@@ -230,13 +233,13 @@ def test_objective_calls_per_minimize(monkeypatch, gaussian_unit, gaussian_grid)
     # exp-sqrt family adds the search in u over [0, 1], whose calls each run
     # one log-c search, for 264 in all
     calls = []
-    quotient = variational._quotient
+    quotient = variational.rayleigh_quotient
 
     def counted(*args):
         calls.append(args)
         return quotient(*args)
 
-    monkeypatch.setattr(variational, "_quotient", counted)
+    monkeypatch.setattr(variational, "rayleigh_quotient", counted)
     minimize("gaussian", gaussian_unit, gaussian_grid)
     assert len(calls) == 20
     calls.clear()
