@@ -6,6 +6,7 @@ Subcommands, with the flags each reads besides --config, --out and --format
     pade         Pade coefficients and samples, split at the deep-well limit; --grid
     solve        single shooting/Wronskian bound-state solve
     greens-check finite-regulator consistency and divergence cancellation; --grid
+series and greens-check report per unit strength, whatever s is.
 
 _value checks each config key, and each flag as the key it sets, against the
 table _KEYS before any computation. Inputs nothing reads are refused; known
@@ -285,8 +286,10 @@ COMPARE_HEADERS = [
 ]
 
 
-def compare_rows(cfg: RunConfig) -> list:
-    """COMPARE_HEADERS cells per sweep strength; a failed cell is empty, its reason last."""
+def cmd_compare(cfg: RunConfig) -> Report:
+    """A COMPARE_HEADERS row per sweep strength; a failed cell is empty, its reason last."""
+    if cfg.sweep is None:
+        raise ConfigError("compare needs a [sweep] section (s_min, s_max, steps)")
     s_values = np.linspace(*cfg.sweep)
     p = cfg.potential
     g = _grid_for(cfg)
@@ -310,13 +313,6 @@ def compare_rows(cfg: RunConfig) -> list:
         }
         reasons = [f"{label}: {why}" for label, (cell, why) in cells.items() if not cell]
         rows.append([_f9(s)] + [cell for cell, _ in cells.values()] + ["; ".join(reasons)])
-    return rows
-
-
-def cmd_compare(cfg: RunConfig) -> Report:
-    if cfg.sweep is None:
-        raise ConfigError("compare needs a [sweep] section (s_min, s_max, steps)")
-    rows = compare_rows(cfg)
     complete = any(all(c != "" for c in r[:-1]) for r in rows)
     return Report([(COMPARE_HEADERS, rows)], failure=None if complete else "no row is complete")
 
@@ -370,7 +366,7 @@ def cmd_solve(cfg: RunConfig) -> Report:
 
 
 def cmd_greens_check(cfg: RunConfig) -> Report:
-    p = cfg.potential
+    p = replace(cfg.potential, s=1.0)  # per unit strength, like series
     g = _grid_for(cfg)
     e4_limit = evaluate_terms(load_terms(4), p, g)
     rows = []

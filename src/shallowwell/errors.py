@@ -5,10 +5,6 @@ class ShallowWellError(Exception):
     """Base class for all package-specific errors."""
 
 
-class TailNotDecayed(ShallowWellError):
-    """No candidate support radius satisfies the tail bound."""
-
-
 class InvalidGridSpec(ShallowWellError):
     """Quadrature grid parameters out of range."""
 

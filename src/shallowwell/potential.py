@@ -11,10 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TailNotDecayed
-
-#: candidate truncation radii probed by support_radius
-_RADIUS_LADDER = (5.0, 10.0, 20.0, 40.0)
 #: tail bound, relative to the peak, that fixes the support radius
 _EPS_TAIL = 1e-12
 
@@ -42,8 +38,8 @@ class Potential:
             raise ValueError(f"unknown potential kind: {self.kind!r}")
         if not (self.s >= 0.0):
             raise ValueError("strength s must be nonnegative")
-        if self.kind == "square_well" and not (self.a > 0.0):
-            raise ValueError("square well halfwidth must be positive")
+        if self.kind == "square_well" and not (0.0 < self.a < np.inf):
+            raise ValueError("square well halfwidth must be positive and finite")
         if self.kind == "tabulated":
             xs = np.asarray(self.sample_x, dtype=float)
             vs = np.asarray(self.sample_shape, dtype=float)
@@ -118,21 +114,19 @@ class Potential:
         return self.kind != "tabulated"
 
     def support_radius(self) -> float:
-        """Smallest ladder radius where the shape has decayed below _EPS_TAIL.
+        """First radius 5 * 2**k where the shape has decayed below _EPS_TAIL.
 
-        Relative to the peak value. Tabulated potentials are compactly
-        supported by construction and return their outermost abscissa.
+        Relative to the peak value. Every built-in shape decays, so the
+        doubling ends: the square well at the first such radius above a.
+        Tabulated potentials are compactly supported by construction and
+        return their outermost abscissa.
         """
         if self.kind == "tabulated":
             return float(max(abs(self.sample_x[0]), abs(self.sample_x[-1])))
-        peak = self.shape_max()
-        for radius in _RADIUS_LADDER:
-            if float(self.shape(radius)) / peak < _EPS_TAIL:
-                return radius
-        raise TailNotDecayed(
-            f"shape of kind {self.kind!r} has not decayed below {_EPS_TAIL:g} "
-            f"within radius {_RADIUS_LADDER[-1]:g}"
-        )
+        radius = 5.0
+        while float(self.shape(radius)) / self.shape_max() >= _EPS_TAIL:
+            radius *= 2.0
+        return radius
 
 
 __all__ = ["Potential"]

@@ -89,7 +89,8 @@ def default_grid(p, P: int = 128, q: int = 8, L: float | None = None) -> Quadrat
 
     For the square well the panel width is snapped so that the well edges
     +-a fall exactly on panel boundaries; otherwise the discontinuity
-    ruins the panel rule.
+    ruins the panel rule. A well that needs more than _MAX_NODES nodes
+    for that is refused before the panel count is formed.
     """
     if L is None:
         L = p.support_radius() + 5.0
@@ -97,7 +98,10 @@ def default_grid(p, P: int = 128, q: int = 8, L: float | None = None) -> Quadrat
         width0 = 2.0 * L / P
         m = max(1, round(p.a / width0))
         width = p.a / m
-        P = 2 * math.ceil(L / (2.0 * width)) * 2
+        half = L / (2.0 * width)  # a quarter of the snapped panel count, before rounding up
+        if not half <= _MAX_NODES // (4 * q):
+            raise InvalidGridSpec(f"square well a={p.a:g} needs more than {_MAX_NODES} grid nodes")
+        P = 2 * math.ceil(half) * 2
         L = P * width / 2.0
     return build_grid(L, P, q)
 

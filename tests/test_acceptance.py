@@ -3,6 +3,7 @@
 Run with `pytest -v tests/test_acceptance.py` to see a pass/fail line per
 criterion. Shared expensive artifacts (series, sweeps) are module fixtures.
 """
+import csv
 import itertools
 import math
 import time
@@ -22,7 +23,7 @@ from reference import (
     taylor_coefficients,
 )
 
-from shallowwell.cli import RunConfig, compare_rows
+from shallowwell import cli
 from shallowwell.greens import divergent_block, e4_finite_beta
 from shallowwell.oracles import shooting_sweep
 from shallowwell.perturbation import (
@@ -382,10 +383,21 @@ def test_criterion_8_property_suites(es_gaussian):
 # 9. five-curve comparison sweep
 
 
+#: the README's example config
+FIGURE_CONFIG = (
+    "[potential]\nkind = gaussian\ns = 1.0\n[sweep]\ns_min = 0.1\ns_max = 3.0\nsteps = 30\n"
+)
+
+
 @pytest.fixture(scope="module")
-def figure_sweep_rows():
-    cfg = RunConfig(potential=Potential.gaussian(1.0), sweep=(0.1, 3.0, 30))
-    return compare_rows(cfg)
+def figure_sweep_rows(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("figure")
+    (tmp / "run.ini").write_text(FIGURE_CONFIG)
+    out = tmp / "sweep.csv"
+    assert cli.main(["compare", "--config", str(tmp / "run.ini"), "--out", str(out)]) == 0
+    header, *rows = csv.reader(out.open(newline=""))
+    assert header == cli.COMPARE_HEADERS
+    return rows
 
 
 def test_criterion_9_figure_sweep(figure_sweep_rows):

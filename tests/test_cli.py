@@ -1,9 +1,7 @@
 import csv
-import importlib.util
 import io
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,15 +247,18 @@ def test_square_well_grid_override_snaps_to_edges(tmp_path, capsys):
     assert max(abs(e) for e in payload["error_estimates"]) < 1e-14
 
 
-@pytest.mark.parametrize("command", ["series", "solve"])
-def test_tiny_square_well_is_config_error(tmp_path, capsys, command):
-    # panels of width a = 1e-9 would need 2e10 of them; refused before allocating
-    cfg = _write(tmp_path, "c.ini", "[potential]\nkind = square_well\ns = 1\na = 1e-9\n")
-    assert main([command, "--config", cfg]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("config error: ")
-    assert captured.err.count("\n") == 1
+@pytest.mark.parametrize(
+    "command, a",
+    [("series", "1e-9"), ("solve", "1e-9"), ("series", "1e-300"), ("series", "1e-320")],
+    ids=["series", "solve", "series-a-1e-300", "series-a-1e-320"],
+)
+def test_tiny_square_well_is_config_error(tmp_path, capsys, command, a):
+    # panels of width a = 1e-9 would need 2e10 of them, and 1e-320 an infinite
+    # count; refused before allocating, in a short line that names a
+    cfg = _write(tmp_path, "c.ini", f"[potential]\nkind = square_well\ns = 1\na = {a}\n")
+    out, err = _one_line_exit(capsys, 2, [command, "--config", cfg])
+    assert out == "" and err.startswith("config error: ")
+    assert f"a={float(a):g} " in err and len(err) < 100
 
 
 def _refuse_constant(name):
@@ -362,6 +363,17 @@ def test_greens_check_residuals_shrink(tmp_path, capsys):
     assert abs(block["symmetrized"]) < 1e-8 * block["scale"]
 
 
+def test_greens_check_reports_per_unit_strength(tmp_path, capsys):
+    # every cell is labelled [E/s^4]: the configured strength must not scale it
+    reports = []
+    for s in ("1", "2"):
+        cfg = _write(tmp_path, "c.ini", f"[potential]\nkind = gaussian\ns = {s}\n")
+        assert main(["greens-check", "--config", cfg]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert "-1.89534088" in reports[0]
+
+
 def test_greens_check_odd_panel_count_is_config_error(tmp_path, capsys):
     # an odd panel count puts the kinks of |x| and e^{-beta|x|} inside a panel
     cfg = _write(tmp_path, "c.ini", GAUSS_CFG)
@@ -407,24 +419,6 @@ def test_compare_shooting_failure_stays_in_its_row(tmp_path):
     shoot = half.split(",")[5]
     assert float(shoot) < 0.0
     assert "shooting" not in half
-
-
-def test_figure_sweep_script(tmp_path, capsys):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "figure_sweep.py"
-    spec = importlib.util.spec_from_file_location("figure_sweep", script)
-    figure_sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(figure_sweep)
-    out = tmp_path / "sweep.csv"
-    argv = ["--steps", "2", "--s-min", "1", "--s-max", "2", "--out", str(out)]
-    assert figure_sweep.main(argv) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0].split(",") == cli.COMPARE_HEADERS
-    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
-    summary = capsys.readouterr().out.splitlines()
-    assert summary[0] == f"wrote {out} (2 rows)"
-    assert summary[1].startswith("max |pade - shooting| / |shooting|:")
-    assert summary[2].startswith("max |var_expsqrt - shooting| / |shooting|:")
-    assert float(summary[2].split(":")[1]) < 1e-2
 
 
 HUGE_SWEEP = GAUSS_CFG + "[sweep]\ns_min = 1e100\ns_max = 1e200\nsteps = 2\n"

@@ -260,6 +260,16 @@ def test_energy_series_shares_contractions(monkeypatch):
     assert len(calls) == 26
 
 
+def test_energy_series_wide_square_well():
+    # a halfwidth past every fixed radius: c_n = a^(2n-2) times the unit-well rationals
+    a = 50.0
+    es = energy_series(Potential.square_well(1.0, a=a))
+    assert es.coefficients[1] == pytest.approx(-a * a, rel=1e-14)
+    unit = [Fraction(4, 3), Fraction(-92, 45), Fraction(1072, 315), Fraction(-84752, 14175)]
+    for n, c in enumerate(unit, start=3):
+        assert es.coefficients[n - 1] == pytest.approx(float(c) * a ** (2 * n - 2), rel=1e-13)
+
+
 def test_energy_series_rejects_bad_order():
     with pytest.raises(ValueError):
         energy_series(Potential.gaussian(1.0), order=7)

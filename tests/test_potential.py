@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shallowwell.errors import TailNotDecayed
 from shallowwell.potential import Potential
 
 
@@ -62,6 +61,8 @@ def test_validation_errors():
         Potential.gaussian(-0.5)
     with pytest.raises(ValueError):
         Potential.square_well(1.0, a=0.0)
+    with pytest.raises(ValueError):
+        Potential.square_well(1.0, a=math.inf)
 
 
 def test_support_radius_ladder():
@@ -70,10 +71,9 @@ def test_support_radius_ladder():
 
 
 def test_support_radius_square_well_wide_raises():
-    # a shape that never decays within the ladder
-    p = Potential.square_well(1.0, a=100.0)
-    with pytest.raises(TailNotDecayed):
-        p.support_radius()
+    # the radius doubles from 5 until it passes the edge, however wide the well
+    assert Potential.square_well(1.0, a=100.0).support_radius() == 160.0
+    assert Potential.square_well(1.0, a=40.0).support_radius() == 80.0
 
 
 def test_is_even():

@@ -159,7 +159,7 @@ def test_integrate_matches_fsum_on_every_real_call(monkeypatch):
 
 
 def test_default_grid_square_well_panel_alignment():
-    for a in (1.0, 0.7):
+    for a in (1.0, 0.7, 50.0):
         p = Potential.square_well(1.0, a=a)
         g = default_grid(p)
         # the discontinuities at +-a must fall on panel edges
