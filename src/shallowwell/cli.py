@@ -8,6 +8,12 @@ Subcommands, with the flags each reads besides --config, --out and --format
     greens-check finite-regulator consistency and divergence cancellation; --grid
 series and greens-check report per unit strength, whatever s is.
 
+The module itself loads only errors, potential and quadrature. main imports
+the layers the chosen subcommand runs (_LAYERS) after parsing the arguments
+and before reading the config, so a job loads no layer it does not run, and
+its imports are start-up, not work. Each cmd_* imports its own entry points,
+so it also runs when called directly.
+
 _value checks each config key, and each flag as the key it sets, against the
 table _KEYS before any computation. Inputs nothing reads are refused; known
 sections a subcommand ignores are accepted, since subcommands share configs.
@@ -23,6 +29,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import importlib
 import io
 import json
 import math
@@ -33,13 +40,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, InvalidGridSpec, ShallowWellError, SingularPade
-from .greens import divergent_block, e4_finite_beta
-from .oracles import shooting_sweep
-from .perturbation import energy_series, evaluate_terms, load_terms
 from .potential import Potential
 from .quadrature import default_grid
-from .resummation import evaluate_pade, pade_with_asymptote
-from .variational import minimize
 
 #: exact rationals for the unit-halfwidth square well, c2..c6
 _SQUARE_WELL_RATIONALS = ("-1", "4/3", "-92/45", "1072/315", "-84752/14175")
@@ -250,6 +252,8 @@ class Report:
 
 
 def cmd_series(cfg: RunConfig) -> Report:
+    from .perturbation import energy_series
+
     es = energy_series(cfg.potential, order=cfg.order, g=_grid_for(cfg))
     L, P, q = es.grid_spec
     exact = None
@@ -288,6 +292,11 @@ COMPARE_HEADERS = [
 
 def cmd_compare(cfg: RunConfig) -> Report:
     """A COMPARE_HEADERS row per sweep strength; a failed cell is empty, its reason last."""
+    from .oracles import shooting_sweep
+    from .perturbation import energy_series
+    from .resummation import evaluate_pade, pade_with_asymptote
+    from .variational import minimize
+
     if cfg.sweep is None:
         raise ConfigError("compare needs a [sweep] section (s_min, s_max, steps)")
     s_values = np.linspace(*cfg.sweep)
@@ -318,6 +327,9 @@ def cmd_compare(cfg: RunConfig) -> Report:
 
 
 def cmd_pade(cfg: RunConfig) -> Report:
+    from .perturbation import energy_series
+    from .resummation import evaluate_pade, pade_with_asymptote
+
     es = energy_series(cfg.potential, order=6, g=_grid_for(cfg))
     pa = pade_with_asymptote(es, cfg.potential.shape_max())
     samples = np.linspace(*cfg.sweep) if cfg.sweep else np.array([0.25, 0.5, 1.0, 2.0, 3.0])
@@ -346,6 +358,8 @@ def cmd_pade(cfg: RunConfig) -> Report:
 
 
 def cmd_solve(cfg: RunConfig) -> Report:
+    from .oracles import shooting_sweep
+
     p = cfg.potential
     res = _unless_failed(shooting_sweep(p, [p.s])[0])
     rows = [
@@ -366,6 +380,9 @@ def cmd_solve(cfg: RunConfig) -> Report:
 
 
 def cmd_greens_check(cfg: RunConfig) -> Report:
+    from .greens import divergent_block, e4_finite_beta
+    from .perturbation import evaluate_terms, load_terms
+
     p = replace(cfg.potential, s=1.0)  # per unit strength, like series
     g = _grid_for(cfg)
     e4_limit = evaluate_terms(load_terms(4), p, g)
@@ -398,6 +415,15 @@ _COMMANDS = {
     "pade": cmd_pade,
     "solve": cmd_solve,
     "greens-check": cmd_greens_check,
+}
+
+#: subcommand -> the modules its cmd_* runs, which main imports before reading the config
+_LAYERS = {
+    "series": ("perturbation",),
+    "compare": ("perturbation", "resummation", "oracles", "variational"),
+    "pade": ("perturbation", "resummation"),
+    "solve": ("oracles",),
+    "greens-check": ("perturbation", "greens"),
 }
 
 
@@ -452,6 +478,9 @@ def _write(path: str | None, text: str) -> None:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        # importing is start-up work: done before the config is validated, not in the job
+        for name in _LAYERS[args.command]:
+            importlib.import_module(f".{name}", __package__)
         cfg = load_config(args.config)
         _apply_overrides(cfg, args)
         # _f9 refuses the non-finite results that numpy would warn about on stderr

@@ -51,6 +51,17 @@ class Potential:
                 raise ValueError("tabulated abscissas must be strictly increasing")
             if np.any(vs < 0):
                 raise ValueError("tabulated shape samples must be nonnegative")
+            # shape() interpolates in these at every call; the tuples stay the fields
+            object.__setattr__(self, "_samples", (xs, vs))
+
+    def __hash__(self):
+        # hashing two sample tuples of a tabulated well takes ~0.1 ms, and
+        # every contraction hashes its potential; the fields never change
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.kind, self.s, self.a, self.sample_x, self.sample_shape))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     # ---- construction helpers -------------------------------------------
 
@@ -93,8 +104,7 @@ class Potential:
             return 4.0 * t / (1.0 + t) ** 2
         if self.kind == "gaussian":
             return np.exp(-x * x)
-        xs = np.asarray(self.sample_x)
-        vs = np.asarray(self.sample_shape)
+        xs, vs = self._samples
         return np.interp(x, xs, vs, left=0.0, right=0.0)
 
     def evaluate(self, x):
@@ -107,7 +117,7 @@ class Potential:
     def shape_max(self) -> float:
         """Peak of the shape function (attained at x=0 for built-ins)."""
         if self.kind == "tabulated":
-            return float(np.max(self.sample_shape))
+            return float(np.max(self._samples[1]))
         return 1.0
 
     def is_even(self) -> bool:

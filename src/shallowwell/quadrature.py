@@ -90,13 +90,17 @@ def default_grid(p, P: int = 128, q: int = 8, L: float | None = None) -> Quadrat
     For the square well the panel width is snapped so that the well edges
     +-a fall exactly on panel boundaries; otherwise the discontinuity
     ruins the panel rule. A well that needs more than _MAX_NODES nodes
-    for that is refused before the panel count is formed.
+    for that is refused before the panel count is formed, and so is one
+    whose panel width 2L/P or panel count a/(2L/P) overflows.
     """
     if L is None:
         L = p.support_radius() + 5.0
     if p.kind == "square_well":
         width0 = 2.0 * L / P
-        m = max(1, round(p.a / width0))
+        ratio = p.a / width0
+        if not (width0 < math.inf and ratio < math.inf):
+            raise InvalidGridSpec(f"square well a={p.a:g} on a grid of L={L:g} overflows its panels")
+        m = max(1, round(ratio))
         width = p.a / m
         half = L / (2.0 * width)  # a quarter of the snapped panel count, before rounding up
         if not half <= _MAX_NODES // (4 * q):

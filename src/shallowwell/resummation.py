@@ -93,16 +93,24 @@ def pade_with_asymptote(es: EnergySeries, depth_coefficient: float) -> PadeAppro
     and [2/3]-Pade-resums the resulting five-coefficient series. The
     returned approximant stores the re-multiplied s so that its rational
     part is a degree-3 over degree-3 function of s vanishing at 0.
+
+    The Pade is taken in t = 2^k s, with k = round(log2|c2|), and its
+    coefficients scaled back to s. A well of width a has c_n ~ a^(2n-2), so
+    in s the rank test would judge the unit of s, not the series. Both
+    scalings are exact powers of two; k = 0, the plain Pade in s, wherever
+    2^-0.5 <= |c2| <= 2^0.5, as on every built-in unit well.
     """
     if es.order < 6:
         raise ValueError("asymptote-subtracted resummation needs c1..c6")
     c = es.coefficients
     alpha = -float(depth_coefficient)
     shifted = [c[0] - alpha] + [c[i] for i in range(1, 6)]
-    inner = pade(shifted, 2, 3)
+    c2 = abs(float(c[1]))
+    k = round(math.log2(c2)) if 0.0 < c2 < math.inf else 0
+    inner = pade([math.ldexp(d, -k * j) for j, d in enumerate(shifted)], 2, 3)
     return PadeApproximant(
-        numerator=(0.0, *inner.numerator),
-        denominator=inner.denominator,
+        numerator=(0.0, *(math.ldexp(v, k * i) for i, v in enumerate(inner.numerator))),
+        denominator=tuple(math.ldexp(v, k * i) for i, v in enumerate(inner.denominator)),
         alpha=alpha,
     )
 

@@ -69,7 +69,7 @@ def test_non_finite_numbers_rejected(tmp_path, capsys, monkeypatch, command, con
     def no_computation(*args, **kwargs):
         raise AssertionError("computation ran on a non-finite config value")
 
-    monkeypatch.setattr(cli, "energy_series", no_computation)
+    monkeypatch.setattr("shallowwell.perturbation.energy_series", no_computation)
     cfg = _write(tmp_path, "c.ini", config)
     assert main([command, "--config", cfg] + extra) == 2
     assert "is not a finite number" in capsys.readouterr().err
@@ -127,8 +127,8 @@ def test_unread_or_mistyped_input_refused(
     def no_computation(*args, **kwargs):
         raise AssertionError("computation ran on a refused input")
 
-    for name in ("energy_series", "shooting_sweep"):
-        monkeypatch.setattr(cli, name, no_computation)
+    for target in ("shallowwell.perturbation.energy_series", "shallowwell.oracles.shooting_sweep"):
+        monkeypatch.setattr(target, no_computation)
     cfg = _write(tmp_path, "c.ini", config)
     out, err = _one_line_exit(capsys, 2, [command, "--config", cfg] + extra)
     assert out == "" and err.startswith("config error: ") and fragment in err
@@ -248,15 +248,24 @@ def test_square_well_grid_override_snaps_to_edges(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, a",
-    [("series", "1e-9"), ("solve", "1e-9"), ("series", "1e-300"), ("series", "1e-320")],
-    ids=["series", "solve", "series-a-1e-300", "series-a-1e-320"],
+    "command, a, extra",
+    [
+        ("series", "1e-9", []),
+        ("solve", "1e-9", []),
+        ("series", "1e-300", []),
+        ("series", "1e-320", []),
+        ("series", "1e10", ["--grid", "1e-300,64,8"]),
+        ("series", "1e308", []),
+    ],
+    ids=["series", "solve", "series-a-1e-300", "series-a-1e-320", "series-a-1e10-grid-1e-300",
+         "series-a-1e308"],
 )
-def test_tiny_square_well_is_config_error(tmp_path, capsys, command, a):
+def test_tiny_square_well_is_config_error(tmp_path, capsys, command, a, extra):
     # panels of width a = 1e-9 would need 2e10 of them, and 1e-320 an infinite
-    # count; refused before allocating, in a short line that names a
+    # count; refused before allocating, in a short line that names a. So is a
+    # well whose panel count a/(2L/P), or panel width 2L/P, overflows a float.
     cfg = _write(tmp_path, "c.ini", f"[potential]\nkind = square_well\ns = 1\na = {a}\n")
-    out, err = _one_line_exit(capsys, 2, [command, "--config", cfg])
+    out, err = _one_line_exit(capsys, 2, [command, "--config", cfg] + extra)
     assert out == "" and err.startswith("config error: ")
     assert f"a={float(a):g} " in err and len(err) < 100
 

@@ -1,8 +1,9 @@
 """Golden report tests: every subcommand in every format, byte for byte.
 
-The numeric calls that ``cli`` imports are replaced by fixed values, so
-the files under ``tests/golden/`` pin how reports are formatted, not what
-the solvers compute; they stay valid when the numerics change.
+The numeric calls that ``cli`` makes are replaced by fixed values in the
+modules that define them, so the files under ``tests/golden/`` pin how
+reports are formatted, not what the solvers compute; they stay valid when
+the numerics change.
 """
 import csv
 import io
@@ -64,12 +65,12 @@ def _fake_numerics(monkeypatch, shooting_fails: bool):
     def e4_finite_beta(p, g, beta):
         return E4_LIMIT + 0.37 * beta
 
-    monkeypatch.setattr(cli, "energy_series", energy_series)
-    monkeypatch.setattr(cli, "shooting_sweep", shooting_sweep)
-    monkeypatch.setattr(cli, "minimize", var_minimize)
-    monkeypatch.setattr(cli, "e4_finite_beta", e4_finite_beta)
-    monkeypatch.setattr(cli, "divergent_block", lambda p: (-3.5e-18, 0.0625))
-    monkeypatch.setattr(cli, "evaluate_terms", lambda terms, p, g: E4_LIMIT)
+    monkeypatch.setattr("shallowwell.perturbation.energy_series", energy_series)
+    monkeypatch.setattr("shallowwell.oracles.shooting_sweep", shooting_sweep)
+    monkeypatch.setattr("shallowwell.variational.minimize", var_minimize)
+    monkeypatch.setattr("shallowwell.greens.e4_finite_beta", e4_finite_beta)
+    monkeypatch.setattr("shallowwell.greens.divergent_block", lambda p: (-3.5e-18, 0.0625))
+    monkeypatch.setattr("shallowwell.perturbation.evaluate_terms", lambda terms, p, g: E4_LIMIT)
 
 
 def run_case(name, fmt, tmp_path, monkeypatch, capsys):

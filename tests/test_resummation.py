@@ -3,7 +3,8 @@ import pytest
 from reference import taylor_coefficients
 
 from shallowwell.errors import PoleAtEvaluation, SingularPade
-from shallowwell.perturbation import EnergySeries
+from shallowwell.perturbation import EnergySeries, energy_series
+from shallowwell.potential import Potential
 from shallowwell.resummation import PadeApproximant, evaluate_pade, pade, pade_with_asymptote
 
 
@@ -86,3 +87,13 @@ def test_asymptote_dominates_at_strong_coupling(es_gaussian):
     pa = pade_with_asymptote(es_gaussian, 1.0)
     s = 50.0
     assert evaluate_pade(pa, s) / (-s) == pytest.approx(1.0, rel=0.2)
+
+
+@pytest.mark.parametrize("a", [40.0, 50.0])
+def test_asymptote_pade_of_wide_square_well_is_the_unit_well_rescaled(a):
+    # c_n = a^(2n-2) c_n(unit), so a^2 E(s) = E_unit(s a^2); the rank test must not judge a^2
+    unit = pade_with_asymptote(energy_series(Potential.square_well(1.0)), 1.0)
+    wide = pade_with_asymptote(energy_series(Potential.square_well(1.0, a=a)), 1.0)
+    for s in (0.25, 0.5, 1.0, 2.0, 3.0):
+        expected = evaluate_pade(unit, s * a * a)
+        assert a * a * evaluate_pade(wide, s) == pytest.approx(expected, rel=3e-15)
