@@ -165,7 +165,7 @@ def load_config(path: str) -> RunConfig:
 def _grid_for(cfg: RunConfig):
     """The [grid] override or the default grid; refused if a nonzero well is 0 at every node."""
     p = cfg.potential
-    g = default_grid(p) if cfg.grid is None else default_grid(p, *cfg.grid[1:], L=cfg.grid[0])
+    g = default_grid(p, *(cfg.grid or ()))
     if p.shape_max() > 0 and not np.any(p.shape(g.nodes)):
         raise ConfigError(f"grid L={g.L:g} P={g.P} q={g.q} misses the well: shape 0 at every node")
     return g

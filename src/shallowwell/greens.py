@@ -115,25 +115,6 @@ def _monomial(x, i: int, j: int):
     return x**i * np.abs(x) ** j
 
 
-def greens_expansion(l: int, beta: float, x1, x2):
-    """Truncated small-beta expansion of G^(l), l in 0..3.
-
-    Terms from the leading 1/beta^{2l+1} down to beta^0; the omitted
-    remainder is O(beta). Vectorized over x1, x2.
-    """
-    if l not in (0, 1, 2, 3):
-        raise ValueError(f"expansion order must lie in 0..3, got {l}")
-    if not (beta > 0.0):
-        raise ValueError("beta must be positive")
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    kink, rows = _expansion(l)
-    total = kink * np.abs(x1 - x2) ** (2 * l + 1)
-    for coeff, e, i1, j1, i2, j2 in rows:
-        total = total + coeff / beta**e * _monomial(x1, i1, j1) * _monomial(x2, i2, j2)
-    return total
-
-
 def _apply_expansion(l, beta, g, p, Vx, F):
     """sum_j G^(l)(x_i, x_j) w_j V(x_j) F_j at every node x_i.
 
@@ -159,7 +140,7 @@ def e4_finite_beta(p: Potential, g: QuadratureGrid, beta: float) -> float:
         <V O V><V O^2 V> + 2<V><V O^2 V O V> - <V>^2 <V O^3 V>
         - <V O V O V O V>
 
-    with O^{l+1} kernels given by greens_expansion(l) and expectation
+    with O^{l+1} kernels given by the G^(l) tables and expectation
     values taken in the regulator bound state psi0 = sqrt(beta)
     e^{-beta|x|}. The individual pieces diverge as powers of 1/beta but
     the combination is finite and tends to E(4) linearly in beta.
@@ -245,4 +226,4 @@ def divergent_block(p: Potential):
     return value, scale
 
 
-__all__ = ["greens_expansion", "e4_finite_beta", "divergent_block"]
+__all__ = ["e4_finite_beta", "divergent_block"]

@@ -144,7 +144,7 @@ def _propagate(shape, svec, kvec, h):
 class _WronskianEngine:
     """Evaluates the normalized matching Wronskian and level count for one shape.
 
-    The steps are the panels of default_grid(p, 2*nsteps, 2), so a
+    The steps are the panels of default_grid(p, P=2*nsteps, q=2), so a
     square well's edges fall on step ends and each of its steps is
     exact. An even well is matched at x = 0; an uneven one at the left
     edge of the panel that holds its largest node value, inside the

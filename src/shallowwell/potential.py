@@ -7,7 +7,7 @@ integrals used elsewhere converge.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,9 +15,9 @@ import numpy as np
 _EPS_TAIL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Potential:
-    """A strength-factored attractive well.
+    """A strength-factored attractive well, compared and hashed by identity.
 
     Args:
         kind: one of "square_well", "poschl_teller", "gaussian", "tabulated".
@@ -25,13 +25,15 @@ class Potential:
         a: halfwidth of the square well (ignored by other kinds).
         sample_x: strictly increasing abscissas (tabulated kind only).
         sample_shape: nonnegative shape samples aligned with sample_x.
+            A tabulated well holds read-only float copies of both, so
+            the caller's arrays cannot change it.
     """
 
     kind: str
     s: float
     a: float = 1.0
-    sample_x: tuple = field(default_factory=tuple)
-    sample_shape: tuple = field(default_factory=tuple)
+    sample_x: np.ndarray | tuple = ()
+    sample_shape: np.ndarray | tuple = ()
 
     def __post_init__(self):
         if self.kind not in ("square_well", "poschl_teller", "gaussian", "tabulated"):
@@ -41,8 +43,8 @@ class Potential:
         if self.kind == "square_well" and not (0.0 < self.a < np.inf):
             raise ValueError("square well halfwidth must be positive and finite")
         if self.kind == "tabulated":
-            xs = np.asarray(self.sample_x, dtype=float)
-            vs = np.asarray(self.sample_shape, dtype=float)
+            xs = np.array(self.sample_x, dtype=float)
+            vs = np.array(self.sample_shape, dtype=float)
             if xs.ndim != 1 or xs.size < 2 or xs.shape != vs.shape:
                 raise ValueError("tabulated potential needs >= 2 aligned samples")
             if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
@@ -51,17 +53,10 @@ class Potential:
                 raise ValueError("tabulated abscissas must be strictly increasing")
             if np.any(vs < 0):
                 raise ValueError("tabulated shape samples must be nonnegative")
-            # shape() interpolates in these at every call; the tuples stay the fields
-            object.__setattr__(self, "_samples", (xs, vs))
-
-    def __hash__(self):
-        # hashing two sample tuples of a tabulated well takes ~0.1 ms, and
-        # every contraction hashes its potential; the fields never change
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.kind, self.s, self.a, self.sample_x, self.sample_shape))
-            object.__setattr__(self, "_hash", h)
-        return h
+            xs.setflags(write=False)
+            vs.setflags(write=False)
+            object.__setattr__(self, "sample_x", xs)
+            object.__setattr__(self, "sample_shape", vs)
 
     # ---- construction helpers -------------------------------------------
 
@@ -83,12 +78,7 @@ class Potential:
         vs = np.asarray(sample_values, dtype=float)
         if np.any(vs > 0):
             raise ValueError("tabulated potential values must be <= 0")
-        return Potential(
-            "tabulated",
-            s,
-            sample_x=tuple(np.asarray(sample_x, dtype=float)),
-            sample_shape=tuple(-vs),
-        )
+        return Potential("tabulated", s, sample_x=sample_x, sample_shape=-vs)
 
     # ---- evaluation ------------------------------------------------------
 
@@ -104,8 +94,7 @@ class Potential:
             return 4.0 * t / (1.0 + t) ** 2
         if self.kind == "gaussian":
             return np.exp(-x * x)
-        xs, vs = self._samples
-        return np.interp(x, xs, vs, left=0.0, right=0.0)
+        return np.interp(x, self.sample_x, self.sample_shape, left=0.0, right=0.0)
 
     def evaluate(self, x):
         """V(x) = -s*shape(x) as a float array of the shape of x.
@@ -117,7 +106,7 @@ class Potential:
     def shape_max(self) -> float:
         """Peak of the shape function (attained at x=0 for built-ins)."""
         if self.kind == "tabulated":
-            return float(np.max(self._samples[1]))
+            return float(np.max(self.sample_shape))
         return 1.0
 
     def is_even(self) -> bool:

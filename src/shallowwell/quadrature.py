@@ -17,7 +17,7 @@ and cached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -31,28 +31,19 @@ class QuadratureGrid:
     """Composite Gauss-Legendre grid on [-L, L].
 
     P equal panels with q nodes each; nodes/weights are flattened in
-    increasing order.
+    increasing order. Equality and hash go by (L, P, q), which fix them.
     """
 
     L: float
     P: int
     q: int
-    nodes: np.ndarray
-    weights: np.ndarray
-    edges: np.ndarray
+    nodes: np.ndarray = field(compare=False, repr=False)
+    weights: np.ndarray = field(compare=False, repr=False)
+    edges: np.ndarray = field(compare=False, repr=False)
 
     @property
     def size(self) -> int:
         return self.nodes.size
-
-    def __hash__(self):
-        return hash((self.L, self.P, self.q))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuadratureGrid)
-            and (self.L, self.P, self.q) == (other.L, other.P, other.q)
-        )
 
 
 def build_grid(L: float, P: int, q: int) -> QuadratureGrid:
@@ -84,7 +75,7 @@ def build_grid(L: float, P: int, q: int) -> QuadratureGrid:
     return QuadratureGrid(float(L), int(P), int(q), nodes, weights, edges)
 
 
-def default_grid(p, P: int = 128, q: int = 8, L: float | None = None) -> QuadratureGrid:
+def default_grid(p, L: float | None = None, P: int = 128, q: int = 8) -> QuadratureGrid:
     """Grid suited to a potential: L = support radius + 5 unless given.
 
     For the square well the panel width is snapped so that the well edges
@@ -265,7 +256,8 @@ def _plan(g: QuadratureGrid, p):
     V at the grid nodes (N,) and at every node's kink-split sub-nodes
     (P, q, 2q): all that contract() needs of the potential. Built on the
     first contraction, so grids that are never contracted cost nothing;
-    four plans cover the coarse and fine grids of two potentials.
+    four plans cover the coarse and fine grids of two potentials. Keyed
+    on the grid's (L, P, q) and on the potential object, by identity.
     """
     eta = _split_rule(g.q)[0]
     plan = (p.evaluate(g.nodes), p.evaluate(_sub_nodes(g, eta)))

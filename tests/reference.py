@@ -26,6 +26,7 @@ from scipy.optimize import minimize as _nm_minimize
 from scipy.special import erf as _erf
 
 from shallowwell.errors import BelowWellFloor, BracketFailure, NonNormalizable, ShallowWellError
+from shallowwell.greens import _expansion, _monomial
 from shallowwell.oracles import _MAGNUS_D, BoundStateResult, _cosh_sinhc, _WronskianEngine
 from shallowwell.quadrature import build_grid, integrate
 from shallowwell.resummation import PadeApproximant
@@ -229,6 +230,26 @@ def dense_contract(g, p, k, m, f):
         h += np.sum(wk * uy, axis=1)
         scale += np.sum(wk * np.abs(uy), axis=1)
     return h, scale
+
+
+def greens_expansion(l: int, beta: float, x1, x2):
+    """G^(l), l in 0..3, summed from the package's monomial tables.
+
+    The same truncation as greens_expansion_formula, which it is checked
+    against; e4_finite_beta applies these tables as kernels. Vectorized
+    over x1, x2.
+    """
+    if l not in (0, 1, 2, 3):
+        raise ValueError(f"expansion order must lie in 0..3, got {l}")
+    if not (beta > 0.0):
+        raise ValueError("beta must be positive")
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    kink, rows = _expansion(l)
+    total = kink * np.abs(x1 - x2) ** (2 * l + 1)
+    for coeff, e, i1, j1, i2, j2 in rows:
+        total = total + coeff / beta**e * _monomial(x1, i1, j1) * _monomial(x2, i2, j2)
+    return total
 
 
 def greens_expansion_formula(l: int, beta: float, x1, x2):

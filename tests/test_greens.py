@@ -5,13 +5,14 @@ from reference import (
     GreensParams,
     dense_e4_finite_beta,
     greens_closed,
+    greens_expansion,
     greens_expansion_formula,
     greens_gamma_derivative,
     greens_spectral,
 )
 
 from shallowwell.errors import InvalidGridSpec
-from shallowwell.greens import divergent_block, e4_finite_beta, greens_expansion
+from shallowwell.greens import divergent_block, e4_finite_beta
 from shallowwell.perturbation import evaluate_terms, load_terms
 from shallowwell.potential import Potential
 from shallowwell.quadrature import build_grid, default_grid

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +43,20 @@ def test_tabulated_interpolates_and_vanishes_outside():
     assert p.shape(3.0) == 0.0
     assert p.shape(-3.0) == 0.0
     assert p.support_radius() == 1.0
+
+
+def test_tabulated_samples_are_read_only_copies():
+    xs = np.linspace(-2.0, 2.0, 41)
+    vs = -1.0 / np.cosh(xs) ** 2
+    p = Potential.tabulated(xs, vs, s=1.0)
+    x = np.linspace(-2.5, 2.5, 101)
+    before = p.shape(x)
+    xs *= 2.0
+    vs[:] = -7.0
+    assert np.array_equal(p.shape(x), before)
+    with pytest.raises(ValueError):
+        p.sample_x[0] = 0.0
+    assert np.array_equal(replace(p, s=2.0).shape(x), before)
 
 
 def test_tabulated_rejects_positive_values():

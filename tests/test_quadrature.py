@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,6 +207,30 @@ def test_contract_allocates_linear_memory():
     finally:
         tracemalloc.stop()
     assert peak < 64 * g.size * 8
+
+
+def test_kink_plan_built_once_per_grid_and_potential_object(monkeypatch):
+    # V at the kink sub-nodes, shape (P, q, 2q), is the one 3-D evaluation
+    sub_node_calls = []
+    evaluate = Potential.evaluate
+
+    def recording(self, x):
+        if np.ndim(x) == 3:
+            sub_node_calls.append(self)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(Potential, "evaluate", recording)
+    p = Potential.gaussian(1.0)
+    g = default_grid(p)
+    perturbation.evaluate_terms(perturbation.load_terms(4), p, g)
+    for beta in (0.02, 0.01, 0.005):  # the greens-check sequence
+        greens.e4_finite_beta(p, g, beta)
+    assert sub_node_calls == [p]
+    greens.e4_finite_beta(replace(p), g, 0.01)  # equal, but another object
+    assert len(sub_node_calls) == 2
+    sub_node_calls.clear()
+    perturbation.energy_series(_sech2(1.3), order=6)  # its coarse and fine grid
+    assert len(sub_node_calls) == 2 and len(set(sub_node_calls)) == 1
 
 
 def test_contract_odd_kernel_matches_closed_form():
