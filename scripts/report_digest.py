@@ -4,6 +4,12 @@ Runs `python -m shallowwell.cli` with SRC first on PYTHONPATH for each
 subcommand and format, on five wells (square well at a = 1 and a = 0.7,
 Poschl-Teller, Gaussian, and a tabulated sech^2 centred at x0 = 1.3 with
 2,401 samples), each with and without a [sweep], plus `series --grid`.
+Then runs the failure paths of FAILURES: wells whose depth underflows the
+shooting search, grids whose kink plan is too large (and `solve` on one
+such well, which uses no such grid), and abscissas whose differences
+overflow. Each run gets 2 GiB of address space, so a tree that tries to
+allocate more fails in seconds instead of exhausting the machine, and one
+BLAS thread, whose reserve fits in that on any core count.
 Prints one line per run: name, exit code, sha256 of stdout and of stderr.
 
     python scripts/report_digest.py PARENT/src > parent.txt
@@ -13,6 +19,7 @@ Prints one line per run: name, exit code, sha256 of stdout and of stderr.
 import hashlib
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -29,26 +36,64 @@ COMMANDS = ("series", "pade", "solve", "greens-check", "compare")
 RUNS = [(f"{c}-{f}", [c, "--format", f]) for c in COMMANDS for f in ("text", "csv", "json")]
 RUNS.append(("series-grid", ["series", "--grid", "12,64,6"]))
 
+#: sample files of the failure paths, beside sech2.txt
+SAMPLES = {
+    "depth-5e-324.txt": "-1 0\n0 -5e-324\n1 0\n",
+    "depth-1e-300.txt": "-1 0\n0 -1e-300\n1 0\n",
+    "abscissas-1e308.txt": "-1e308 -1\n1e308 -1\n",
+}
+TINY = "kind = tabulated\ns = 1\nfile = depth-5e-324.txt\n"
+HUGE = "kind = tabulated\ns = 1\nfile = abscissas-1e308.txt\n"
+#: (name, [potential] body and any other sections, arguments)
+FAILURES = [
+    ("depth-5e-324/solve", TINY, ["solve"]),
+    ("depth-5e-324+sweep/compare", TINY + "[sweep]\ns_min = 1e-3\ns_max = 1e3\nsteps = 3\n",
+     ["compare"]),
+    ("depth-1e-300-s-1e-300/solve", "kind = tabulated\ns = 1e-300\nfile = depth-1e-300.txt\n",
+     ["solve"]),
+    ("gaussian/series-grid-P-1e6", WELLS["gaussian"], ["series", "--grid", "15,1000000,8"]),
+    ("gaussian/greens-check-grid-P-1e6", WELLS["gaussian"],
+     ["greens-check", "--grid", "15,1000000,8"]),
+    ("square-a1e-5/series", "kind = square_well\ns = 1\na = 1e-5\n", ["series"]),
+    ("square-a1e-5/solve", "kind = square_well\ns = 1\na = 1e-5\n", ["solve"]),
+    *((f"abscissas-1e308/{c}", HUGE, [c]) for c in ("series", "solve", "greens-check")),
+]
+#: the address space of each run, in bytes
+ADDRESS_SPACE = 2 << 30
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
 
 def main(src: str) -> None:
     path = [os.path.abspath(src), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    # one BLAS thread: OpenBLAS reserves about 40 MB of address space per thread
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)), OPENBLAS_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as tmp:
+
+        def run(name, config, args):
+            with open(os.path.join(tmp, "run.ini"), "w") as fh:
+                fh.write("[potential]\n" + config)
+            done = subprocess.run(
+                [sys.executable, "-m", "shallowwell.cli", *args, "--config", "run.ini"],
+                cwd=tmp, env=env, capture_output=True, preexec_fn=_limit_address_space,
+            )
+            digests = (hashlib.sha256(b).hexdigest() for b in (done.stdout, done.stderr))
+            print(name, done.returncode, *digests, flush=True)
+
         xs = [1.3 - 12.0 + 24.0 * i / 2400 for i in range(2401)]
         with open(os.path.join(tmp, "sech2.txt"), "w") as fh:
             fh.writelines(f"{x!r} {-1.0 / math.cosh(x - 1.3) ** 2!r}\n" for x in xs)
+        for file, text in SAMPLES.items():
+            with open(os.path.join(tmp, file), "w") as fh:
+                fh.write(text)
         for well, potential in WELLS.items():
             for sweep in ("", SWEEP):
-                name = well + ("+sweep" if sweep else "")
-                with open(os.path.join(tmp, "run.ini"), "w") as fh:
-                    fh.write("[potential]\n" + potential + sweep)
                 for label, args in RUNS:
-                    done = subprocess.run(
-                        [sys.executable, "-m", "shallowwell.cli", *args, "--config", "run.ini"],
-                        cwd=tmp, env=env, capture_output=True,
-                    )
-                    digests = (hashlib.sha256(b).hexdigest() for b in (done.stdout, done.stderr))
-                    print(f"{name}/{label}", done.returncode, *digests, flush=True)
+                    run(f"{well}{'+sweep' if sweep else ''}/{label}", potential + sweep, args)
+        for name, config, args in FAILURES:
+            run(name, config, args)
 
 
 if __name__ == "__main__":

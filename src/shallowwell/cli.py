@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidGridSpec, ShallowWellError, SingularPade
 from .potential import Potential
-from .quadrature import default_grid
+from .quadrature import MAX_NODES, build_grid, default_spec
 
 #: exact rationals for the unit-halfwidth square well, c2..c6
 _SQUARE_WELL_RATIONALS = ("-1", "4/3", "-92/45", "1072/315", "-84752/14175")
@@ -163,9 +163,17 @@ def load_config(path: str) -> RunConfig:
 
 
 def _grid_for(cfg: RunConfig):
-    """The [grid] override or the default grid; refused if a nonzero well is 0 at every node."""
+    """The [grid] override or the default grid, for the subcommands that contract on it.
+
+    Refused before it is built if its 2P twin's kink plan (2P*q*2q values)
+    exceeds MAX_NODES, and after, if a nonzero well is 0 at every node.
+    """
     p = cfg.potential
-    g = default_grid(p, *(cfg.grid or ()))
+    L, P, q = default_spec(p, *(cfg.grid or ()))
+    if 2 * P * q * 2 * q > MAX_NODES:
+        why = f"its 2P twin's kink plan exceeds {MAX_NODES} values"
+        raise ConfigError(f"grid L={L:g} P={P} q={q} is too large: {why}")
+    g = build_grid(L, P, q)
     if p.shape_max() > 0 and not np.any(p.shape(g.nodes)):
         raise ConfigError(f"grid L={g.L:g} P={g.P} q={g.q} misses the well: shape 0 at every node")
     return g

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidGridSpec
 from .potential import Potential
-from .quadrature import QuadratureGrid, contract, integrate
+from .quadrature import QuadratureGrid, contract, integrate, plan
 
 
 #: Small-beta expansions of G^(l), l = 0..3, truncated after beta^0:
@@ -157,7 +157,7 @@ def e4_finite_beta(p: Potential, g: QuadratureGrid, beta: float) -> float:
         raise ValueError("beta must lie in [1e-4, 0.1]")
     if g.P % 2:
         raise InvalidGridSpec(f"x = 0 must be a panel edge, but the panel count {g.P} is odd")
-    Vx = p.evaluate(g.nodes)
+    Vx, _, _ = plan(g, p)
     ew = np.exp(-beta * np.abs(g.nodes))
 
     def kernel(l, F):

@@ -198,24 +198,28 @@ def shooting_sweep(p: Potential, s_values, nsteps: int = 4000) -> list:
 
     Returns a list aligned with s_values holding, for each strength,
     its BoundStateResult or the BracketFailure it failed with: no
-    attractive potential, or no level in the search range. A result's
+    attractive potential, a depth s*shape_max() whose lower kappa^2
+    underflows, or no level in the search range. A result's
     bracket is the last count bracket, with one level below its lower
     kappa and none below its upper, and its iterations are the passes
     the strength took part in.
     """
     svec = np.asarray(s_values, dtype=float)
+    hi = np.sqrt(np.maximum(svec, 0.0) * p.shape_max()) * (1.0 - 1e-9)
+    lo = hi * 1e-6
     results: list = [
-        None if s > 0.0 and p.shape_max() > 0.0
-        else BracketFailure("a nonzero attractive potential is required")
-        for s in svec
+        BracketFailure("a nonzero attractive potential is required")
+        if not (s > 0.0 and p.shape_max() > 0.0)
+        # every kappa searched is >= lo, so lo^2 > 0 keeps _propagate's q > 0
+        else None if k * k > 0.0
+        else BracketFailure(f"the well depth underflows for strength s={s:g}")
+        for s, k in zip(svec.tolist(), lo.tolist())
     ]
     a = np.array([j for j, r in enumerate(results) if r is None], dtype=int)
     if not a.size:
         return results
     eng = _WronskianEngine(p, nsteps=nsteps)
     n = len(svec)
-    hi = np.sqrt(np.maximum(svec, 0.0) * p.shape_max()) * (1.0 - 1e-9)
-    lo = hi * 1e-6
     # N at lo (0 until probed), W at the ends and its Illinois weights, the
     # end the last probe moved (-1 lo, +1 hi), and which strengths run Illinois
     levels, side = np.zeros(n, dtype=int), np.zeros(n, dtype=int)

@@ -9,8 +9,9 @@ factors and |x_i - x_j|^k kernels along a simple path of sites (a
 single-site moment is a one-site chain). Every order ships as a static
 data table of ClusterTerms, so it can be audited and cross-checked term
 by term; the tables are the only evaluation path. A chain is evaluated
-by contracting kernels from its far end, and one cache per grid shares
-chain values and those suffix contractions across terms and orders.
+by contracting kernels from its far end; chain values and those suffix
+contractions are kept in the memo of quadrature.plan(g, p), so every
+term and order on one (grid, potential) pair shares them.
 
 Table dump format (one term per line, '#' comments):
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import NonPathComponent
 from .potential import Potential
-from .quadrature import QuadratureGrid, build_grid, contract, default_grid, integrate
+from .quadrature import QuadratureGrid, build_grid, contract, default_grid, integrate, plan
 
 
 @dataclass(frozen=True)
@@ -148,53 +149,50 @@ def load_terms(order: int):
     return parse_terms(text, expected_degree=order - 2)
 
 
-def _suffix(p, g, site_powers, link_powers, cache) -> np.ndarray:
+def _suffix(p, g, site_powers, link_powers) -> np.ndarray:
     """Grid function of a chain's tail, contracted from the far end.
 
     site_powers and link_powers are the powers remaining after the head
-    site; chains that end the same way share this function in the cache.
+    site; chains that end the same way share this function in the memo.
     """
     if not link_powers:
         return np.ones_like(g.nodes)
+    _, _, memo = plan(g, p)
     key = ("suffix", site_powers, link_powers)
-    if key not in cache:
-        tail = _suffix(p, g, site_powers[1:], link_powers[1:], cache)
-        cache[key] = contract(g, p, link_powers[0], site_powers[0], tail)
-    return cache[key]
+    if key not in memo:
+        tail = _suffix(p, g, site_powers[1:], link_powers[1:])
+        memo[key] = contract(g, p, link_powers[0], site_powers[0], tail)
+    return memo[key]
 
 
-def _chain(p, g, site_powers, link_powers, cache) -> float:
+def _chain(p, g, site_powers, link_powers) -> float:
     """Chain integral with x^m weights attached at each site."""
+    V, _, memo = plan(g, p)
     key = ("chain", site_powers, link_powers)
-    if key not in cache:
-        x = g.nodes
-        f = _suffix(p, g, site_powers[1:], link_powers, cache)
-        cache[key] = integrate(g, p.evaluate(x) * x ** site_powers[0] * f)
-    return cache[key]
+    if key not in memo:
+        f = _suffix(p, g, site_powers[1:], link_powers)
+        memo[key] = integrate(g, V * g.nodes ** site_powers[0] * f)
+    return memo[key]
 
 
-def evaluate_term(t: ClusterTerm, p: Potential, g: QuadratureGrid, cache=None) -> float:
+def evaluate_term(t: ClusterTerm, p: Potential, g: QuadratureGrid) -> float:
     """coefficient x product of component factors of one ClusterTerm.
 
-    Pass the same cache to every call on one (potential, grid) pair to
-    share chain values and the suffix contractions of chains that end
-    the same way.
+    Its chains are memoized in plan(g, p), shared by every call on the pair.
     """
-    cache = {} if cache is None else cache
     value = float(t.coefficient)
     for path, link_powers in t.components():
         powers = tuple(t.site_powers[s - 1] for s in path)
-        # a chain read backwards is the same integral; canonicalize for caching
+        # a chain read backwards is the same integral; canonicalize for the memo
         if (powers[::-1], link_powers[::-1]) < (powers, link_powers):
             powers, link_powers = powers[::-1], link_powers[::-1]
-        value *= _chain(p, g, powers, link_powers, cache)
+        value *= _chain(p, g, powers, link_powers)
     return value
 
 
-def evaluate_terms(terms, p: Potential, g: QuadratureGrid, cache=None) -> float:
-    """Compensated sum of evaluate_term over terms, sharing one cache."""
-    cache = {} if cache is None else cache
-    return math.fsum(evaluate_term(t, p, g, cache) for t in terms)
+def evaluate_terms(terms, p: Potential, g: QuadratureGrid) -> float:
+    """Compensated sum of evaluate_term over terms."""
+    return math.fsum(evaluate_term(t, p, g) for t in terms)
 
 
 @dataclass(frozen=True)
@@ -233,9 +231,8 @@ def energy_series(p: Potential, order: int = 6, g: QuadratureGrid | None = None)
         g = default_grid(unit)
     g_fine = build_grid(g.L, 2 * g.P, g.q)
     tables = [load_terms(n) for n in range(2, order + 1)]
-    coarse_cache, fine_cache = {}, {}  # one per grid, shared by all orders
-    coarse = [evaluate_terms(terms, unit, g, coarse_cache) for terms in tables]
-    fine = [evaluate_terms(terms, unit, g_fine, fine_cache) for terms in tables]
+    coarse = [evaluate_terms(terms, unit, g) for terms in tables]
+    fine = [evaluate_terms(terms, unit, g_fine) for terms in tables]
     estimates = [0.0]
     for c, f in zip(coarse, fine):
         scale = max(abs(f), 1e-300)

@@ -49,7 +49,7 @@ class Potential:
                 raise ValueError("tabulated potential needs >= 2 aligned samples")
             if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vs))):
                 raise ValueError("tabulated samples must be finite")
-            if not np.all(np.diff(xs) > 0):
+            if not np.all(xs[1:] > xs[:-1]):  # np.diff would overflow on huge abscissas
                 raise ValueError("tabulated abscissas must be strictly increasing")
             if np.any(vs < 0):
                 raise ValueError("tabulated shape samples must be nonnegative")

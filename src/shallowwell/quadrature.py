@@ -10,9 +10,10 @@ has a kink on the diagonal, where plain panel rules converge only as
 O(P^-2); contract() re-integrates each target node's own panel with the
 panel split at the kink, interpolating the incoming grid function
 polynomially inside the panel. That restores spectral accuracy at
-moderate panel counts. The split-panel geometry depends only on q, and V
-at the nodes and sub-nodes only on (grid, potential); both are built once
-and cached.
+moderate panel counts. The split-panel geometry depends only on q and is
+built once per q. All that depends on a (grid, potential) pair, V at the
+nodes and sub-nodes and the memo in which perturbation keeps chain values,
+is one record, plan(g, p), built once per pair.
 """
 from __future__ import annotations
 
@@ -56,7 +57,7 @@ def build_grid(L: float, P: int, q: int) -> QuadratureGrid:
            midpoint rule).
 
     Raises:
-        InvalidGridSpec: parameters out of range, or more than _MAX_NODES
+        InvalidGridSpec: parameters out of range, or more than MAX_NODES
             nodes, checked before anything is allocated.
     """
     if not (L > 0.0) or not math.isfinite(L):
@@ -65,8 +66,8 @@ def build_grid(L: float, P: int, q: int) -> QuadratureGrid:
         raise InvalidGridSpec(f"panel count must be an integer >= 1, got {P}")
     if not (isinstance(q, (int, np.integer)) and 1 <= q <= 16):
         raise InvalidGridSpec(f"nodes per panel must satisfy 1 <= q <= 16, got {q}")
-    if P * q > _MAX_NODES:
-        raise InvalidGridSpec(f"{P} panels of {q} nodes exceed the {_MAX_NODES} nodes of one grid")
+    if P * q > MAX_NODES:
+        raise InvalidGridSpec(f"{P} panels of {q} nodes exceed the {MAX_NODES} nodes of one grid")
     xs, ws = leggauss(int(q))
     edges = np.linspace(-L, L, int(P) + 1)
     half = L / P
@@ -76,11 +77,16 @@ def build_grid(L: float, P: int, q: int) -> QuadratureGrid:
 
 
 def default_grid(p, L: float | None = None, P: int = 128, q: int = 8) -> QuadratureGrid:
-    """Grid suited to a potential: L = support radius + 5 unless given.
+    """Grid suited to a potential: build_grid(*default_spec(p, L, P, q))."""
+    return build_grid(*default_spec(p, L, P, q))
+
+
+def default_spec(p, L: float | None = None, P: int = 128, q: int = 8) -> tuple:
+    """(L, P, q) of a grid suited to a potential: L = support radius + 5 unless given.
 
     For the square well the panel width is snapped so that the well edges
     +-a fall exactly on panel boundaries; otherwise the discontinuity
-    ruins the panel rule. A well that needs more than _MAX_NODES nodes
+    ruins the panel rule. A well that needs more than MAX_NODES nodes
     for that is refused before the panel count is formed, and so is one
     whose panel width 2L/P or panel count a/(2L/P) overflows.
     """
@@ -94,11 +100,11 @@ def default_grid(p, L: float | None = None, P: int = 128, q: int = 8) -> Quadrat
         m = max(1, round(ratio))
         width = p.a / m
         half = L / (2.0 * width)  # a quarter of the snapped panel count, before rounding up
-        if not half <= _MAX_NODES // (4 * q):
-            raise InvalidGridSpec(f"square well a={p.a:g} needs more than {_MAX_NODES} grid nodes")
+        if not half <= MAX_NODES // (4 * q):
+            raise InvalidGridSpec(f"square well a={p.a:g} needs more than {MAX_NODES} grid nodes")
         P = 2 * math.ceil(half) * 2
         L = P * width / 2.0
-    return build_grid(L, P, q)
+    return L, P, q
 
 
 def _check_aligned(g: QuadratureGrid, f: np.ndarray) -> np.ndarray:
@@ -111,7 +117,7 @@ def _check_aligned(g: QuadratureGrid, f: np.ndarray) -> np.ndarray:
 
 
 #: the most nodes of a grid; the error bounds of integrate() need n u far below 1/n
-_MAX_NODES = 2**26
+MAX_NODES = 2**26
 _TINY = math.ldexp(1.0, -1074)  # the smallest subnormal
 
 
@@ -138,7 +144,7 @@ def integrate(g: QuadratureGrid, f) -> float:
     n = a.size
     M = (n + 1).bit_length()  # ceil(log2(n + 2))
     mu = float(np.max(np.abs(a)))
-    if not 0.0 < mu < math.inf or math.frexp(mu)[1] + M > 1023 or n > _MAX_NODES:
+    if not 0.0 < mu < math.inf or math.frexp(mu)[1] + M > 1023 or n > MAX_NODES:
         return math.fsum(a)
     t1, r = _extract(a, mu, M)
     mu = float(np.max(np.abs(r)))
@@ -182,8 +188,8 @@ def contract(g: QuadratureGrid, p, k: int, m: int, f) -> np.ndarray:
     j > i as prefix and suffix sums on the sorted nodes. For odd k the
     diagonal kink is then handled exactly: the contribution of node i's
     own panel is replaced by two sub-panel Gauss rules split at x_i, with
-    f interpolated in the panel and V taken at the sub-nodes from the
-    per-(grid, potential) kink plan.
+    f interpolated in the panel and V taken at the sub-nodes from
+    plan(g, p).
 
     Args:
         g: quadrature grid.
@@ -196,8 +202,8 @@ def contract(g: QuadratureGrid, p, k: int, m: int, f) -> np.ndarray:
         raise ValueError("kernel and polynomial powers must be nonnegative")
     f = _check_aligned(g, f)
     x = g.nodes
-    Vx, Vsub = _plan(g, p)
-    u = Vx * x**m * f
+    V, Vsub, _ = plan(g, p)
+    u = V * x**m * f
     h = _polynomial_sum(x, g.weights * u, k)
     if k % 2 == 1:
         h += _kink_correction(g, k, m, f, u, Vsub)
@@ -250,20 +256,21 @@ def _split_rule(q: int):
 
 
 @lru_cache(maxsize=4)
-def _plan(g: QuadratureGrid, p):
-    """The kink plan of one (grid, potential) pair.
+def plan(g: QuadratureGrid, p):
+    """The one record of a (grid, potential) pair: (V, Vsub, memo).
 
     V at the grid nodes (N,) and at every node's kink-split sub-nodes
-    (P, q, 2q): all that contract() needs of the potential. Built on the
-    first contraction, so grids that are never contracted cost nothing;
-    four plans cover the coarse and fine grids of two potentials. Keyed
-    on the grid's (L, P, q) and on the potential object, by identity.
+    (P, q, 2q), both read-only, and a memo dict in which perturbation
+    keeps chain values and suffix contractions. Built on first use, so
+    grids that are never contracted cost nothing; four plans cover the
+    coarse and fine grids of two potentials. Keyed on the grid's
+    (L, P, q) and on the potential object, by identity, so a memo never
+    serves another well or grid. The sub-node coordinates are not held.
     """
-    eta = _split_rule(g.q)[0]
-    plan = (p.evaluate(g.nodes), p.evaluate(_sub_nodes(g, eta)))
-    for a in plan:
-        a.setflags(write=False)
-    return plan
+    V, Vsub = p.evaluate(g.nodes), p.evaluate(_sub_nodes(g, _split_rule(g.q)[0]))
+    V.setflags(write=False)
+    Vsub.setflags(write=False)
+    return V, Vsub, {}
 
 
 def _sub_nodes(g, eta):
@@ -286,4 +293,6 @@ def _kink_correction(g, k, m, f, u, Vsub):
     return (g.L / g.P) ** (k + 1) * (refined - crude).ravel()
 
 
-__all__ = ["QuadratureGrid", "build_grid", "default_grid", "integrate", "contract"]
+# plan is public but left out, so that a span recorder wrapping __all__ does
+# not record a lookup per chain, several hundred per energy_series
+__all__ = ["QuadratureGrid", "build_grid", "default_grid", "default_spec", "integrate", "contract"]

@@ -2,10 +2,16 @@ import csv
 import io
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shallowwell
 from shallowwell import cli
 from shallowwell.cli import load_config, main
 from shallowwell.errors import ConfigError
@@ -324,6 +330,78 @@ def test_solve_failure_is_one_numeric_failure_line(tmp_path, capsys, s, reason):
     cfg = _write(tmp_path, "c.ini", f"[potential]\nkind = gaussian\ns = {s}\n")
     out, err = _one_line_exit(capsys, 3, ["solve", "--config", cfg])
     assert out == "" and err == f"numeric failure: BracketFailure: {reason}\n"
+
+
+UNDERFLOWING = {"depth-5e-324": ("5e-324", "1"), "depth-1e-300-at-s-1e-300": ("1e-300", "1e-300")}
+
+
+@pytest.mark.parametrize("depth, s", UNDERFLOWING.values(), ids=UNDERFLOWING)
+def test_solve_underflowing_depth_is_one_numeric_failure_line(tmp_path, capsys, depth, s):
+    # kappa^2 at the bottom of the search range underflows to 0, and with it
+    # the shooting sub-block bound pi/(2 h sqrt(q)) would divide by zero
+    samples = _write(tmp_path, "s.txt", f"-1 0\n0 -{depth}\n1 0\n")
+    cfg = _write(tmp_path, "c.ini", f"[potential]\nkind = tabulated\ns = {s}\nfile = {samples}\n")
+    out, err = _one_line_exit(capsys, 3, ["solve", "--config", cfg])
+    reason = f"the well depth underflows for strength s={float(s):g}"
+    assert out == "" and err == f"numeric failure: BracketFailure: {reason}\n"
+
+
+def test_compare_underflowing_depth_leaves_its_shooting_cells_empty(tmp_path, capsys):
+    samples = _write(tmp_path, "s.txt", "-1 0\n0 -5e-324\n1 0\n")
+    sweep = "[sweep]\ns_min = 1e-3\ns_max = 1e3\nsteps = 3\n"
+    cfg = _write(tmp_path, "c.ini", f"[potential]\nkind = tabulated\nfile = {samples}\n" + sweep)
+    out, err = _one_line_exit(capsys, 3, ["compare", "--config", cfg])
+    assert err == "numeric failure: no row is complete\n"
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[0] for row in rows] == ["0.001", "500.0005", "1000"]
+    for row, s in zip(rows, ("0.001", "500", "1000")):
+        assert row[5] == ""
+        assert row[-1].endswith(f"; shooting: the well depth underflows for strength s={s}")
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _cli_child(tmp_path, argv):
+    """Run the CLI in a child process with 1 GiB of address space: (exit code, stdout, stderr)."""
+    # one BLAS thread: OpenBLAS reserves about 40 MB of address space per thread
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = str(Path(shallowwell.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "shallowwell.cli", *argv], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300, preexec_fn=_limit_address_space,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize(
+    "command, config, extra, spec",
+    [
+        ("series", GAUSS_CFG, ["--grid", "15,1000000,8"], "L=15 P=1000000 q=8"),
+        ("greens-check", GAUSS_CFG, ["--grid", "15,1000000,8"], "L=15 P=1000000 q=8"),
+        ("series", "[potential]\nkind = square_well\na = 1e-5\n", [], "L=10 P=2000000 q=8"),
+    ],
+    ids=["series-grid-P-1e6", "greens-check-grid-P-1e6", "series-square-a-1e-5"],
+)
+def test_grid_whose_fine_plan_is_too_large_is_config_error(tmp_path, command, config, extra, spec):
+    # the fine twin's kink plan holds 2P * q * 2q values, 32 times the grid's
+    # nodes at q = 8: refused before any of it is built, well inside 1 GiB
+    cfg = _write(tmp_path, "c.ini", config)
+    code, out, err = _cli_child(tmp_path, [command, "--config", cfg] + extra)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and err.startswith(f"config error: grid {spec} is too large")
+
+
+@pytest.mark.parametrize("command", ["series", "solve", "greens-check"])
+def test_huge_abscissas_fail_in_one_line(tmp_path, command):
+    # samples 2e308 apart: checking their order must not overflow into a warning
+    samples = _write(tmp_path, "s.txt", "-1e308 -1\n1e308 -1\n")
+    cfg = _write(tmp_path, "c.ini", f"[potential]\nkind = tabulated\nfile = {samples}\n")
+    code, out, err = _cli_child(tmp_path, [command, "--config", cfg])
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and err.startswith("numeric failure: ")
 
 
 def test_pade_reports_reference_denominator(tmp_path, capsys):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shallowwell import perturbation
+from shallowwell import perturbation, quadrature
 from shallowwell.errors import NonPathComponent
 from shallowwell.perturbation import (
     ClusterTerm,
@@ -22,7 +22,7 @@ from shallowwell.quadrature import build_grid, contract, default_grid, integrate
 
 
 # closed forms of orders 2-5, written directly on the quadrature
-# primitives as an oracle independent of the term tables and their cache
+# primitives as an oracle independent of the term tables and the chain memo
 
 
 def _mu0(p, g):
@@ -248,16 +248,43 @@ def test_energy_series_evaluate_is_polynomial(es_gaussian):
 
 def test_energy_series_shares_contractions(monkeypatch):
     # orders 2-6 hold 13 distinct chain suffixes; each is contracted
-    # once per grid, on the coarse and on the fine grid
-    calls = []
+    # once per grid, on the coarse and on the fine grid. V is evaluated
+    # only by the two plans, at the nodes and at the kink sub-nodes.
+    calls, evaluations = [], []
+    evaluate = Potential.evaluate
 
     def counting(*args, **kwargs):
         calls.append(args)
         return contract(*args, **kwargs)
 
+    def counting_evaluate(self, x):
+        evaluations.append(np.shape(x))
+        return evaluate(self, x)
+
     monkeypatch.setattr(perturbation, "contract", counting)
+    monkeypatch.setattr(Potential, "evaluate", counting_evaluate)
     energy_series(Potential.gaussian(1.0), order=6)
     assert len(calls) == 26
+    assert evaluations == [(1024,), (128, 8, 16), (2048,), (256, 8, 16)]
+
+
+def test_chain_memo_belongs_to_one_grid_and_potential():
+    # the chain memo lives in plan(g, p): a memo keyed on the grid alone would
+    # give Poschl-Teller the Gaussian's chains, one keyed on the potential
+    # alone the first grid's chains on the second
+    terms = load_terms(4)
+    gaussian, poschl_teller = Potential.gaussian(1.0), Potential.poschl_teller(1.0)
+    g = build_grid(15.0, 256, 8)
+    pairs = [(gaussian, g), (poschl_teller, g), (poschl_teller, build_grid(15.0, 16, 8))]
+    quadrature.plan.cache_clear()
+    in_turn = [evaluate_terms(terms, p, grid) for p, grid in pairs]
+    alone = []
+    for p, grid in pairs:
+        quadrature.plan.cache_clear()
+        alone.append(evaluate_terms(terms, p, grid))
+    assert in_turn == alone
+    assert len(set(alone)) == 3
+    assert alone[1] == pytest.approx(-5.0, rel=1e-10)  # Poschl-Teller's E4 is -5
 
 
 def test_energy_series_wide_square_well():
