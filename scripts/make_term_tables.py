@@ -11,7 +11,8 @@ The sixth-order correction is a sum of three structural blocks:
 Block (b) is stored here as the list of (coefficient, (i,j), (k,l))
 prefactors; this script expands each quadratic into its four monomials,
 attaches the resulting site powers, merges identical terms, and writes
-the flat per-term dump consumed by shallowwell.perturbation.load_terms.
+each term as its chains, the runs of linked neighbouring sites, to the
+per-term dump consumed by shallowwell.perturbation.load_terms.
 
 Run from the repository root:
 
@@ -25,14 +26,26 @@ DATA = Path(__file__).resolve().parent.parent / "src" / "shallowwell" / "data"
 
 HEADER = """\
 # shallowwell cluster-term table, order {order}
-# format: coeff | per-site powers | links i-j:k (|x_i - x_j|^k)
-# site count = number of powers listed; links must form disjoint simple paths
+# format: coeff | chain | chain ...
+# a chain lists site powers m and link powers k alternately, m1 k1 m2 k2 m3,
+# for the integral of prod V(x_i) x_i^m_i times prod |x_i - x_(i+1)|^k_i
 """
 
 
 def fmt_term(coeff, powers, links):
-    link_txt = " ".join(f"{i}-{j}:{k}" for i, j, k in links)
-    return f"{coeff} | {' '.join(str(p) for p in powers)} | {link_txt}".rstrip()
+    """coeff | chain | chain ...: the runs of linked neighbouring sites, in site order."""
+    if any(j != i + 1 for i, j, _ in links):
+        raise ValueError(f"links {links} join sites that are not neighbours")
+    link = {i: k for i, _, k in links}
+    chains, chain = [], []
+    for site, m in enumerate(powers, start=1):
+        chain.append(m)
+        if site in link:
+            chain.append(link[site])
+        else:
+            chains.append(" ".join(map(str, chain)))
+            chain = []
+    return " | ".join([str(coeff), *chains])
 
 
 def write_table(order, terms):

@@ -5,11 +5,12 @@ subcommand and format, on five wells (square well at a = 1 and a = 0.7,
 Poschl-Teller, Gaussian, and a tabulated sech^2 centred at x0 = 1.3 with
 2,401 samples), each with and without a [sweep], plus `series --grid`.
 Then runs the failure paths of FAILURES: wells whose depth underflows the
-shooting search, grids whose kink plan is too large (and `solve` on one
-such well, which uses no such grid), and abscissas whose differences
-overflow. Each run gets 2 GiB of address space, so a tree that tries to
-allocate more fails in seconds instead of exhausting the machine, and one
-BLAS thread, whose reserve fits in that on any core count.
+shooting search or a series coefficient, grids whose kink plan is too
+large (and `solve` on one such well, which uses no such grid), and
+domains whose width 2L overflows. Each run gets 2 GiB of address space,
+so a tree that tries to allocate more fails in seconds instead of
+exhausting the machine, and one BLAS thread, whose reserve fits in that
+on any core count.
 Prints one line per run: name, exit code, sha256 of stdout and of stderr.
 
     python scripts/report_digest.py PARENT/src > parent.txt
@@ -36,10 +37,11 @@ COMMANDS = ("series", "pade", "solve", "greens-check", "compare")
 RUNS = [(f"{c}-{f}", [c, "--format", f]) for c in COMMANDS for f in ("text", "csv", "json")]
 RUNS.append(("series-grid", ["series", "--grid", "12,64,6"]))
 
+#: depths of triangle wells whose c2, c4 or c6 underflows
+UNDERFLOWING = ("1e-60", "1e-100", "1e-160")
 #: sample files of the failure paths, beside sech2.txt
 SAMPLES = {
-    "depth-5e-324.txt": "-1 0\n0 -5e-324\n1 0\n",
-    "depth-1e-300.txt": "-1 0\n0 -1e-300\n1 0\n",
+    **{f"depth-{d}.txt": f"-1 0\n0 -{d}\n1 0\n" for d in ("5e-324", "1e-300", *UNDERFLOWING)},
     "abscissas-1e308.txt": "-1e308 -1\n1e308 -1\n",
 }
 TINY = "kind = tabulated\ns = 1\nfile = depth-5e-324.txt\n"
@@ -52,11 +54,14 @@ FAILURES = [
     ("depth-1e-300-s-1e-300/solve", "kind = tabulated\ns = 1e-300\nfile = depth-1e-300.txt\n",
      ["solve"]),
     ("gaussian/series-grid-P-1e6", WELLS["gaussian"], ["series", "--grid", "15,1000000,8"]),
+    ("gaussian/series-grid-L-1e308", WELLS["gaussian"], ["series", "--grid", "1e308,64,8"]),
     ("gaussian/greens-check-grid-P-1e6", WELLS["gaussian"],
      ["greens-check", "--grid", "15,1000000,8"]),
     ("square-a1e-5/series", "kind = square_well\ns = 1\na = 1e-5\n", ["series"]),
     ("square-a1e-5/solve", "kind = square_well\ns = 1\na = 1e-5\n", ["solve"]),
     *((f"abscissas-1e308/{c}", HUGE, [c]) for c in ("series", "solve", "greens-check")),
+    *((f"depth-{d}/series", f"kind = tabulated\ns = 1\nfile = depth-{d}.txt\n", ["series"])
+      for d in UNDERFLOWING),
 ]
 #: the address space of each run, in bytes
 ADDRESS_SPACE = 2 << 30

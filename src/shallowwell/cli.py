@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, InvalidGridSpec, ShallowWellError, SingularPade
+from .errors import ConfigError, InvalidGridSpec, ShallowWellError
 from .potential import Potential
 from .quadrature import MAX_NODES, build_grid, default_spec
 
@@ -310,10 +310,13 @@ def cmd_compare(cfg: RunConfig) -> Report:
     s_values = np.linspace(*cfg.sweep)
     p = cfg.potential
     g = _grid_for(cfg)
-    es = energy_series(p, order=6, g=g)
     try:
-        pa = pade_with_asymptote(es, p.shape_max())
-    except SingularPade as exc:  # an all-zero well: its pade cells fail alone
+        es = energy_series(p, order=6, g=g)
+    except ShallowWellError as exc:  # an underflowing coefficient: the series and pade cells fail
+        es = exc
+    try:
+        pa = pade_with_asymptote(_unless_failed(es), p.shape_max())
+    except ShallowWellError as exc:  # or an all-zero well's SingularPade: its pade cells fail alone
         pa = exc
 
     shots = shooting_sweep(p, s_values)
@@ -322,7 +325,7 @@ def cmd_compare(cfg: RunConfig) -> Report:
     for s, shot in zip(s_values.tolist(), shots):
         ps = replace(p, s=s)
         cells = {
-            "series": _cell(lambda: es.evaluate(s)),
+            "series": _cell(lambda: _unless_failed(es).evaluate(s)),
             "pade": _cell(lambda: evaluate_pade(_unless_failed(pa), s)),
             "var_gaussian": _cell(lambda: minimize("gaussian", ps, g)[1]),
             "var_expsqrt": _cell(lambda: minimize("expsqrt", ps, g)[1]),

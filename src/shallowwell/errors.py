@@ -13,10 +13,6 @@ class LengthMismatch(ShallowWellError):
     """Grid function length does not match the grid."""
 
 
-class NonPathComponent(ShallowWellError):
-    """Absolute-value links of a term branch or form a cycle."""
-
-
 class BracketFailure(ShallowWellError):
     """No bound state to bracket: no attractive potential, or no level in the shooting search."""
 

@@ -2,10 +2,10 @@
 
 Every correction order reduces to a sum of terms of the form
 
-    coeff * (product of single-site moments mu_k) * (product of chains)
+    coeff * (product of chains)
 
 where a chain is the multi-variable integral of alternating potential
-factors and |x_i - x_j|^k kernels along a simple path of sites (a
+factors and |x_i - x_(i+1)|^k kernels along a path of sites (a
 single-site moment is a one-site chain). Every order ships as a static
 data table of ClusterTerms, so it can be audited and cross-checked term
 by term; the tables are the only evaluation path. A chain is evaluated
@@ -15,15 +15,17 @@ term and order on one (grid, potential) pair shares them.
 
 Table dump format (one term per line, '#' comments):
 
-    coeff | p1 p2 ... pn | i-j:k i-j:k ...
+    coeff | m1 k1 m2 k2 m3 | m1 | ...
 
-coeff is an exact rational, p1..pn are per-site polynomial powers (the
-site count is the number of powers listed), and each link i-j:k stands
-for a factor |x_i - x_j|^k. Links must form disjoint simple paths.
+coeff is an exact rational and each further field is one chain: its
+site powers m_i and link powers k_i alternately, so an odd number of
+integers, a lone site being just m. The chain stands for the integral of
+prod_i V(x_i) x_i^m_i times prod_i |x_i - x_(i+1)|^k_i.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -31,77 +33,27 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import NonPathComponent
+from .errors import ShallowWellError
 from .potential import Potential
 from .quadrature import QuadratureGrid, build_grid, contract, default_grid, integrate, plan
 
 
 @dataclass(frozen=True)
 class ClusterTerm:
-    """One additive term of a correction order.
+    """One additive term of a correction order: coefficient x product of chains.
 
     coefficient: exact rational prefactor.
-    site_powers: per-site exponent of x_i (length = site count).
-    links: (i, j, k) factors |x_i - x_j|^k with 1-based site indices.
+    chains: (site_powers, link_powers) pairs, one per chain: the exponents
+        m of x_i at its sites and k of |x_i - x_(i+1)| along its links,
+        one link fewer than sites.
     """
 
     coefficient: Fraction
-    site_powers: tuple
-    links: tuple
-
-    @property
-    def site_count(self) -> int:
-        return len(self.site_powers)
+    chains: tuple
 
     @property
     def degree(self) -> int:
-        return sum(self.site_powers) + sum(k for _, _, k in self.links)
-
-    def components(self):
-        """Split sites into link paths, in order of their first site.
-
-        Returns a list of (sites, link_powers) pairs: each path is an
-        ordered site tuple with the link powers along it, and an
-        isolated site is a one-site path with no links.
-
-        Raises:
-            NonPathComponent: links branch or close a cycle.
-        """
-        n = self.site_count
-        neighbors = {i: [] for i in range(1, n + 1)}
-        power = {}
-        for i, j, k in self.links:
-            if not (1 <= i <= n and 1 <= j <= n) or i == j:
-                raise NonPathComponent(f"bad link endpoints ({i},{j}) for {n} sites")
-            key = (min(i, j), max(i, j))
-            if key in power:
-                raise NonPathComponent(f"duplicate link {key}")
-            neighbors[i].append(j)
-            neighbors[j].append(i)
-            power[key] = k
-        for i, nb in neighbors.items():
-            if len(nb) > 2:
-                raise NonPathComponent(f"site {i} has {len(nb)} links (branching)")
-        seen = set()
-        paths = []
-        for start in range(1, n + 1):
-            if start in seen or len(neighbors[start]) == 2:
-                continue  # interior of a path; reached from an endpoint
-            path = [start]
-            seen.add(start)
-            cur, prev = start, None
-            while True:
-                nxt = [j for j in neighbors[cur] if j != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                path.append(cur)
-                seen.add(cur)
-            powers = [power[(min(a, b), max(a, b))] for a, b in zip(path, path[1:])]
-            paths.append((tuple(path), tuple(powers)))
-        if len(seen) != n:
-            raise NonPathComponent("links contain a cycle")
-        return paths
+        return sum(sum(m) + sum(k) for m, k in self.chains)
 
 
 def parse_terms(text: str, expected_degree: int | None = None):
@@ -111,18 +63,11 @@ def parse_terms(text: str, expected_degree: int | None = None):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = [part.strip() for part in line.split("|")]
-        if len(fields) != 3:
+        coeff, *fields = line.split("|")
+        chains = [tuple(int(tok) for tok in field.split()) for field in fields]
+        if not chains or any(len(c) % 2 == 0 for c in chains):
             raise ValueError(f"malformed term line: {raw!r}")
-        coeff = Fraction(fields[0])
-        powers = tuple(int(tok) for tok in fields[1].split())
-        links = []
-        for tok in fields[2].split():
-            sites, _, kpow = tok.partition(":")
-            i, _, j = sites.partition("-")
-            links.append((int(i), int(j), int(kpow)))
-        term = ClusterTerm(coeff, powers, tuple(links))
-        term.components()  # path validation
+        term = ClusterTerm(Fraction(coeff), tuple((c[0::2], c[1::2]) for c in chains))
         if expected_degree is not None and term.degree != expected_degree:
             raise ValueError(
                 f"term degree {term.degree} != expected {expected_degree}: {raw!r}"
@@ -176,13 +121,12 @@ def _chain(p, g, site_powers, link_powers) -> float:
 
 
 def evaluate_term(t: ClusterTerm, p: Potential, g: QuadratureGrid) -> float:
-    """coefficient x product of component factors of one ClusterTerm.
+    """coefficient x product of the chains of one ClusterTerm, in table order.
 
     Its chains are memoized in plan(g, p), shared by every call on the pair.
     """
     value = float(t.coefficient)
-    for path, link_powers in t.components():
-        powers = tuple(t.site_powers[s - 1] for s in path)
+    for powers, link_powers in t.chains:
         # a chain read backwards is the same integral; canonicalize for the memo
         if (powers[::-1], link_powers[::-1]) < (powers, link_powers):
             powers, link_powers = powers[::-1], link_powers[::-1]
@@ -223,6 +167,10 @@ def energy_series(p: Potential, order: int = 6, g: QuadratureGrid | None = None)
     shape only); E(s) ~ sum c_n s^n. Each coefficient carries a relative
     error estimate from a coarse/fine grid pair (P vs 2P); the fine-grid
     values are the ones reported.
+
+    Raises:
+        ShallowWellError: a nonzero well's c_n, n >= 2, is below the
+            normal floats: a 0 or subnormal there is an underflow.
     """
     if order not in (2, 3, 4, 5, 6):
         raise ValueError(f"order must lie in 2..6, got {order}")
@@ -233,6 +181,9 @@ def energy_series(p: Potential, order: int = 6, g: QuadratureGrid | None = None)
     tables = [load_terms(n) for n in range(2, order + 1)]
     coarse = [evaluate_terms(terms, unit, g) for terms in tables]
     fine = [evaluate_terms(terms, unit, g_fine) for terms in tables]
+    for n, f in enumerate(fine, start=2):
+        if abs(f) < sys.float_info.min and p.shape_max() > 0:
+            raise ShallowWellError(f"c{n} underflows to {f:.9g}, below the normal floats")
     estimates = [0.0]
     for c, f in zip(coarse, fine):
         scale = max(abs(f), 1e-300)

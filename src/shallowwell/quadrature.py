@@ -51,7 +51,7 @@ def build_grid(L: float, P: int, q: int) -> QuadratureGrid:
     """Build a composite Gauss-Legendre grid.
 
     Args:
-        L: domain halfwidth, > 0.
+        L: domain halfwidth, > 0, with 2L finite.
         P: number of equal panels, >= 1.
         q: Gauss-Legendre nodes per panel, 1 <= q <= 16 (q=1 is the
            midpoint rule).
@@ -60,8 +60,8 @@ def build_grid(L: float, P: int, q: int) -> QuadratureGrid:
         InvalidGridSpec: parameters out of range, or more than MAX_NODES
             nodes, checked before anything is allocated.
     """
-    if not (L > 0.0) or not math.isfinite(L):
-        raise InvalidGridSpec(f"domain halfwidth must be positive, got {L}")
+    if not 0.0 < 2.0 * L < math.inf:
+        raise InvalidGridSpec(f"domain halfwidth must be positive with 2L finite, got L={L:g}")
     if not (isinstance(P, (int, np.integer)) and P >= 1):
         raise InvalidGridSpec(f"panel count must be an integer >= 1, got {P}")
     if not (isinstance(q, (int, np.integer)) and 1 <= q <= 16):

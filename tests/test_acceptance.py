@@ -8,6 +8,7 @@ import itertools
 import math
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -155,8 +156,11 @@ def test_criterion_5_oracle_loop(es_square_well, es_poschl_teller, es_gaussian):
 # 6. brute-force equivalence
 
 
+# the order-6 table repeats its chains, 188 integrals of which 22 differ;
+# Potential hashes by identity, so each is computed once per well
+@lru_cache(maxsize=None)
 def _ordered_tensor_integral(p, L, N, site_powers, link_powers):
-    """Naive tensor-product quadrature of one path component.
+    """Naive tensor-product quadrature of one chain.
 
     The kernel |x_i - x_j|^k has kinks, so the cube is split into the m!
     variable orderings; on each ordering the integrand is smooth and the
@@ -197,15 +201,13 @@ def _ordered_tensor_integral(p, L, N, site_powers, link_powers):
 
 def _naive_term_value(t, p, L, N):
     value = float(t.coefficient)
-    for path, link_powers in t.components():
-        powers = tuple(t.site_powers[s - 1] for s in path)
+    for powers, link_powers in t.chains:
         value *= _ordered_tensor_integral(p, L, N, powers, link_powers)
     return value
 
 
 def _pure_chain(p, g, link_powers):
-    links = tuple((i, i + 1, k) for i, k in enumerate(link_powers, start=1))
-    term = ClusterTerm(Fraction(1), (0,) * (len(link_powers) + 1), links)
+    term = ClusterTerm(Fraction(1), (((0,) * (len(link_powers) + 1), link_powers),))
     return evaluate_term(term, p, g)
 
 
@@ -229,7 +231,7 @@ def test_criterion_6_brute_force_equivalence():
 
     scale = abs(evaluate_terms(load_terms(6), p, g))
     for t in load_terms(6):
-        max_sites = max(len(path) for path, _ in t.components())
+        max_sites = max(len(powers) for powers, _ in t.chains)
         N, L = (24, L24) if max_sites <= 4 else (16, L16)
         naive = _naive_term_value(t, p, L, N)
         got = evaluate_term(t, p, g)

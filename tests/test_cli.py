@@ -355,8 +355,31 @@ def test_compare_underflowing_depth_leaves_its_shooting_cells_empty(tmp_path, ca
     rows = list(csv.reader(io.StringIO(out)))[1:]
     assert [row[0] for row in rows] == ["0.001", "500.0005", "1000"]
     for row, s in zip(rows, ("0.001", "500", "1000")):
-        assert row[5] == ""
+        assert row[1] == row[2] == row[5] == ""
+        assert row[-1].startswith("series: c2 underflows to 0")
+        assert "; pade: c2 underflows to 0" in row[-1]
         assert row[-1].endswith(f"; shooting: the well depth underflows for strength s={s}")
+
+
+@pytest.mark.parametrize("command", ["series", "pade"])
+@pytest.mark.parametrize(
+    "depth, n", [("5e-324", 2), ("1e-160", 2), ("1e-100", 4), ("1e-60", 6)]
+)
+def test_underflowing_coefficient_is_numeric_failure(tmp_path, capsys, command, depth, n):
+    # c_n ~ depth^n: a nonzero well reported with a 0 or subnormal c_n is wrong
+    samples = _write(tmp_path, "s.txt", f"-1 0\n0 -{depth}\n1 0\n")
+    cfg = _write(tmp_path, "c.ini", f"[potential]\nkind = tabulated\nfile = {samples}\n")
+    out, err = _one_line_exit(capsys, 3, [command, "--config", cfg])
+    assert out == "" and err.startswith(f"numeric failure: ShallowWellError: c{n} underflows")
+
+
+def test_series_truncated_above_its_underflow_succeeds(tmp_path, capsys):
+    # at depth 1e-100, c4..c6 underflow but c2 and c3 are normal floats
+    samples = _write(tmp_path, "s.txt", "-1 0\n0 -1e-100\n1 0\n")
+    cfg = _write(tmp_path, "c.ini", f"[potential]\nkind = tabulated\nfile = {samples}\n")
+    assert main(["series", "--config", cfg, "--order", "3", "--format", "json"]) == 0
+    c = json.loads(capsys.readouterr().out)["coefficients"]
+    assert c[1] == pytest.approx(-2.5e-201, rel=1e-4) and 0.0 < c[2] < 1e-300
 
 
 def _limit_address_space():
@@ -396,12 +419,19 @@ def test_grid_whose_fine_plan_is_too_large_is_config_error(tmp_path, command, co
 
 @pytest.mark.parametrize("command", ["series", "solve", "greens-check"])
 def test_huge_abscissas_fail_in_one_line(tmp_path, command):
-    # samples 2e308 apart: checking their order must not overflow into a warning
+    # samples 2e308 apart: checking their order must not overflow into a warning,
+    # and their default grid, whose width 2L overflows, is refused before it is built
     samples = _write(tmp_path, "s.txt", "-1e308 -1\n1e308 -1\n")
     cfg = _write(tmp_path, "c.ini", f"[potential]\nkind = tabulated\nfile = {samples}\n")
     code, out, err = _cli_child(tmp_path, [command, "--config", cfg])
-    assert (code, out) == (3, "")
-    assert err.count("\n") == 1 and err.startswith("numeric failure: ")
+    assert (code, out) == (2, "")
+    assert err == "config error: domain halfwidth must be positive with 2L finite, got L=1e+308\n"
+
+
+def test_grid_halfwidth_whose_double_overflows_is_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.ini", GAUSS_CFG)
+    out, err = _one_line_exit(capsys, 2, ["series", "--config", cfg, "--grid", "1e308,64,8"])
+    assert out == "" and err.startswith("config error: ") and "L=1e+308" in err
 
 
 def test_pade_reports_reference_denominator(tmp_path, capsys):

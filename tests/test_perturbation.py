@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from shallowwell import perturbation, quadrature
-from shallowwell.errors import NonPathComponent
 from shallowwell.perturbation import (
-    ClusterTerm,
     energy_series,
     evaluate_term,
     evaluate_terms,
@@ -89,38 +87,22 @@ def test_table_degree_invariant():
 
 
 def test_parse_round_trip():
-    text = "-3/8 | 1 0 2 | 1-2:1 2-3:2\n# comment\n"
+    text = "-3/8 | 1 1 0 2 2 | 3\n# comment\n"
     (t,) = parse_terms(text)
     assert t.coefficient == Fraction(-3, 8)
-    assert t.site_powers == (1, 0, 2)
-    assert t.links == ((1, 2, 1), (2, 3, 2))
+    assert t.chains == (((1, 0, 2), (1, 2)), ((3,), ()))
+    assert t.degree == 9
 
 
 def test_parse_rejects_degree_mismatch():
-    with pytest.raises(ValueError):
-        parse_terms("-1/4 | 0 0 | 1-2:1", expected_degree=0)
+    assert parse_terms("-1/4 | 0 1 0", expected_degree=1)[0].degree == 1
+    with pytest.raises(ValueError, match="degree 1 != expected 0"):
+        parse_terms("-1/4 | 0 1 0", expected_degree=0)
 
 
 def test_parse_rejects_malformed_line():
     with pytest.raises(ValueError):
         parse_terms("-1/4 | 0 0")
-
-
-def test_components_rejects_branching():
-    t = ClusterTerm(Fraction(1), (0, 0, 0, 0), ((1, 2, 1), (1, 3, 1), (1, 4, 1)))
-    with pytest.raises(NonPathComponent):
-        t.components()
-
-
-def test_components_rejects_cycle():
-    t = ClusterTerm(Fraction(1), (0, 0, 0), ((1, 2, 1), (2, 3, 1), (3, 1, 1)))
-    with pytest.raises(NonPathComponent):
-        t.components()
-
-
-def test_components_splits_paths_and_isolated():
-    t = ClusterTerm(Fraction(1), (0, 1, 0, 2), ((1, 2, 1),))
-    assert t.components() == [((1, 2), (1,)), ((3,), ()), ((4,), ())]
 
 
 def test_shipped_tables_match_generator(tmp_path):
@@ -145,9 +127,15 @@ def test_load_terms_rejects_unknown_order():
 # chains and moments
 
 
+def _term(text, p, g):
+    """Value of one term written in the table syntax."""
+    (t,) = parse_terms(text)
+    return evaluate_term(t, p, g)
+
+
 def _moment(p, g, k):
     """mu_k = integral of V(x) x^k dx on the grid: a one-site chain."""
-    return evaluate_term(ClusterTerm(Fraction(1), (k,), ()), p, g)
+    return _term(f"1 | {k}", p, g)
 
 
 def test_moment_against_closed_form():
@@ -161,7 +149,7 @@ def test_moment_against_closed_form():
 def test_single_link_chain_matches_dense_tensor():
     p = Potential.gaussian(1.0)
     g = build_grid(8.0, 64, 8)
-    got = evaluate_term(ClusterTerm(Fraction(1), (0, 0), ((1, 2, 1),)), p, g)
+    got = _term("1 | 0 1 0", p, g)
     x, w = g.nodes, g.weights
     v = w * p.evaluate(x)
     dense = v @ np.abs(x[:, None] - x[None, :]) @ v
@@ -172,11 +160,8 @@ def test_single_link_chain_matches_dense_tensor():
 def test_chain_reversal_symmetry():
     p = Potential.gaussian(1.0)
     g = default_grid(p)
-    t_fwd = ClusterTerm(Fraction(1), (2, 0, 1), ((1, 2, 1), (2, 3, 2)))
-    t_rev = ClusterTerm(Fraction(1), (1, 0, 2), ((1, 2, 2), (2, 3, 1)))
-    assert evaluate_term(t_fwd, p, g) == pytest.approx(
-        evaluate_term(t_rev, p, g), rel=1e-12
-    )
+    # sites x^2, 1, x linked by |.|^1 then |.|^2, and the same chain read backwards
+    assert _term("1 | 2 1 0 2 1", p, g) == pytest.approx(_term("1 | 1 2 0 1 2", p, g), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

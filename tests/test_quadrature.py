@@ -40,6 +40,9 @@ def test_build_grid_validation():
         build_grid(10.0, 0, 8)
     with pytest.raises(InvalidGridSpec):
         build_grid(-1.0, 128, 8)
+    for L in (1e308, math.inf):  # 2L overflows: the edges would start [nan, inf, ...]
+        with pytest.raises(InvalidGridSpec, match="2L finite"):
+            build_grid(L, 128, 8)
 
 
 def test_grid_identity_on_spec():
