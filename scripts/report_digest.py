@@ -5,9 +5,10 @@ subcommand and format, on five wells (square well at a = 1 and a = 0.7,
 Poschl-Teller, Gaussian, and a tabulated sech^2 centred at x0 = 1.3 with
 2,401 samples), each with and without a [sweep], plus `series --grid`.
 Then runs the failure paths of FAILURES: wells whose depth underflows the
-shooting search or a series coefficient, grids whose kink plan is too
-large (and `solve` on one such well, which uses no such grid), and
-domains whose width 2L overflows. Each run gets 2 GiB of address space,
+shooting search or a series coefficient (in series and greens-check),
+grids whose kink plan is too large (and `solve` on one such well, which
+uses no such grid), domains whose width 2L overflows, and Pade samples
+whose polynomials overflow. Each run gets 2 GiB of address space,
 so a tree that tries to allocate more fails in seconds instead of
 exhausting the machine, and one BLAS thread, whose reserve fits in that
 on any core count.
@@ -62,6 +63,10 @@ FAILURES = [
     *((f"abscissas-1e308/{c}", HUGE, [c]) for c in ("series", "solve", "greens-check")),
     *((f"depth-{d}/series", f"kind = tabulated\ns = 1\nfile = depth-{d}.txt\n", ["series"])
       for d in UNDERFLOWING),
+    *((f"depth-{d}/greens-check", f"kind = tabulated\ns = 1\nfile = depth-{d}.txt\n",
+       ["greens-check"]) for d in ("1e-100", "5e-324")),
+    ("gaussian+sweep-6e102-1e150/pade",
+     WELLS["gaussian"] + "[sweep]\ns_min = 6e102\ns_max = 1e150\nsteps = 3\n", ["pade"]),
 ]
 #: the address space of each run, in bytes
 ADDRESS_SPACE = 2 << 30

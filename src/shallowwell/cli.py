@@ -183,11 +183,12 @@ def _grid_for(cfg: RunConfig):
 # reports
 
 
-def _f9(v: float) -> str:
+def _round9(v: float) -> float:
+    """v rounded to the 9 significant digits a report prints; a non-finite v fails."""
     v = float(v)
     if not math.isfinite(v):
         raise ShallowWellError(f"result {v} is not finite")
-    return format(v + 0.0, ".9g")  # +0.0 normalizes -0.0
+    return float(format(v + 0.0, ".9g"))  # +0.0 normalizes -0.0
 
 
 #: the errors a numeric failure can raise: a package error, an overflow, math.fsum's inf - inf
@@ -200,14 +201,14 @@ def _numeric(exc: Exception) -> bool:
 
 
 def _cell(fn) -> tuple:
-    """(9-digit cell of fn(), "") or, if fn fails numerically, ("", the reason)."""
+    """(fn() rounded to 9 digits, "") or, if fn fails numerically, (None, the reason)."""
     try:
-        return _f9(fn()), ""
+        return _round9(fn()), ""
     except _NUMERIC as exc:
         if not _numeric(exc):
             raise
         # an OverflowError's own message holds a comma
-        return "", "float overflow" if isinstance(exc, OverflowError) else str(exc)
+        return None, "float overflow" if isinstance(exc, OverflowError) else str(exc)
 
 
 def _unless_failed(result):
@@ -217,12 +218,13 @@ def _unless_failed(result):
     return result
 
 
-def _round9(v: float) -> float:
-    return float(_f9(v))
+def _text(cell) -> str:
+    """A report cell as printed: a number to 9 significant digits, None (failed) empty."""
+    return "" if cell is None else cell if isinstance(cell, str) else format(cell, ".9g")
 
 
 def _table(headers, rows) -> str:
-    cols = [headers] + [[str(c) for c in r] for r in rows]
+    cols = [headers, *rows]
     widths = [max(len(c) for c in col) for col in zip(*cols)]
     return "".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in cols)
 
@@ -238,6 +240,7 @@ def _csv(headers, rows) -> str:
 class Report:
     """What one subcommand produced, renderable as text, csv or json.
 
+    Cells are _round9 numbers, strings or None (failed), printed by _text.
     A report without a title or payload renders as csv in every format. A
     report with a failure is still written, and the run then exits 3.
     """
@@ -250,9 +253,10 @@ class Report:
     def render(self, fmt: str) -> str:
         if fmt == "json" and self.payload is not None:
             return json.dumps(self.payload, indent=2) + "\n"
+        tables = [(h, [[_text(c) for c in r] for r in rows]) for h, rows in self.tables]
         if fmt == "text" and self.title is not None:
-            return f"# {self.title}\n" + "\n".join(_table(h, r) for h, r in self.tables)
-        return "".join(_csv(h, r) for h, r in self.tables)
+            return f"# {self.title}\n" + "\n".join(_table(h, r) for h, r in tables)
+        return "".join(_csv(h, r) for h, r in tables)
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +279,8 @@ def cmd_series(cfg: RunConfig) -> Report:
         "error_estimates": [_round9(e) for e in es.error_estimates],
     }
     headers = ["order [1]", "coefficient [E/s^n]", "rel_error_estimate [1]"]
-    rows = []
-    for n, (c, e) in enumerate(zip(es.coefficients, es.error_estimates), start=1):
-        rows.append([str(n), _f9(c), _f9(e)])
+    columns = (range(1, es.order + 1), payload["coefficients"], payload["error_estimates"])
+    rows = [list(row) for row in zip(*columns)]
     if exact is not None:
         payload["exact"] = list(exact)
         headers.append("exact [E/s^n]")
@@ -331,9 +334,9 @@ def cmd_compare(cfg: RunConfig) -> Report:
             "var_expsqrt": _cell(lambda: minimize("expsqrt", ps, g)[1]),
             "shooting": _cell(lambda: _unless_failed(shot).energy),
         }
-        reasons = [f"{label}: {why}" for label, (cell, why) in cells.items() if not cell]
-        rows.append([_f9(s)] + [cell for cell, _ in cells.values()] + ["; ".join(reasons)])
-    complete = any(all(c != "" for c in r[:-1]) for r in rows)
+        reasons = [f"{label}: {why}" for label, (cell, why) in cells.items() if cell is None]
+        rows.append([_round9(s)] + [cell for cell, _ in cells.values()] + ["; ".join(reasons)])
+    complete = any(all(c is not None for c in r[:-1]) for r in rows)
     return Report([(COMPARE_HEADERS, rows)], failure=None if complete else "no row is complete")
 
 
@@ -344,27 +347,23 @@ def cmd_pade(cfg: RunConfig) -> Report:
     es = energy_series(cfg.potential, order=6, g=_grid_for(cfg))
     pa = pade_with_asymptote(es, cfg.potential.shape_max())
     samples = np.linspace(*cfg.sweep) if cfg.sweep else np.array([0.25, 0.5, 1.0, 2.0, 3.0])
-    sampled = [(s, *_cell(lambda: evaluate_pade(pa, s))) for s in samples.tolist()]
+    sample_rows = [[_round9(s), *_cell(lambda: evaluate_pade(pa, s))] for s in samples.tolist()]
 
     payload = {
         "shape": es.shape_kind,
         "alpha": _round9(pa.alpha),
         "numerator": [_round9(c) for c in pa.numerator],
         "denominator": [_round9(c) for c in pa.denominator],
-        "samples": [
-            {"s": _round9(s), "energy": (None if v == "" else float(v)), "reason": why}
-            for s, v, why in sampled
-        ],
+        "samples": [{"s": s, "energy": v, "reason": why} for s, v, why in sample_rows],
     }
-    coeff_rows = [["alpha", "1", _f9(pa.alpha)]]
-    coeff_rows += [["numerator", str(k), _f9(c)] for k, c in enumerate(pa.numerator)]
-    coeff_rows += [["denominator", str(k), _f9(c)] for k, c in enumerate(pa.denominator)]
-    sample_rows = [[_f9(s), v, why] for s, v, why in sampled]
+    coeff_rows = [["alpha", 1, payload["alpha"]]]
+    for part in ("numerator", "denominator"):
+        coeff_rows += [[part, k, c] for k, c in enumerate(payload[part])]
     tables = [
         (["part [text]", "power [1]", "value [1]"], coeff_rows),
         (["s [E]", "energy [E]", "reason [text]"], sample_rows),
     ]
-    title = f"{es.shape_kind} asymptote-subtracted Pade, alpha={_f9(pa.alpha)}"
+    title = f"{es.shape_kind} asymptote-subtracted Pade, alpha={_text(payload['alpha'])}"
     return Report(tables, title, payload)
 
 
@@ -373,46 +372,36 @@ def cmd_solve(cfg: RunConfig) -> Report:
 
     p = cfg.potential
     res = _unless_failed(shooting_sweep(p, [p.s])[0])
-    rows = [
-        ["energy", _f9(res.energy)],
-        ["residual", _f9(res.residual)],
-        ["iterations", str(res.iterations)],
-        ["bracket_lo", _f9(res.bracket[0])],
-        ["bracket_hi", _f9(res.bracket[1])],
-    ]
     payload = {
         "energy": _round9(res.energy),
         "residual": _round9(res.residual),
         "iterations": res.iterations,
-        "bracket": [_round9(res.bracket[0]), _round9(res.bracket[1])],
+        "bracket": [_round9(b) for b in res.bracket],
     }
+    rows = [[key, payload[key]] for key in ("energy", "residual", "iterations")]
+    rows += [["bracket_lo", payload["bracket"][0]], ["bracket_hi", payload["bracket"][1]]]
     title = f"{p.kind} s={p.s:g} bound state"
     return Report([(["quantity [text]", "value [E]"], rows)], title, payload)
 
 
 def cmd_greens_check(cfg: RunConfig) -> Report:
     from .greens import divergent_block, e4_finite_beta
-    from .perturbation import evaluate_terms, load_terms
+    from .perturbation import evaluate_terms, load_terms, normal_coefficient
 
     p = replace(cfg.potential, s=1.0)  # per unit strength, like series
     g = _grid_for(cfg)
-    e4_limit = evaluate_terms(load_terms(4), p, g)
-    rows = []
-    for beta in _BETA_LADDER:
-        val = e4_finite_beta(p, g, beta)
-        rows.append([_f9(beta), _f9(val), _f9(e4_limit), _f9(abs(val - e4_limit))])
-    block, scale = divergent_block(p)
+    e4_limit = normal_coefficient(4, evaluate_terms(load_terms(4), p, g), p)
+    ladder = ((beta, e4_finite_beta(p, g, beta)) for beta in _BETA_LADDER)
+    rows = [[_round9(v) for v in (beta, e4, e4_limit, abs(e4 - e4_limit))] for beta, e4 in ladder]
+    block, scale = (_round9(v) for v in divergent_block(p))
     payload = {
-        "e4_limit": _round9(e4_limit),
-        "ladder": [
-            {"beta": float(r[0]), "e4_finite_beta": float(r[1]), "residual": float(r[3])}
-            for r in rows
-        ],
-        "divergent_block": {"symmetrized": _round9(block), "scale": _round9(scale)},
+        "e4_limit": rows[0][2],  # rounded in each row, after e4_finite_beta has checked the grid
+        "ladder": [{"beta": b, "e4_finite_beta": v, "residual": r} for b, v, _, r in rows],
+        "divergent_block": {"symmetrized": block, "scale": scale},
     }
     h1 = ["beta [E^1/2]", "e4_finite_beta [E/s^4]", "e4_limit [E/s^4]", "residual [E/s^4]"]
     h2 = ["divergent_block_symmetrized [E/s^4]", "unsymmetrized_scale [E/s^4]"]
-    tables = [(h1, rows), (h2, [[_f9(block), _f9(scale)]])]
+    tables = [(h1, rows), (h2, [[block, scale]])]
     return Report(tables, f"{p.kind} finite-regulator consistency", payload)
 
 
@@ -494,7 +483,7 @@ def main(argv=None) -> int:
             importlib.import_module(f".{name}", __package__)
         cfg = load_config(args.config)
         _apply_overrides(cfg, args)
-        # _f9 refuses the non-finite results that numpy would warn about on stderr
+        # _round9 refuses the non-finite results that numpy would warn about on stderr
         with np.errstate(all="ignore"):
             report = _COMMANDS[args.command](cfg)
         _write(cfg.out, report.render(cfg.format))

@@ -4,14 +4,14 @@ H0 = -d^2/dx^2 - 2*beta*delta(x) has a single bound state
 psi0(x) = sqrt(beta) e^{-beta|x|} with energy -beta^2 plus a continuum.
 The gamma-Taylor coefficients G^(l) = <x1|Omega^{l+1}|x2> of its
 reduced-resolvent kernel G_gamma(x1, x2) carry the small-beta expansions
-used to assemble the finite-regulator fourth-order energy. Each
-expansion is a table of separable monomials plus one |x1 - x2|^(2l+1)
-kink term, so the assembly runs on the same O(N) contract() as the
-weak-coupling series. The 1/beta pieces of that assembly cancel
-identically; the cancellation is demonstrated numerically here rather
-than re-proved. The closed six-region form of G_gamma and its spectral
-integral, which the expansions are checked against, are in
-tests/reference.py.
+used to assemble the finite-regulator fourth-order energy, which applies
+l = 0, 1 and 2; only those are tabulated. Each expansion is a table of
+separable monomials plus one |x1 - x2|^(2l+1) kink term, so the assembly
+runs on the same O(N) contract() as the weak-coupling series. The 1/beta
+pieces of that assembly cancel identically; the cancellation is
+demonstrated numerically here rather than re-proved. The closed
+six-region form of G_gamma and its spectral integral, which the
+expansions are checked against, are in tests/reference.py.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .potential import Potential
 from .quadrature import QuadratureGrid, contract, integrate, plan
 
 
-#: Small-beta expansions of G^(l), l = 0..3, truncated after beta^0:
+#: Small-beta expansions of G^(l), l = 0..2, truncated after beta^0:
 #:
 #:     G^(l)(x1, x2) = kink * |x1 - x2|^(2l+1)
 #:                     + sum of coeff * beta^-e * x1^i1 |x1|^j1 * x2^i2 |x2|^j2
@@ -64,32 +64,6 @@ _EXPANSIONS = {
         -1/768    0  4 1  0 0
         -5/768    0  4 0  0 1
         -5/384    0  2 1  2 0
-    """),
-    3: ("1/10080", """
-        5/256     7  0 0  0 0
-        -5/256    6  0 1  0 0
-        -3/512    5  2 0  0 0
-        1/32      5  1 0  1 0
-        5/256     5  0 1  0 1
-        1/512     4  2 1  0 0
-        3/512     4  2 0  0 1
-        5/6144    3  4 0  0 0
-        -1/192    3  3 0  1 0
-        -1/512    3  2 1  0 1
-        5/1024    3  2 0  2 0
-        -1/6144   2  4 1  0 0
-        -5/6144   2  4 0  0 1
-        -5/3072   2  2 1  2 0
-        -7/36864  1  6 0  0 0
-        1/768     1  5 0  1 0
-        1/6144    1  4 1  0 1
-        -35/12288 1  4 0  2 0
-        5/1152    1  3 0  3 0
-        5/9216    1  2 1  2 1
-        1/36864   0  6 1  0 0
-        7/36864   0  6 0  0 1
-        7/12288   0  4 1  2 0
-        35/36864  0  4 0  2 1
     """),
 }
 

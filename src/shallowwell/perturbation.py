@@ -139,6 +139,17 @@ def evaluate_terms(terms, p: Potential, g: QuadratureGrid) -> float:
     return math.fsum(evaluate_term(t, p, g) for t in terms)
 
 
+def normal_coefficient(n: int, c: float, p: Potential) -> float:
+    """c, the c_n (n >= 2) of p's shape; outside __all__, so tracing adds no span.
+
+    Raises:
+        ShallowWellError: p is nonzero and c, below the normal floats, underflowed.
+    """
+    if abs(c) < sys.float_info.min and p.shape_max() > 0:
+        raise ShallowWellError(f"c{n} underflows to {c:.9g}, below the normal floats")
+    return c
+
+
 @dataclass(frozen=True)
 class EnergySeries:
     """Coefficients c1..c_order of E(s) ~ sum c_n s^n for a unit shape.
@@ -169,8 +180,7 @@ def energy_series(p: Potential, order: int = 6, g: QuadratureGrid | None = None)
     values are the ones reported.
 
     Raises:
-        ShallowWellError: a nonzero well's c_n, n >= 2, is below the
-            normal floats: a 0 or subnormal there is an underflow.
+        ShallowWellError: a c_n underflowed (normal_coefficient).
     """
     if order not in (2, 3, 4, 5, 6):
         raise ValueError(f"order must lie in 2..6, got {order}")
@@ -180,10 +190,8 @@ def energy_series(p: Potential, order: int = 6, g: QuadratureGrid | None = None)
     g_fine = build_grid(g.L, 2 * g.P, g.q)
     tables = [load_terms(n) for n in range(2, order + 1)]
     coarse = [evaluate_terms(terms, unit, g) for terms in tables]
-    fine = [evaluate_terms(terms, unit, g_fine) for terms in tables]
-    for n, f in enumerate(fine, start=2):
-        if abs(f) < sys.float_info.min and p.shape_max() > 0:
-            raise ShallowWellError(f"c{n} underflows to {f:.9g}, below the normal floats")
+    fine = [normal_coefficient(n, evaluate_terms(terms, unit, g_fine), p)
+            for n, terms in enumerate(tables, start=2)]
     estimates = [0.0]
     for c, f in zip(coarse, fine):
         scale = max(abs(f), 1e-300)

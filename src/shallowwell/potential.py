@@ -61,18 +61,6 @@ class Potential:
     # ---- construction helpers -------------------------------------------
 
     @staticmethod
-    def square_well(s: float, a: float = 1.0) -> "Potential":
-        return Potential("square_well", s, a=a)
-
-    @staticmethod
-    def poschl_teller(s: float) -> "Potential":
-        return Potential("poschl_teller", s)
-
-    @staticmethod
-    def gaussian(s: float) -> "Potential":
-        return Potential("gaussian", s)
-
-    @staticmethod
     def tabulated(sample_x, sample_values, s: float = 1.0) -> "Potential":
         """Build from (x, V) samples with V <= 0; shape = -V."""
         vs = np.asarray(sample_values, dtype=float)

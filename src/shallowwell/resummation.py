@@ -74,12 +74,20 @@ def pade(coefficients, m: int, n: int) -> PadeApproximant:
 def evaluate_pade(pa: PadeApproximant, s: float) -> float:
     """alpha*s + p(s)/q(s).
 
+    Where p(s) or q(s) overflows, the ratio is t^d p(1/t) / t^d q(1/t) in
+    t = 1/s, d the larger degree: polynomials with reversed coefficients.
+
     Raises:
         PoleAtEvaluation: the denominator vanishes at s (relative to the
             numerator scale).
     """
-    p = np.polynomial.polynomial.polyval(s, pa.numerator)
-    q = np.polynomial.polynomial.polyval(s, pa.denominator)
+    polyval = np.polynomial.polynomial.polyval
+    with np.errstate(over="ignore"):
+        p, q = polyval(s, pa.numerator), polyval(s, pa.denominator)
+    if not (math.isfinite(p) and math.isfinite(q)):
+        d = max(len(pa.numerator), len(pa.denominator))
+        p, q = (polyval(1.0 / s, (*c, *[0.0] * (d - len(c)))[::-1])
+                for c in (pa.numerator, pa.denominator))
     if abs(q) < 1e-12 * (abs(p) + 1.0):
         raise PoleAtEvaluation(f"denominator vanishes at s = {s:g}")
     return pa.alpha * s + p / q

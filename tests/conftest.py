@@ -16,7 +16,7 @@ settings.load_profile("deterministic")
 
 @pytest.fixture(scope="session")
 def gaussian_unit():
-    return Potential.gaussian(1.0)
+    return Potential("gaussian", 1.0)
 
 
 @pytest.fixture(scope="session")
@@ -31,9 +31,9 @@ def es_gaussian(gaussian_unit):
 
 @pytest.fixture(scope="session")
 def es_square_well():
-    return energy_series(Potential.square_well(1.0, a=1.0), order=6)
+    return energy_series(Potential("square_well", 1.0, a=1.0), order=6)
 
 
 @pytest.fixture(scope="session")
 def es_poschl_teller():
-    return energy_series(Potential.poschl_teller(1.0), order=6)
+    return energy_series(Potential("poschl_teller", 1.0), order=6)

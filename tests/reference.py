@@ -233,14 +233,14 @@ def dense_contract(g, p, k, m, f):
 
 
 def greens_expansion(l: int, beta: float, x1, x2):
-    """G^(l), l in 0..3, summed from the package's monomial tables.
+    """G^(l), l in 0..2, summed from the package's monomial tables.
 
     The same truncation as greens_expansion_formula, which it is checked
     against; e4_finite_beta applies these tables as kernels. Vectorized
     over x1, x2.
     """
-    if l not in (0, 1, 2, 3):
-        raise ValueError(f"expansion order must lie in 0..3, got {l}")
+    if l not in (0, 1, 2):
+        raise ValueError(f"expansion order must lie in 0..2, got {l}")
     if not (beta > 0.0):
         raise ValueError("beta must be positive")
     x1 = np.asarray(x1, dtype=float)
@@ -253,13 +253,13 @@ def greens_expansion(l: int, beta: float, x1, x2):
 
 
 def greens_expansion_formula(l: int, beta: float, x1, x2):
-    """Truncated small-beta expansion of G^(l), l in 0..3.
+    """Truncated small-beta expansion of G^(l), l in 0..2.
 
     Terms from the leading 1/beta^{2l+1} down to beta^0; the omitted
     remainder is O(beta). Vectorized over x1, x2.
     """
-    if l not in (0, 1, 2, 3):
-        raise ValueError(f"expansion order must lie in 0..3, got {l}")
+    if l not in (0, 1, 2):
+        raise ValueError(f"expansion order must lie in 0..2, got {l}")
     if not (beta > 0.0):
         raise ValueError("beta must be positive")
     b = beta
@@ -281,65 +281,26 @@ def greens_expansion_formula(l: int, beta: float, x1, x2):
             )
             / 96.0
         )
-    if l == 2:
-        return (
-            1.0 / (32 * b**5)
-            - (a1 + a2) / (32 * b**4)
-            - (-2 * a1 * a2 + x1**2 - 4 * x1 * x2 + x2**2) / (64 * b**3)
-            + ((a1 + 3 * a2) * x1**2 + (3 * a1 + a2) * x2**2) / (192 * b**2)
-            + (
-                5 * x1**4
-                - 24 * x1**3 * x2
-                + 30 * x1**2 * x2**2
-                - 24 * x1 * x2**3
-                + 5 * x2**4
-                - 4 * a1 * a2 * (x1**2 + x2**2)
-            )
-            / (768 * b)
-            + (
-                -16 * d * (x1 - x2) ** 4
-                - 5 * a2 * (5 * x1**4 + 10 * x1**2 * x2**2 + x2**4)
-                - 5 * a1 * (x1**4 + 10 * x1**2 * x2**2 + 5 * x2**4)
-            )
-            / 3840.0
-        )
     return (
-        5.0 / (256 * b**7)
-        - 5 * (a1 + a2) / (256 * b**6)
-        + (10 * a1 * a2 - 3 * x1**2 + 16 * x1 * x2 - 3 * x2**2) / (512 * b**5)
-        + ((a1 + 3 * a2) * x1**2 + (3 * a1 + a2) * x2**2) / (512 * b**4)
+        1.0 / (32 * b**5)
+        - (a1 + a2) / (32 * b**4)
+        - (-2 * a1 * a2 + x1**2 - 4 * x1 * x2 + x2**2) / (64 * b**3)
+        + ((a1 + 3 * a2) * x1**2 + (3 * a1 + a2) * x2**2) / (192 * b**2)
         + (
             5 * x1**4
-            - 32 * x1**3 * x2
+            - 24 * x1**3 * x2
             + 30 * x1**2 * x2**2
-            - 32 * x1 * x2**3
+            - 24 * x1 * x2**3
             + 5 * x2**4
-            - 12 * a1 * a2 * (x1**2 + x2**2)
+            - 4 * a1 * a2 * (x1**2 + x2**2)
         )
-        / (6144 * b**3)
-        - (
-            (a1 + 5 * a2) * x1**4
-            + 10 * (a1 + a2) * x1**2 * x2**2
-            + (5 * a1 + a2) * x2**4
-        )
-        / (6144 * b**2)
+        / (768 * b)
         + (
-            -7 * x1**6
-            + 48 * x1**5 * x2
-            - 105 * x1**4 * x2**2
-            + 160 * x1**3 * x2**3
-            - 105 * x1**2 * x2**4
-            + 48 * x1 * x2**5
-            - 7 * x2**6
-            + 2 * a1 * a2 * (3 * x1**2 + x2**2) * (x1**2 + 3 * x2**2)
+            -16 * d * (x1 - x2) ** 4
+            - 5 * a2 * (5 * x1**4 + 10 * x1**2 * x2**2 + x2**4)
+            - 5 * a1 * (x1**4 + 10 * x1**2 * x2**2 + 5 * x2**4)
         )
-        / (36864 * b)
-        + (
-            128 * d * (x1 - x2) ** 6
-            + 35 * a2 * (7 * x1**6 + 35 * x1**4 * x2**2 + 21 * x1**2 * x2**4 + x2**6)
-            + 35 * a1 * (x1**6 + 21 * x1**4 * x2**2 + 35 * x1**2 * x2**4 + 7 * x2**6)
-        )
-        / 1290240.0
+        / 3840.0
     )
 
 
@@ -634,8 +595,8 @@ def greens_gamma_derivative(
     cancellations of the closed form well conditioned. The result should
     approach greens_expansion(l) up to O(beta).
     """
-    if l not in (0, 1, 2, 3):
-        raise ValueError("l must lie in 0..3")
+    if l not in (0, 1, 2):
+        raise ValueError("l must lie in 0..2")
     h = step_scale * beta * beta
     t = np.arange(1, 7, dtype=float)
     vals = [greens_closed(GreensParams(beta, float(ti) * h), x1, x2) for ti in t]

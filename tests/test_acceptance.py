@@ -61,7 +61,7 @@ def test_criterion_1_square_well_series(es_square_well):
 
 def test_criterion_1_runtime_budget():
     t0 = time.time()
-    energy_series(Potential.square_well(1.0, a=1.0), order=6)
+    energy_series(Potential("square_well", 1.0, a=1.0), order=6)
     elapsed = time.time() - t0
     _report("1 square-well runtime", elapsed <= 30.0, f"{elapsed:.1f}s <= 30s")
 
@@ -138,7 +138,7 @@ def test_criterion_5_oracle_loop(es_square_well, es_poschl_teller, es_gaussian):
         (es_square_well, fit_series_coefficients(lambda s: exact_square_well(s, a=1.0))),
         (es_poschl_teller, fit_series_coefficients(exact_poschl_teller)),
     ]
-    p = Potential.gaussian(1.0)
+    p = Potential("gaussian", 1.0)
 
     def shoot_energy_batch():
         s_values = np.linspace(0.01, 0.05, 36)
@@ -212,7 +212,7 @@ def _pure_chain(p, g, link_powers):
 
 
 def test_criterion_6_brute_force_equivalence():
-    p = Potential.gaussian(1.0)
+    p = Potential("gaussian", 1.0)
     g = default_grid(p)
     # the naive rules carry few nodes per axis, so their domain must hug
     # the shape: e^{-L^2} truncation stays below the quadrature error
@@ -255,7 +255,7 @@ def test_criterion_6_brute_force_equivalence():
 
 @pytest.fixture(scope="module")
 def finite_beta_residuals():
-    p = Potential.gaussian(1.0)
+    p = Potential("gaussian", 1.0)
     g = default_grid(p)
     limit = evaluate_terms(load_terms(4), p, g)
     betas = (0.02, 0.01, 0.005)
@@ -263,7 +263,7 @@ def finite_beta_residuals():
 
 
 def test_criterion_7_divergence_cancellation(finite_beta_residuals):
-    p = Potential.gaussian(1.0)
+    p = Potential("gaussian", 1.0)
     value, scale = divergent_block(p)
     betas, res = finite_beta_residuals
     slope, intercept = np.polyfit(betas, res, 1)
@@ -303,11 +303,11 @@ def test_criterion_8_property_suites(es_gaussian):
     details = []
 
     # homogeneity: E^(n) scales as s^n
-    g = default_grid(Potential.gaussian(1.0))
+    g = default_grid(Potential("gaussian", 1.0))
     worst = 0.0
     for order in range(2, 7):
-        lo = evaluate_terms(load_terms(order), Potential.gaussian(0.5), g)
-        hi = evaluate_terms(load_terms(order), Potential.gaussian(1.0), g)
+        lo = evaluate_terms(load_terms(order), Potential("gaussian", 0.5), g)
+        hi = evaluate_terms(load_terms(order), Potential("gaussian", 1.0), g)
         worst = max(worst, abs(hi - 2.0**order * lo) / abs(hi))
     assert worst <= 1e-12, f"homogeneity {worst:.2e}"
     details.append(f"homogeneity {worst:.2e}")
@@ -329,9 +329,9 @@ def test_criterion_8_property_suites(es_gaussian):
 
     # variational upper bound vs shooting at 12 (shape, s) points
     shapes = (
-        Potential.square_well(1.0, a=1.0),
-        Potential.poschl_teller(1.0),
-        Potential.gaussian(1.0),
+        Potential("square_well", 1.0, a=1.0),
+        Potential("poschl_teller", 1.0),
+        Potential("gaussian", 1.0),
     )
     s_points = (0.3, 0.8, 1.5, 2.5)
     violation = -np.inf

@@ -3,13 +3,19 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import shallowwell
 from shallowwell import cli
@@ -382,19 +388,19 @@ def test_series_truncated_above_its_underflow_succeeds(tmp_path, capsys):
     assert c[1] == pytest.approx(-2.5e-201, rel=1e-4) and 0.0 < c[2] < 1e-300
 
 
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+def _cli_child(tmp_path, argv, address_space=1 << 30):
+    """Run the CLI in a child process with that much address space: (exit code, stdout, stderr)."""
 
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
-def _cli_child(tmp_path, argv):
-    """Run the CLI in a child process with 1 GiB of address space: (exit code, stdout, stderr)."""
     # one BLAS thread: OpenBLAS reserves about 40 MB of address space per thread
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     src = str(Path(shallowwell.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-m", "shallowwell.cli", *argv], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=300, preexec_fn=_limit_address_space,
+        capture_output=True, text=True, timeout=300, preexec_fn=limit_address_space,
     )
     return done.returncode, done.stdout, done.stderr
 
@@ -491,6 +497,16 @@ def test_greens_check_reports_per_unit_strength(tmp_path, capsys):
     assert "-1.89534088" in reports[0]
 
 
+@pytest.mark.parametrize("depth", ["5e-324", "1e-100"])
+def test_greens_check_underflowing_e4_is_numeric_failure(tmp_path, capsys, depth):
+    # e4 ~ depth^4 of a nonzero well: a 0 there is an underflow, not a report
+    samples = _write(tmp_path, "s.txt", f"-1 0\n0 -{depth}\n1 0\n")
+    cfg = _write(tmp_path, "c.ini", f"[potential]\nkind = tabulated\nfile = {samples}\n")
+    out, err = _one_line_exit(capsys, 3, ["greens-check", "--config", cfg])
+    assert out == ""
+    assert err == "numeric failure: ShallowWellError: c4 underflows to 0, below the normal floats\n"
+
+
 def test_greens_check_odd_panel_count_is_config_error(tmp_path, capsys):
     # an odd panel count puts the kinks of |x| and e^{-beta|x|} inside a panel
     cfg = _write(tmp_path, "c.ini", GAUSS_CFG)
@@ -542,14 +558,23 @@ HUGE_SWEEP = GAUSS_CFG + "[sweep]\ns_min = 1e100\ns_max = 1e200\nsteps = 2\n"
 
 
 def test_pade_overflowing_sample_fails_alone(tmp_path, capsys):
-    # s = 1e100 evaluates to the deep-well limit; at s = 1e200 the polynomials overflow
+    # both samples evaluate to the deep-well limit; at s = 1e200 p(s) and q(s)
+    # overflow, and evaluate_pade takes their ratio in 1/s
     cfg = _write(tmp_path, "c.ini", HUGE_SWEEP)
     assert main(["pade", "--config", cfg, "--format", "json"]) == 0
     out, err = capsys.readouterr()
     assert err == ""
     samples = json.loads(out, parse_constant=_refuse_constant)["samples"]
-    assert [row["energy"] for row in samples] == [-1e100, None]
-    assert [row["reason"] for row in samples] == ["", "result nan is not finite"]
+    assert [row["energy"] for row in samples] == [-1e100, -1e200]
+    assert [row["reason"] for row in samples] == ["", ""]
+    # a well of peak 2 at s = 1e308 lies near -2e308, beyond the floats: that sample fails alone
+    path = _write(tmp_path, "tri.txt", "-1 0\n0 -2\n1 0\n")
+    sweep = "[sweep]\ns_min = 1\ns_max = 1e308\nsteps = 2\n"
+    cfg = _write(tmp_path, "c.ini", f"[potential]\nkind = tabulated\nfile = {path}\n" + sweep)
+    assert main(["pade", "--config", cfg, "--format", "json"]) == 0
+    samples = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)["samples"]
+    assert samples[0]["energy"] < 0.0 and samples[1]["energy"] is None
+    assert [row["reason"] for row in samples] == ["", "result -inf is not finite"]
 
 
 def test_compare_overflow_fails_only_its_cells(tmp_path, capsys):
@@ -620,3 +645,127 @@ def test_compare_deep_well_variational_cells_fail_at_the_floor(tmp_path, capsys)
         for label in ("var_gaussian", "var_expsqrt"):
             assert f"{label}: minimum" in row[-1]
         assert row[-1].count(f"at or below the well floor {floor}") == 2
+
+
+# ---------------------------------------------------------------------------
+# the exit-code and report contract, on drawn inputs
+
+#: tabulated abscissas: order one, or of either sign anywhere up to 1e308
+_ABSCISSAS = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 308.0)),
+)
+#: tabulated depths -V, down to the smallest subnormal
+_DEPTHS = st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(-320.0, 10.0).map(lambda e: 10.0**e))
+
+
+@st.composite
+def _cli_runs(draw):
+    """(files to write, argv, whether the well is nonzero) of one drawn CLI run."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    # shooting takes 1-5 s per strength from s ~ 1e5 to 1e20 (ROADMAP item 7)
+    top = 4.0 if command in ("solve", "compare") else 300.0
+    kind = draw(st.sampled_from(sorted(cli._KINDS)))
+    config = f"[potential]\nkind = {kind}\ns = {10.0 ** draw(st.floats(-320.0, top))!r}\n"
+    files, nonzero = {}, True
+    if kind == "square_well":  # narrower wells take seconds (ROADMAP item 9)
+        config += f"a = {10.0 ** draw(st.floats(math.log10(0.05), 2.0))!r}\n"
+    if kind == "tabulated":
+        xs = sorted(draw(st.lists(_ABSCISSAS, min_size=2, max_size=5, unique=True)))
+        depths = draw(st.lists(_DEPTHS, min_size=len(xs), max_size=len(xs)))
+        files["s.txt"] = "".join(f"{x!r} {-d!r}\n" for x, d in zip(xs, depths))
+        config += "file = s.txt\n"
+        nonzero = any(depths)
+    if command == "compare" or command == "pade" and draw(st.booleans()):
+        lo = draw(st.floats(-320.0, top - 0.01))
+        s_min, s_max = 10.0**lo, 10.0 ** draw(st.floats(lo + 0.01, top))
+        steps = draw(st.integers(2, 3))  # longer sweeps take seconds
+        config += f"[sweep]\ns_min = {s_min!r}\ns_max = {s_max!r}\nsteps = {steps}\n"
+    files["c.ini"] = config
+    argv = [command, "--config", "c.ini", "--format", draw(st.sampled_from(["text", "csv", "json"]))]
+    if command != "solve" and draw(st.booleans()):
+        L = 10.0 ** draw(st.floats(-3.0, 308.0))
+        argv += ["--grid", f"{L!r},{draw(st.integers(1, 256))},{draw(st.integers(1, 16))}"]
+    return files, argv, nonzero
+
+
+def _tables(out):
+    """(headers, rows of cells) of each table in a text or csv report."""
+    tables = []
+    if out.startswith("# "):  # text: columns start where their headers do
+        for block in out.split("\n", 1)[1].split("\n\n"):
+            lines = block.splitlines()
+            starts = [m.start() for m in re.finditer(r"\S+(?: \S+)*", lines[0])]
+            spans = list(zip(starts, starts[1:] + [None]))
+            tables.append([[line[a:b].strip() for a, b in spans] for line in lines])
+        return [(t[0], t[1:]) for t in tables]
+    for row in csv.reader(io.StringIO(out)):
+        if all(re.fullmatch(r".* \[.*\]", cell) for cell in row):  # every header has a unit
+            tables.append((row, []))
+        else:
+            assert len(row) == len(tables[-1][0]), row
+            tables[-1][1].append(row)
+    return tables
+
+
+def _pade_value(alpha, numerator, denominator, s):
+    """alpha*s + p(s)/q(s) in exact arithmetic, with the largest term of q(s)."""
+    s = Fraction(s)
+    p = sum(Fraction(c) * s**i for i, c in enumerate(numerator))
+    q_terms = [Fraction(c) * s**i for i, c in enumerate(denominator)]
+    q = sum(q_terms)
+    return (Fraction(alpha) * s + p / q if q else None), q, max(map(abs, q_terms))
+
+
+@settings(max_examples=18)
+@given(_cli_runs())
+# the Pade samples whose polynomials overflow, and a square well
+@example(({"c.ini": GAUSS_CFG + "[sweep]\ns_min = 6e102\ns_max = 1e150\nsteps = 3\n"},
+          ["pade", "--config", "c.ini", "--format", "json"], True))
+@example(({"c.ini": "[potential]\nkind = square_well\ns = 2.5\na = 0.7\n"},
+          ["series", "--config", "c.ini", "--format", "text"], True))
+def test_cli_contract_on_drawn_inputs(run):
+    files, argv, nonzero = run
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in files.items():
+            Path(tmp, name).write_text(text)
+        with ThreadPoolExecutor(2) as pool:  # the second run checks that the bytes repeat
+            first, second = pool.map(lambda _: _cli_child(tmp, argv, 2 << 30), range(2))
+    assert first == second
+    code, out, err = first
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err and "Warning" not in err
+    assert err == "" if code == 0 else err.count("\n") == 1 and err.endswith("\n")
+    command, fmt = argv[0], argv[4]
+    if fmt == "json" and command != "compare":  # compare writes csv whatever the format
+        payload = json.loads(out, parse_constant=_refuse_constant) if out else None
+    else:
+        payload = None
+        for headers, rows in _tables(out):
+            for j, header in enumerate(headers):
+                # a failed cell is empty; series' exact column holds rationals such as 4/3
+                for cell in (row[j] for row in rows if not header.endswith("[text]")):
+                    assert cell == "" or "/" in cell or math.isfinite(float(cell)), (header, cell)
+    if command == "series" and code == 0 and nonzero:  # else exit 3, say with "c2 underflows"
+        c2 = payload["coefficients"][1] if payload else float(_tables(out)[0][1][1][1])
+        assert c2 < 0.0
+    if command == "pade" and code == 0:
+        if payload is None:
+            parts, samples = _tables(out)
+            payload = {"alpha": [], "numerator": [], "denominator": []}
+            for part, _, value in parts[1]:
+                payload[part].append(float(value))
+            payload["alpha"] = payload["alpha"][0]
+            samples = [(float(s), v, why) for s, v, why in samples[1]]
+        else:
+            samples = [(r["s"], r["energy"], r["reason"]) for r in payload["samples"]]
+        alpha, numerator, denominator = (payload[k] for k in ("alpha", "numerator", "denominator"))
+        for s, energy, why in samples:
+            if energy not in ("", None):
+                continue
+            # a Pade sample fails only at a pole or where the approximant leaves the floats
+            value, q, q_scale = _pade_value(alpha, numerator, denominator, s)
+            if why.startswith("denominator vanishes"):
+                assert abs(q) <= 1e-8 * q_scale, (s, why)
+            else:
+                assert value is None or abs(value) > sys.float_info.max * (1 - 1e-8), (s, why)

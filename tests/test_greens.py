@@ -48,7 +48,7 @@ def test_spectral_cross_check():
 
 
 @pytest.mark.parametrize(
-    "l,tol", [(0, 5e-2), (1, 1e-3), (2, 1e-3), (3, 5e-3)]
+    "l,tol", [(0, 5e-2), (1, 1e-3), (2, 1e-3)]
 )
 def test_expansion_matches_gamma_derivatives(l, tol):
     # the l-th expansion kernel is the l-th Taylor coefficient in gamma of
@@ -62,7 +62,7 @@ def test_expansion_matches_gamma_derivatives(l, tol):
 
 def test_expansion_kernels_symmetric():
     rng = np.random.default_rng(3)
-    for l in range(4):
+    for l in range(3):
         for _ in range(20):
             x1, x2 = rng.uniform(-2.0, 2.0, size=2)
             a = float(greens_expansion(l, 0.05, x1, x2))
@@ -70,7 +70,7 @@ def test_expansion_kernels_symmetric():
             assert b == pytest.approx(a, rel=1e-12, abs=1e-300)
 
 
-@pytest.mark.parametrize("l", [0, 1, 2, 3])
+@pytest.mark.parametrize("l", [0, 1, 2])
 def test_expansion_table_matches_formula(l):
     rng = np.random.default_rng(5)
     x1, x2 = rng.uniform(-4.0, 4.0, size=(2, 200))
@@ -83,7 +83,7 @@ def test_expansion_table_matches_formula(l):
 def test_e4_finite_beta_grid_converged():
     # the kinks of |x1 - x2| are handled by contract() and those of |x| and
     # e^{-beta|x|} sit on the panel edge at 0, so 64 panels already converge
-    p = Potential.gaussian(1.0)
+    p = Potential("gaussian", 1.0)
     L = default_grid(p).L
     for beta in (0.02, 0.01, 0.005):
         coarse = e4_finite_beta(p, build_grid(L, 64, 8), beta)
@@ -93,7 +93,7 @@ def test_e4_finite_beta_grid_converged():
 
 def test_e4_finite_beta_matches_dense_richardson():
     # the dense panel rule converges at second order in the panel width
-    p = Potential.gaussian(1.0)
+    p = Potential("gaussian", 1.0)
     g = default_grid(p)
     dense = [dense_e4_finite_beta(p, build_grid(g.L, P, g.q), 0.02) for P in (128, 256)]
     extrapolated = (4.0 * dense[1] - dense[0]) / 3.0
@@ -101,13 +101,13 @@ def test_e4_finite_beta_matches_dense_richardson():
 
 
 def test_e4_finite_beta_rejects_odd_panel_count():
-    p = Potential.gaussian(1.0)
+    p = Potential("gaussian", 1.0)
     with pytest.raises(InvalidGridSpec, match="129"):
         e4_finite_beta(p, build_grid(15.0, 129, 8), 0.02)
 
 
 def test_e4_finite_beta_converges_to_e4():
-    p = Potential.gaussian(1.0)
+    p = Potential("gaussian", 1.0)
     g = default_grid(p)
     limit = evaluate_terms(load_terms(4), p, g)
     res = [abs(e4_finite_beta(p, g, b) - limit) for b in (0.02, 0.01, 0.005)]
@@ -117,14 +117,14 @@ def test_e4_finite_beta_converges_to_e4():
 
 
 def test_e4_finite_beta_rejects_bad_beta():
-    p = Potential.gaussian(1.0)
+    p = Potential("gaussian", 1.0)
     g = default_grid(p)
     with pytest.raises(ValueError):
         e4_finite_beta(p, g, 0.5)
 
 
 def test_divergent_block_cancels():
-    p = Potential.gaussian(1.0)
+    p = Potential("gaussian", 1.0)
     value, scale = divergent_block(p)
     assert scale > 0.0
     assert abs(value) < 1e-8 * scale

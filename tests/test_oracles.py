@@ -59,8 +59,8 @@ def test_exact_poschl_teller_closed_form():
 @pytest.mark.parametrize(
     "p,exact",
     [
-        (Potential.square_well(1.0, a=1.0), _SQUARE_WELL_FROZEN[(1.0, 1.0)]),
-        (Potential.poschl_teller(2.0), -1.0),
+        (Potential("square_well", 1.0, a=1.0), _SQUARE_WELL_FROZEN[(1.0, 1.0)]),
+        (Potential("poschl_teller", 2.0), -1.0),
     ],
 )
 def test_shooting_matches_exact(p, exact):
@@ -74,7 +74,7 @@ def test_shooting_matches_exact(p, exact):
 def test_shooting_square_well_exact_on_snapped_steps(s, a):
     # the well edges +-a are step ends, so every step is a constant-coefficient
     # propagator and even a coarse grid is exact to roundoff
-    res = _solve(Potential.square_well(s, a=a), nsteps=250)
+    res = _solve(Potential("square_well", s, a=a), nsteps=250)
     assert res.energy == pytest.approx(_SQUARE_WELL_FROZEN[(s, a)], rel=1e-12)
     assert res.residual < 1e-10
 
@@ -90,7 +90,7 @@ def test_shooting_uneven_well_matches_its_mirror_image():
 
 @pytest.mark.parametrize(
     "p",
-    [Potential.square_well(1.0), Potential.poschl_teller(1.0), Potential.gaussian(1.0)],
+    [Potential("square_well", 1.0), Potential("poschl_teller", 1.0), Potential("gaussian", 1.0)],
     ids=["square_well", "poschl_teller", "gaussian"],
 )
 def test_search_matches_scan_oracle(p):
@@ -104,7 +104,7 @@ def test_search_matches_scan_oracle(p):
 
 def test_batched_sweep_matches_scan_oracle():
     s_values = np.linspace(0.1, 3.0, 30)
-    p = Potential.gaussian(1.0)
+    p = Potential("gaussian", 1.0)
     for res, ref in zip(shooting_sweep(p, s_values), scan_search_sweep(p, s_values)):
         assert res.energy == pytest.approx(ref.energy, rel=1e-13)
 
@@ -122,9 +122,9 @@ def test_deep_off_centre_well_matches_count_bisection(x0, s):
 @pytest.mark.parametrize(
     "p",
     [
-        Potential.square_well(1.0, a=0.5),
-        Potential.poschl_teller(1.0),
-        Potential.gaussian(1.0),
+        Potential("square_well", 1.0, a=0.5),
+        Potential("poschl_teller", 1.0),
+        Potential("gaussian", 1.0),
         Potential.tabulated(_SECH2_X, -1.0 / np.cosh(_SECH2_X - 1.3) ** 2),
     ],
     ids=["square_well", "poschl_teller", "gaussian", "tabulated"],
@@ -154,14 +154,14 @@ def test_step_series_matches_cosh_and_cos():
 
 def test_shooting_deep_poschl_teller():
     # |t| = h^2 s shape reaches ~0.1 here, so the step series is scaled and doubled back
-    res = _solve(Potential.poschl_teller(3000.0))
+    res = _solve(Potential("poschl_teller", 3000.0))
     assert res.energy == pytest.approx(exact_poschl_teller(3000.0), rel=2e-9)
 
 
 def test_shooting_sweep_deep_poschl_teller():
     # dozens of levels lie below the lower end of the search at these depths
     s_values = [2000.0, 4000.0]
-    results = shooting_sweep(Potential.poschl_teller(1.0), s_values)
+    results = shooting_sweep(Potential("poschl_teller", 1.0), s_values)
     for s, res in zip(s_values, results):
         assert res.energy == pytest.approx(exact_poschl_teller(s), rel=2e-9)
 
@@ -170,7 +170,7 @@ def test_shooting_sweep_deep_gaussian_matches_oscillator_limit():
     # -s exp(-x^2) ~ -s + s x^2 - s x^4 / 2: oscillator level plus its
     # first anharmonic shift, -s + sqrt(s) - 3/8 + O(1/sqrt(s))
     s_values = [5000.0, 1e4]
-    results = shooting_sweep(Potential.gaussian(1.0), s_values)
+    results = shooting_sweep(Potential("gaussian", 1.0), s_values)
     for s, res in zip(s_values, results):
         assert abs(res.energy - (-s + math.sqrt(s) - 0.375)) < 1.0 / math.sqrt(s)
 
@@ -180,7 +180,7 @@ def test_level_count_on_deep_poschl_teller():
     s = 2000.0
     kappa0 = 0.5 * (math.sqrt(1.0 + 4.0 * s) - 1.0)
     kappas = [kappa0 + 0.5] + [kappa0 - n - 0.5 for n in range(5)]
-    engine = _WronskianEngine(Potential.poschl_teller(1.0))
+    engine = _WronskianEngine(Potential("poschl_teller", 1.0))
     _, levels = engine.wronskian([s] * len(kappas), kappas)
     assert levels.tolist() == [0, 1, 2, 3, 4, 5]
 
@@ -188,9 +188,9 @@ def test_level_count_on_deep_poschl_teller():
 @pytest.mark.parametrize(
     "p",
     [
-        Potential.square_well(1.0),
-        Potential.poschl_teller(1.0),
-        Potential.gaussian(1.0),
+        Potential("square_well", 1.0),
+        Potential("poschl_teller", 1.0),
+        Potential("gaussian", 1.0),
         Potential.tabulated(_SECH2_X, -1.0 / np.cosh(_SECH2_X - 1.3) ** 2),
     ],
     ids=["square_well", "poschl_teller", "gaussian", "tabulated"],
@@ -211,7 +211,7 @@ def test_sub_block_products_match_step_loop(p):
 
 @pytest.mark.parametrize("batch", [1, 64, 160, 480])
 def test_wronskian_pass_memory_is_bounded(batch):
-    engine = _WronskianEngine(Potential.gaussian(1.0))
+    engine = _WronskianEngine(Potential("gaussian", 1.0))
     s = np.geomspace(0.05, 1e4, batch)
     kappa = 0.5 * np.sqrt(s)
     tracemalloc.start()
@@ -224,19 +224,19 @@ def test_wronskian_pass_memory_is_bounded(batch):
 
 
 def test_shooting_gaussian_regression():
-    res = _solve(Potential.gaussian(1.0))
+    res = _solve(Potential("gaussian", 1.0))
     assert res.energy == pytest.approx(-0.35399185761383634, rel=1e-9)
 
 
 def test_shooting_sweep_monotone_in_strength():
     s_values = np.linspace(0.2, 3.0, 12)
-    results = shooting_sweep(Potential.gaussian(1.0), s_values)
+    results = shooting_sweep(Potential("gaussian", 1.0), s_values)
     energies = [r.energy for r in results]
     assert all(b < a for a, b in zip(energies, energies[1:]))
 
 
 def test_shooting_step_halving_is_fourth_order():
-    p = Potential.poschl_teller(2.0)
+    p = Potential("poschl_teller", 2.0)
     errs = [abs(_solve(p, nsteps=n).energy + 1.0) for n in (250, 500, 1000)]
     for coarse, fine in zip(errs, errs[1:]):
         assert 8.0 < coarse / fine < 32.0

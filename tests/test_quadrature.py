@@ -23,9 +23,9 @@ def _sech2(x0):
 
 
 SHAPES = {
-    "square_well": Potential.square_well(1.0),
-    "poschl_teller": Potential.poschl_teller(1.0),
-    "gaussian": Potential.gaussian(1.0),
+    "square_well": Potential("square_well", 1.0),
+    "poschl_teller": Potential("poschl_teller", 1.0),
+    "gaussian": Potential("gaussian", 1.0),
     # far from the origin (L = 27): powers of x alone would cancel badly
     "sech2_x0_10": _sech2(10.0),
 }
@@ -164,7 +164,7 @@ def test_integrate_matches_fsum_on_every_real_call(monkeypatch):
 
 def test_default_grid_square_well_panel_alignment():
     for a in (1.0, 0.7, 50.0):
-        p = Potential.square_well(1.0, a=a)
+        p = Potential("square_well", 1.0, a=a)
         g = default_grid(p)
         # the discontinuities at +-a must fall on panel edges
         assert np.min(np.abs(g.edges - a)) < 1e-12
@@ -180,7 +180,7 @@ def _assert_matches_dense(g, p, k, m, f):
 
 
 def test_contract_even_kernel_matches_dense():
-    p = Potential.gaussian(1.0)
+    p = Potential("gaussian", 1.0)
     g = build_grid(8.0, 32, 6)
     _assert_matches_dense(g, p, 2, 1, np.cos(g.nodes))
 
@@ -200,7 +200,7 @@ def test_contract_matches_dense_oracle(shape, fine):
 
 def test_contract_allocates_linear_memory():
     # an N x N block at N = 16,384 would take about 2 GB
-    p = Potential.gaussian(1.0)
+    p = Potential("gaussian", 1.0)
     g = build_grid(15.0, 2048, 8)
     f = np.ones_like(g.nodes)
     tracemalloc.start()
@@ -223,7 +223,7 @@ def test_kink_plan_built_once_per_grid_and_potential_object(monkeypatch):
         return evaluate(self, x)
 
     monkeypatch.setattr(Potential, "evaluate", recording)
-    p = Potential.gaussian(1.0)
+    p = Potential("gaussian", 1.0)
     g = default_grid(p)
     perturbation.evaluate_terms(perturbation.load_terms(4), p, g)
     for beta in (0.02, 0.01, 0.005):  # the greens-check sequence
@@ -238,7 +238,7 @@ def test_kink_plan_built_once_per_grid_and_potential_object(monkeypatch):
 
 def test_contract_odd_kernel_matches_closed_form():
     # integral of e^{-y^2} |x - y| dy = sqrt(pi) x erf(x) + e^{-x^2}
-    p = Potential.gaussian(1.0)
+    p = Potential("gaussian", 1.0)
     g = default_grid(p)  # P=128: kink handling must reach ~1e-13
     got = contract(g, p, 1, 0, np.ones_like(g.nodes))
     x = g.nodes
@@ -248,7 +248,7 @@ def test_contract_odd_kernel_matches_closed_form():
 
 def test_contract_cubic_kernel_matches_dense_plus_correction():
     # |x-y|^3 has a mild kink (third derivative); compare to a fine grid
-    p = Potential.gaussian(1.0)
+    p = Potential("gaussian", 1.0)
     coarse = build_grid(8.0, 64, 8)
     fine = build_grid(8.0, 512, 8)
     f_c = np.ones_like(coarse.nodes)

@@ -92,8 +92,21 @@ def test_asymptote_dominates_at_strong_coupling(es_gaussian):
 @pytest.mark.parametrize("a", [40.0, 50.0])
 def test_asymptote_pade_of_wide_square_well_is_the_unit_well_rescaled(a):
     # c_n = a^(2n-2) c_n(unit), so a^2 E(s) = E_unit(s a^2); the rank test must not judge a^2
-    unit = pade_with_asymptote(energy_series(Potential.square_well(1.0)), 1.0)
-    wide = pade_with_asymptote(energy_series(Potential.square_well(1.0, a=a)), 1.0)
+    unit = pade_with_asymptote(energy_series(Potential("square_well", 1.0)), 1.0)
+    wide = pade_with_asymptote(energy_series(Potential("square_well", 1.0, a=a)), 1.0)
     for s in (0.25, 0.5, 1.0, 2.0, 3.0):
         expected = evaluate_pade(unit, s * a * a)
         assert a * a * evaluate_pade(wide, s) == pytest.approx(expected, rel=3e-15)
+
+
+def test_evaluate_pade_beyond_polynomial_overflow(es_gaussian):
+    # p(s) and q(s) of degree 3 overflow from s ~ 6e102: the ratio is then
+    # taken in t = 1/s; below that the direct form is kept bit for bit
+    pa = pade_with_asymptote(es_gaussian, 1.0)
+    for s in (6e102, 1e103, 1e150, 1e300):
+        value = evaluate_pade(pa, s)
+        assert np.isfinite(value) and value == pytest.approx(pa.alpha * s, rel=1e-12)
+    polyval = np.polynomial.polynomial.polyval
+    for s in (1e-3, 0.5, 3.0, 1e10, 1e50, 1e100):
+        direct = pa.alpha * s + polyval(s, pa.numerator) / polyval(s, pa.denominator)
+        assert evaluate_pade(pa, s) == direct

@@ -47,7 +47,7 @@ def test_expsqrt_reduces_to_pure_exponential_at_zero_beta():
 def test_expsqrt_trial_tends_to_gaussian_trial():
     # psi^2 = e^{-2 alpha (sqrt(beta^2 + x^2) - beta)} -> e^{-alpha x^2 / beta} as
     # beta -> inf; minimize searches this limit as the u = 1 edge of the family
-    p = Potential.gaussian(1.0)
+    p = Potential("gaussian", 1.0)
     g = default_grid(p)
     v = p.evaluate(g.nodes)
     beta = 1e20
@@ -99,7 +99,7 @@ def test_expsqrt_closed_forms_match_mpmath(z):
 
 
 def test_minimize_rejects_unknown_family():
-    p = Potential.gaussian(1.0)
+    p = Potential("gaussian", 1.0)
     g = build_grid(8.0, 64, 8)
     with pytest.raises(ValueError):
         minimize("hydrogenic", p, g)
@@ -126,7 +126,7 @@ def test_minimize_upper_bounds_and_family_ordering(gaussian_unit, gaussian_grid)
 def test_minimize_tracks_weak_coupling():
     # optimal trials widen as s -> 0, far past the grid; only int V psi^2 is
     # cut off there, which can only raise the bound
-    p = Potential.gaussian(0.1)
+    p = Potential("gaussian", 0.1)
     g = build_grid(10.0, 128, 8)
     _, e = minimize("expsqrt", p, g)
     exact = shooting_sweep(p, [p.s])[0].energy
@@ -179,10 +179,10 @@ def _sech2(x0, s):
 _SEARCH_CASES = pytest.mark.parametrize(
     "p",
     [
-        Potential.gaussian(1e-13),
-        Potential.gaussian(1e4),
-        Potential.poschl_teller(1.0),
-        Potential.square_well(2.5),
+        Potential("gaussian", 1e-13),
+        Potential("gaussian", 1e4),
+        Potential("poschl_teller", 1.0),
+        Potential("square_well", 2.5),
         _sech2(1.3, 0.6),
         _sech2(1.3, 2.0),
     ],
@@ -251,6 +251,6 @@ def test_objective_calls_per_minimize(monkeypatch, gaussian_unit, gaussian_grid)
 def test_minimum_below_the_well_floor_raises(family):
     # at s = 1e6 the optimal trial (width ~ s^{-1/4}) is narrower than the
     # default grid resolves, and the quotient drops below -s, the floor
-    p = Potential.gaussian(1e6)
+    p = Potential("gaussian", 1e6)
     with pytest.raises(BelowWellFloor, match="at or below the well floor -1000000"):
         minimize(family, p, default_grid(p))
