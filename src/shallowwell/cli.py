@@ -213,7 +213,7 @@ def _cell(fn) -> tuple:
 
 def _unless_failed(result):
     """result, raised instead when it is the error a failed computation left in its place."""
-    if isinstance(result, ShallowWellError):
+    if isinstance(result, Exception):
         raise result
     return result
 
@@ -326,12 +326,17 @@ def cmd_compare(cfg: RunConfig) -> Report:
 
     rows = []
     for s, shot in zip(s_values.tolist(), shots):
-        ps = replace(p, s=s)
+        try:
+            var = minimize(replace(p, s=s), g)
+        except _NUMERIC as exc:  # fails both variational cells
+            if not _numeric(exc):
+                raise
+            var = dict.fromkeys(("gaussian", "expsqrt"), exc)
         cells = {
             "series": _cell(lambda: _unless_failed(es).evaluate(s)),
             "pade": _cell(lambda: evaluate_pade(_unless_failed(pa), s)),
-            "var_gaussian": _cell(lambda: minimize("gaussian", ps, g)[1]),
-            "var_expsqrt": _cell(lambda: minimize("expsqrt", ps, g)[1]),
+            "var_gaussian": _cell(lambda: _unless_failed(var["gaussian"])[1]),
+            "var_expsqrt": _cell(lambda: _unless_failed(var["expsqrt"])[1]),
             "shooting": _cell(lambda: _unless_failed(shot).energy),
         }
         reasons = [f"{label}: {why}" for label, (cell, why) in cells.items() if cell is None]
@@ -393,7 +398,7 @@ def cmd_greens_check(cfg: RunConfig) -> Report:
     e4_limit = normal_coefficient(4, evaluate_terms(load_terms(4), p, g), p)
     ladder = ((beta, e4_finite_beta(p, g, beta)) for beta in _BETA_LADDER)
     rows = [[_round9(v) for v in (beta, e4, e4_limit, abs(e4 - e4_limit))] for beta, e4 in ladder]
-    block, scale = (_round9(v) for v in divergent_block(p))
+    block, scale = (_round9(v) for v in divergent_block(p, g))
     payload = {
         "e4_limit": rows[0][2],  # rounded in each row, after e4_finite_beta has checked the grid
         "ladder": [{"beta": b, "e4_finite_beta": v, "residual": r} for b, v, _, r in rows],

@@ -152,14 +152,16 @@ def e4_finite_beta(p: Potential, g: QuadratureGrid, beta: float) -> float:
 _BLOCK_NODES = 16
 
 
-def divergent_block(p: Potential):
+def divergent_block(p: Potential, g: QuadratureGrid):
     """The isolated 1/beta kernel of the fourth order, symmetrized.
 
     The kernel (|x1-x2| + |x2-x3| - 2|x3-x4|)/32 multiplies V at all
     four sites. Averaged over the 4! relabelings of the integration
-    variables it vanishes identically; this evaluates both the
-    symmetrized integral and the magnitude scale of the unsymmetrized
-    pieces on a _BLOCK_NODES-point tensor grid.
+    variables it vanishes identically; the symmetrized integral is
+    evaluated on a _BLOCK_NODES-point tensor grid. Each unsymmetrized
+    piece factorizes into (int V)^2 I / 32, with I = int int V(x) V(y)
+    |x-y| >= 0, so their magnitude scale |v12| + |v23| + 2|v34| is
+    (int V)^2 I / 8, taken on g as one contract() and two integrate().
 
     Returns:
         (symmetrized value, unsymmetrized magnitude scale).
@@ -183,20 +185,15 @@ def divergent_block(p: Potential):
         shape[a] = shape[b] = _BLOCK_NODES
         return np.broadcast_to(D.reshape(shape), W4.shape)
 
-    K12 = pair_kernel(0, 1)
-    K23 = pair_kernel(1, 2)
-    K34 = pair_kernel(2, 3)
-    v12 = float(np.sum(W4 * K12)) / 32.0
-    v23 = float(np.sum(W4 * K23)) / 32.0
-    v34 = float(np.sum(W4 * K34)) / 32.0
-    scale = abs(v12) + abs(v23) + 2.0 * abs(v34)
-
     sym = np.zeros(W4.shape)
-    base = K12 + K23 - 2.0 * K34
+    base = pair_kernel(0, 1) + pair_kernel(1, 2) - 2.0 * pair_kernel(2, 3)
     for perm in itertools.permutations(range(4)):
         sym += np.transpose(base, perm)
     sym /= math.factorial(4)
     value = float(np.sum(W4 * sym)) / 32.0
+
+    V = plan(g, p)[0]
+    scale = integrate(g, V) ** 2 * integrate(g, V * contract(g, p, 1, 0, np.ones(g.size))) / 8.0
     return value, scale
 
 

@@ -128,16 +128,19 @@ def integrate(g: QuadratureGrid, f) -> float:
     floating-point summation I, SIAM J. Sci. Comput. 31, 189, 2008). With
     sigma the power of two at least 2^M max|a|, M = ceil(log2(n + 2)), the
     high parts (sigma + a) - sigma and the low parts a minus them are exact,
-    and the numpy sum of the high parts is exact too (see _extract). A
-    second pass splits the low parts the same way. The TwoSum s + e of the
-    two exact sums, plus the plain sum of what is left, gives c = e + sum;
-    a rigorous bound delta on the error of c certifies fl(s + c) as the
-    correctly rounded sum when fl(s + (c - delta)) == fl(s + (c + delta)).
-    When that fails, or max|a| is 0, not finite or too large for sigma, the
-    result is math.fsum(a) itself, so every value, sign of zero and
-    exception is that of math.fsum. The certificate holds on almost every
-    call; it fails only for sums that cancel to within delta of a rounding
-    boundary.
+    and the numpy sum of the high parts is exact too (see _extract). The
+    exact sum t1 of the high parts plus the plain sum c of the low parts is
+    certified after this one pass (_certified): a rigorous bound delta on
+    the error of c makes fl(t1 + c) the correctly rounded sum when
+    fl(t1 + (c - delta)) == fl(t1 + (c + delta)). Only when that fails does
+    a second pass split the low parts the same way; the TwoSum s + e of the
+    two exact sums, plus the plain sum of what is left, gives c = e + sum,
+    certified alike with the low parts' max. When that fails too, or max|a|
+    is 0, not finite or too large for sigma, the result is math.fsum(a)
+    itself, so every value, sign of zero and exception is that of
+    math.fsum. One pass certifies almost every call; the fallback is left
+    to sums that cancel to within delta of a rounding boundary, such as
+    exact ties.
     """
     f = _check_aligned(g, f)
     a = g.weights * f
@@ -147,21 +150,32 @@ def integrate(g: QuadratureGrid, f) -> float:
     if not 0.0 < mu < math.inf or math.frexp(mu)[1] + M > 1023 or n > MAX_NODES:
         return math.fsum(a)
     t1, r = _extract(a, mu, M)
+    c = float(r.sum())
+    if _certified(t1, c, mu, M):
+        return t1 + c
     mu = float(np.max(np.abs(r)))
     t2, r = _extract(r, mu, M)
     s = t1 + t2  # TwoSum: s + e == t1 + t2 exactly
     b = s - t1
     e = (t1 - (s - b)) + (t2 - b)
     c = e + float(r.sum())
-    # With u = 2^-53: |r_i| <= u sigma <= 2^(M+1) u mu and n < 2^M, so the
-    # plain sum of r is off by at most 2(n-1)u * n 2^(M+1) u mu
-    # <= 2^(3M+2) u^2 mu, and e + sum(r) by u|c|. Four times that plus the
-    # smallest subnormal also covers rounding c -+ delta, and these terms
-    # where they fall below the normal range.
-    delta = 4.0 * (math.ldexp(mu, 3 * M - 104) + math.ldexp(abs(c), -53)) + _TINY
-    if s + (c - delta) == s + (c + delta):
+    if _certified(s, c, mu, M):
         return s + c
     return math.fsum(a)
+
+
+def _certified(s, c, mu, M):
+    """Whether fl(s + c) is the correctly rounded s + sum(r), c = [e +] the plain sum of r.
+
+    mu is the max|.| of the array whose low parts r are, so that with
+    u = 2^-53, |r_i| <= u sigma <= 2^(M+1) u mu and n < 2^M: the plain sum
+    of r is off by at most 2(n-1)u * n 2^(M+1) u mu <= 2^(3M+2) u^2 mu, and
+    e + sum(r) by u|c| more. Four times that plus the smallest subnormal
+    also covers rounding c -+ delta, and these terms where they fall below
+    the normal range.
+    """
+    delta = 4.0 * (math.ldexp(mu, 3 * M - 104) + math.ldexp(abs(c), -53)) + _TINY
+    return s + (c - delta) == s + (c + delta)
 
 
 def _extract(r, mu, M):

@@ -196,40 +196,50 @@ def count_bisection(p, s_values, nsteps=4000, steps=60):
     return -(0.5 * (lo + hi)) ** 2
 
 
-def dense_contract(g, p, k, m, f):
-    """Dense kernel sum with the own-panel kink correction, and its scale.
+def dense_contract(g, p, k, sources):
+    """Dense kernel sums with the own-panel kink correction, and their scales.
 
-    Returns (h, scale) with h_i = sum_j w_j |x_i - x_j|^k x_j^m V_j f_j,
-    the own panel of every node re-integrated split at the node for odd
-    k, and scale_i the same sum with every summand taken in absolute
-    value (the roundoff scale of h_i).
+    Returns, for each (m, f) in sources, (h, scale) with
+    h_i = sum_j w_j |x_i - x_j|^k x_j^m V_j f_j, the own panel of every
+    node re-integrated split at the node for odd k, and scale_i the same
+    sum with every summand taken in absolute value (the roundoff scale of
+    h_i). The |x_i - x_j|^k kernel is built once, a chunk of rows at a
+    time, and applied to every source.
     """
     x, w = g.nodes, g.weights
-    u = p.evaluate(x) * x**m * f
-    h, scale = np.empty(g.size), np.empty(g.size)
+    v = p.evaluate(x)
+    us = [v * x**m * f for m, f in sources]
+    wu = np.stack([w * u for u in us], axis=1)
+    h, scale = np.empty(wu.shape), np.empty(wu.shape)
     for lo in range(0, g.size, _ROW_CHUNK):
         kernel = np.abs(x[lo : lo + _ROW_CHUNK, None] - x[None, :]) ** k
-        h[lo : lo + _ROW_CHUNK] = kernel @ (w * u)
-        scale[lo : lo + _ROW_CHUNK] = kernel @ np.abs(w * u)
+        h[lo : lo + _ROW_CHUNK] = kernel @ wu
+        scale[lo : lo + _ROW_CHUNK] = kernel @ np.abs(wu)
     if k % 2 == 0:
-        return h, scale
+        return list(zip(h.T, scale.T))
     P, q = g.P, g.q
     xs, ws = leggauss(q)
     panel = np.repeat(np.arange(P), q)
     lo, hi = g.edges[panel], g.edges[panel + 1]
-    coeffs = (f.reshape(P, q) @ np.linalg.inv(legvander(xs, q - 1)).T)[panel]
-    x_own, w_own, u_own = (a.reshape(P, q)[panel] for a in (x, w, u))
-    h -= np.sum(w_own * np.abs(x[:, None] - x_own) ** k * u_own, axis=1)
+    x_own, w_own = (a.reshape(P, q)[panel] for a in (x, w))
+    own_kernel = w_own * np.abs(x[:, None] - x_own) ** k
+    to_coeffs = np.linalg.inv(legvander(xs, q - 1)).T
+    splits = []
     for a, b in ((lo, x), (x, hi)):
         halfw = 0.5 * (b - a)
         y = 0.5 * (a + b)[:, None] + halfw[:, None] * xs[None, :]
         local = 2.0 * (y - lo[:, None]) / (hi - lo)[:, None] - 1.0
         vand = legvander(local.ravel(), q - 1).reshape(g.size, q, q)
-        uy = p.evaluate(y) * y**m * np.einsum("nij,nj->ni", vand, coeffs)
         wk = halfw[:, None] * ws[None, :] * np.abs(x[:, None] - y) ** k
-        h += np.sum(wk * uy, axis=1)
-        scale += np.sum(wk * np.abs(uy), axis=1)
-    return h, scale
+        splits.append((y, p.evaluate(y), vand, wk))
+    for i, ((m, f), u) in enumerate(zip(sources, us)):
+        coeffs = (f.reshape(P, q) @ to_coeffs)[panel]
+        h[:, i] -= np.sum(own_kernel * u.reshape(P, q)[panel], axis=1)
+        for y, vy, vand, wk in splits:
+            uy = vy * y**m * np.einsum("nij,nj->ni", vand, coeffs)
+            h[:, i] += np.sum(wk * uy, axis=1)
+            scale[:, i] += np.sum(wk * np.abs(uy), axis=1)
+    return list(zip(h.T, scale.T))
 
 
 def greens_expansion(l: int, beta: float, x1, x2):
@@ -449,7 +459,9 @@ def exact_square_well(s: float, a: float = 1.0) -> float:
 
     Even-state matching condition k sin(ka) = sqrt(s - k^2) cos(ka) with
     k in (0, min(sqrt(s), pi/2a)), solved by bisection to machine
-    precision. A single even bound state exists for every s > 0.
+    precision. A single even bound state exists for every s > 0. The
+    energy is -kappa^2 with kappa = k tan(ka), the matching condition
+    itself: s - k^2 would cancel on shallow levels, kappa^2 << s.
     """
     if not (s > 0.0):
         raise ValueError("depth must be positive")
@@ -473,7 +485,7 @@ def exact_square_well(s: float, a: float = 1.0) -> float:
         else:
             hi = mid
     k = 0.5 * (lo + hi)
-    return -(s - k * k)
+    return -((k * math.tan(k * a)) ** 2)
 
 
 def exact_poschl_teller(s: float) -> float:

@@ -264,7 +264,7 @@ def finite_beta_residuals():
 
 def test_criterion_7_divergence_cancellation(finite_beta_residuals):
     p = Potential("gaussian", 1.0)
-    value, scale = divergent_block(p)
+    value, scale = divergent_block(p, default_grid(p))
     betas, res = finite_beta_residuals
     slope, intercept = np.polyfit(betas, res, 1)
     ok = abs(value) <= 1e-8 * scale and res[0] > res[1] > res[2] and slope > 0.0
@@ -340,8 +340,7 @@ def test_criterion_8_property_suites(es_gaussian):
         gb = default_grid(base)
         for s, res in zip(s_points, results):
             p = Potential(base.kind, s, a=base.a)
-            for family in ("gaussian", "expsqrt"):
-                _, bound = minimize(family, p, gb)
+            for _, bound in minimize(p, gb).values():
                 violation = max(violation, res.energy - bound)
     assert violation < 1e-9, f"variational bound violated by {violation:.2e}"
     details.append(f"bound violation {violation:.1e}")

@@ -647,6 +647,19 @@ def test_compare_deep_well_variational_cells_fail_at_the_floor(tmp_path, capsys)
         assert row[-1].count(f"at or below the well floor {floor}") == 2
 
 
+def test_compare_variational_overflow_fails_both_cells(tmp_path, capsys):
+    # from s ~ 1e308 the sum int V psi^2 of a wide trial overflows inside the
+    # one search that serves both families, so both cells fail with it
+    cfg = _write(tmp_path, "c.ini", GAUSS_CFG + "[sweep]\ns_min = 1.5e308\ns_max = 1.7e308\nsteps = 2\n")
+    out, err = _one_line_exit(capsys, 3, ["compare", "--config", cfg])
+    assert err == "numeric failure: no row is complete\n"
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[0] for row in rows] == ["1.5e+308", "1.7e+308"]
+    for row in rows:
+        assert row[3] == row[4] == ""
+        assert "var_gaussian: float overflow; var_expsqrt: float overflow" in row[-1]
+
+
 # ---------------------------------------------------------------------------
 # the exit-code and report contract, on drawn inputs
 

@@ -57,10 +57,9 @@ def _fake_numerics(monkeypatch, shooting_fails: bool):
             return [BracketFailure("no sign change in [-10, 0]") for s in s_values]
         return [BoundStateResult(-0.3 * s * s, 1.0e-12, 40, (-1.0, 0.0)) for s in s_values]
 
-    def var_minimize(kind, p, g):
-        if kind == "expsqrt" and p.s > 1.2:
-            raise BelowWellFloor("no restart converged")
-        return None, (-0.29 if kind == "gaussian" else -0.295) * p.s * p.s
+    def var_minimize(p, g):
+        expsqrt = BelowWellFloor("no restart converged") if p.s > 1.2 else (None, -0.295 * p.s * p.s)
+        return {"gaussian": (None, -0.29 * p.s * p.s), "expsqrt": expsqrt}
 
     def e4_finite_beta(p, g, beta):
         return E4_LIMIT + 0.37 * beta
@@ -69,7 +68,7 @@ def _fake_numerics(monkeypatch, shooting_fails: bool):
     monkeypatch.setattr("shallowwell.oracles.shooting_sweep", shooting_sweep)
     monkeypatch.setattr("shallowwell.variational.minimize", var_minimize)
     monkeypatch.setattr("shallowwell.greens.e4_finite_beta", e4_finite_beta)
-    monkeypatch.setattr("shallowwell.greens.divergent_block", lambda p: (-3.5e-18, 0.0625))
+    monkeypatch.setattr("shallowwell.greens.divergent_block", lambda p, g: (-3.5e-18, 0.0625))
     monkeypatch.setattr("shallowwell.perturbation.evaluate_terms", lambda terms, p, g: E4_LIMIT)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from reference import (
@@ -125,6 +127,24 @@ def test_e4_finite_beta_rejects_bad_beta():
 
 def test_divergent_block_cancels():
     p = Potential("gaussian", 1.0)
-    value, scale = divergent_block(p)
+    value, scale = divergent_block(p, default_grid(p))
     assert scale > 0.0
     assert abs(value) < 1e-8 * scale
+
+
+@pytest.mark.parametrize(
+    "kind, exact",
+    [
+        # (int V)^2 I / 8 with int e^{-x^2} = sqrt(pi), I = sqrt(2 pi)
+        ("gaussian", math.pi * math.sqrt(2.0 * math.pi) / 8.0),
+        # int sech^2 = 2, I = 4
+        ("poschl_teller", 2.0),
+        # the unit square well: int V = 2, I = 8/3
+        ("square_well", 4.0 / 3.0),
+    ],
+    ids=["gaussian", "poschl_teller", "square_well"],
+)
+def test_divergent_block_scale_matches_closed_form(kind, exact):
+    p = Potential(kind, 1.0)
+    _, scale = divergent_block(p, default_grid(p))
+    assert abs(scale - exact) <= 1e-13 * exact

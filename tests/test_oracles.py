@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +47,18 @@ def test_exact_square_well_shallow_limit():
     # E -> -(s*a)^2 for s*a^2 -> 0 (delta-like limit with integral 2*a*s)
     s = 1e-4
     assert exact_square_well(s, a=1.0) == pytest.approx(-(s**2), rel=2e-2)
+
+
+def test_exact_square_well_narrow_shallow_level():
+    # at a = 1e-5 the level kappa^2 ~ (s a)^2 is 4e-10 of s, where s - k^2
+    # cancels; the weak-coupling series sum c_n s^n a^(2n-2), with the exact
+    # unit-well rationals, converges there far below rounding
+    s, a = 2.5, 1e-5
+    rationals = (Fraction(-1), Fraction(4, 3), Fraction(-92, 45), Fraction(1072, 315),
+                 Fraction(-84752, 14175))
+    x, y = Fraction(s), Fraction(a)
+    series = float(sum(c * x**n * y ** (2 * n - 2) for n, c in enumerate(rationals, start=2)))
+    assert abs(exact_square_well(s, a=a) - series) <= 1e-12 * abs(series)
 
 
 def test_exact_poschl_teller_closed_form():

@@ -99,21 +99,27 @@ def test_expsqrt_closed_forms_match_mpmath(z):
 
 
 def test_minimize_rejects_unknown_family():
+    # one search returns the two families' results, and no other family
     p = Potential("gaussian", 1.0)
     g = build_grid(8.0, 64, 8)
-    with pytest.raises(ValueError):
-        minimize("hydrogenic", p, g)
+    results = minimize(p, g)
+    assert list(results) == ["gaussian", "expsqrt"]
+    assert isinstance(results["gaussian"][0], GaussianTrial)
+    assert isinstance(results["expsqrt"][0], ExpSqrtTrial)
+    with pytest.raises(KeyError):
+        results["hydrogenic"]
 
 
 def test_minimize_is_deterministic(gaussian_unit, gaussian_grid):
-    a = minimize("gaussian", gaussian_unit, gaussian_grid)
-    b = minimize("gaussian", gaussian_unit, gaussian_grid)
+    a = minimize(gaussian_unit, gaussian_grid)
+    b = minimize(gaussian_unit, gaussian_grid)
     assert a == b
 
 
 def test_minimize_upper_bounds_and_family_ordering(gaussian_unit, gaussian_grid):
-    tf_g, e_g = minimize("gaussian", gaussian_unit, gaussian_grid)
-    tf_e, e_e = minimize("expsqrt", gaussian_unit, gaussian_grid)
+    results = minimize(gaussian_unit, gaussian_grid)
+    tf_g, e_g = results["gaussian"]
+    tf_e, e_e = results["expsqrt"]
     exact = shooting_sweep(gaussian_unit, [gaussian_unit.s])[0].energy
     assert e_g >= exact - 1e-9
     assert e_e >= exact - 1e-9
@@ -128,7 +134,7 @@ def test_minimize_tracks_weak_coupling():
     # cut off there, which can only raise the bound
     p = Potential("gaussian", 0.1)
     g = build_grid(10.0, 128, 8)
-    _, e = minimize("expsqrt", p, g)
+    _, e = minimize(p, g)["expsqrt"]
     exact = shooting_sweep(p, [p.s])[0].energy
     assert e >= exact - 1e-9
     assert e == pytest.approx(exact, rel=1e-2)
@@ -165,7 +171,7 @@ def test_cut_off_quotient_matches_whole_line(kind, family):
     for s in (0.3, 0.8, 1.5, 2.5):
         p = Potential(kind, s)
         g = default_grid(p)
-        tf, _ = minimize(family, p, g)
+        tf, _ = minimize(p, g)[family]
         quotient = rayleigh_quotient(tf, p.evaluate(g.nodes), g)
         assert quotient == pytest.approx(_whole_line_quotient(tf, p), rel=1e-10)
 
@@ -195,7 +201,7 @@ _SEARCH_CASES = pytest.mark.parametrize(
 @_SEARCH_CASES
 def test_brent_matches_nelder_mead_ladder(p, family):
     g = default_grid(p)
-    _, got = minimize(family, p, g)
+    _, got = minimize(p, g)[family]
     _, want = nelder_mead_minimize(family, p, g)
     assert got == pytest.approx(want, rel=1e-9)
 
@@ -213,9 +219,10 @@ def test_golden_section_matches_nelder_mead_ladder(p, family):
 @pytest.mark.parametrize("family", ["gaussian", "expsqrt"])
 @_SEARCH_CASES
 def test_brent_matches_golden_section(p, family):
-    # same brackets, nesting and _TOL, so both searches land on the same minima
+    # same nesting and _TOL, and brackets that hold the same minima, so both
+    # searches land on them
     g = default_grid(p)
-    _, got = minimize(family, p, g)
+    _, got = minimize(p, g)[family]
     _, want = golden_section_minimize(family, p, g)
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -225,32 +232,45 @@ def test_expsqrt_never_loses_to_gaussian_in_the_valley():
     # limit, which the search reaches as u = 1
     p = _sech2(1.3, 2.0)
     g = default_grid(p)
-    assert minimize("expsqrt", p, g)[1] <= minimize("gaussian", p, g)[1]
+    results = minimize(p, g)
+    assert results["expsqrt"][1] <= results["gaussian"][1]
+
+
+def test_warm_start_falls_back_at_the_box_edge(monkeypatch):
+    # a zero well's optimum lies at the log c = -80 edge of the box, where
+    # each warm bracket leaves the box; searching the whole box again, not a
+    # bracket clipped to it, keeps every result that of the cold search
+    p = Potential("gaussian", 0.0)
+    g = default_grid(p)
+    warm = minimize(p, g)
+    monkeypatch.setattr(variational, "_WARM", math.inf)  # every step searches the whole box
+    assert minimize(p, g) == warm
 
 
 def test_objective_calls_per_minimize(monkeypatch, gaussian_unit, gaussian_grid):
     # Brent's search in log c over [-80, 40] stops after 20 calls here; the
-    # exp-sqrt family adds the search in u over [0, 1], whose calls each run
-    # one log-c search, for 264 in all
+    # exp-sqrt family adds the search in u over [0, 1], whose steps each run
+    # one log-c search, warm-started around the previous step's optimum,
+    # for 146 in all
     calls = []
-    quotient = variational.rayleigh_quotient
+    quotient = variational._quotient
 
-    def counted(*args):
-        calls.append(args)
-        return quotient(*args)
+    def counted(tf, *args):
+        calls.append(type(tf))
+        return quotient(tf, *args)
 
-    monkeypatch.setattr(variational, "rayleigh_quotient", counted)
-    minimize("gaussian", gaussian_unit, gaussian_grid)
-    assert len(calls) == 20
-    calls.clear()
-    minimize("expsqrt", gaussian_unit, gaussian_grid)
-    assert len(calls) == 264
+    monkeypatch.setattr(variational, "_quotient", counted)
+    minimize(gaussian_unit, gaussian_grid)
+    assert calls.count(GaussianTrial) == 20
+    assert len(calls) == 146
 
 
 @pytest.mark.parametrize("family", ["gaussian", "expsqrt"])
 def test_minimum_below_the_well_floor_raises(family):
     # at s = 1e6 the optimal trial (width ~ s^{-1/4}) is narrower than the
-    # default grid resolves, and the quotient drops below -s, the floor
+    # default grid resolves, and the quotient drops below -s, the floor; the
+    # family's result is then the BelowWellFloor, in place of a bound
     p = Potential("gaussian", 1e6)
-    with pytest.raises(BelowWellFloor, match="at or below the well floor -1000000"):
-        minimize(family, p, default_grid(p))
+    got = minimize(p, default_grid(p))[family]
+    assert isinstance(got, BelowWellFloor)
+    assert "at or below the well floor -1000000" in str(got)
