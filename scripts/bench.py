@@ -11,11 +11,18 @@ ROUNDS times, in alternating order; each row's figure is the median of
 its rounds, written beside the rounds themselves. Rows:
 
     integrate at N = 1,024;
+    contract for k = 0, 1, 2 and 5 at N = 1,024 and 2,048 (m = 0, on one
+      grid and well, so the kink plan is built once, as in a series);
+    evaluate_terms for each order 2-6 on the Gaussian, on a new Potential
+      each time, so every chain is contracted afresh;
     one objective call (rayleigh_quotient) per trial family;
     the variational search of one compare row (minimize) at s = 0.1, 1, 3;
     energy_series per built-in shape, on a new Potential each time, so
       no kink plan is reused;
     a 30-strength shooting_sweep;
+    divergent_block on the Gaussian, after the fourth order has been
+      evaluated on the same grid, as greens-check calls it;
+    cmd_greens_check on the Gaussian;
     cmd_compare on the README's example config (the Gaussian,
       s = 0.1-3.0, 30 steps), and the objective calls that it makes.
 
@@ -38,7 +45,8 @@ REPEATS = 7
 ROUNDS = 3
 #: each timed sample runs the row's call until it has taken this long
 SAMPLE_S = 0.02
-README_COMPARE = "[potential]\nkind = gaussian\ns = 1.0\n[sweep]\ns_min = 0.1\ns_max = 3.0\nsteps = 30\n"
+GAUSSIAN = "[potential]\nkind = gaussian\ns = 1.0\n"
+README_COMPARE = GAUSSIAN + "[sweep]\ns_min = 0.1\ns_max = 3.0\nsteps = 30\n"
 
 
 def _per_call(fn) -> float:
@@ -63,10 +71,11 @@ def _rows(src: str) -> dict:
     import numpy as np
 
     from shallowwell import cli, variational
+    from shallowwell.greens import divergent_block
     from shallowwell.oracles import shooting_sweep
-    from shallowwell.perturbation import energy_series
+    from shallowwell.perturbation import energy_series, evaluate_terms, load_terms
     from shallowwell.potential import Potential
-    from shallowwell.quadrature import build_grid, default_grid, integrate
+    from shallowwell.quadrature import build_grid, contract, default_grid, integrate
 
     rows = {}
     g = build_grid(10.0, 128, 8)
@@ -75,6 +84,16 @@ def _rows(src: str) -> dict:
 
     p = Potential("gaussian", 1.0)
     g = default_grid(p)
+    for P in (128, 256):
+        gk = build_grid(g.L, P, g.q)
+        ones = np.ones(gk.size)
+        for k in (0, 1, 2, 5):
+            rows[f"quadrature.contract k={k} N={gk.size}"] = _per_call(lambda: contract(gk, p, k, 0, ones))
+    for order in range(2, 7):
+        terms = load_terms(order)
+        rows[f"perturbation.evaluate_terms order={order}"] = _per_call(
+            lambda: evaluate_terms(terms, Potential("gaussian", 1.0), g)
+        )
     v = p.evaluate(g.nodes)
     trials = {"gaussian": variational.GaussianTrial(0.19), "expsqrt": variational.ExpSqrtTrial(0.65, 0.93)}
     for family, tf in trials.items():
@@ -104,11 +123,18 @@ def _rows(src: str) -> dict:
     s_values = np.linspace(0.1, 3.0, 30)
     rows["oracles.shooting_sweep 30 strengths"] = _per_call(lambda: shooting_sweep(p, s_values))
 
+    evaluate_terms(load_terms(4), p, g)
+    rows["greens.divergent_block gaussian"] = _per_call(lambda: divergent_block(p, g))
+
+    configs = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.ini")
-        with open(path, "w") as fh:
-            fh.write(README_COMPARE)
-        cfg = cli.load_config(path)
+        for name, text in (("greens", GAUSSIAN), ("compare", README_COMPARE)):
+            with open(path, "w") as fh:
+                fh.write(text)
+            configs[name] = cli.load_config(path)
+    rows["cli.cmd_greens_check gaussian"] = _per_call(lambda: cli.cmd_greens_check(configs["greens"]))
+    cfg = configs["compare"]
     rows["cli.cmd_compare README"] = _per_call(lambda: cli.cmd_compare(cfg))
 
     calls = 0

@@ -8,14 +8,13 @@ used to assemble the finite-regulator fourth-order energy, which applies
 l = 0, 1 and 2; only those are tabulated. Each expansion is a table of
 separable monomials plus one |x1 - x2|^(2l+1) kink term, so the assembly
 runs on the same O(N) contract() as the weak-coupling series. The 1/beta
-pieces of that assembly cancel identically; the cancellation is
-demonstrated numerically here rather than re-proved. The closed
-six-region form of G_gamma and its spectral integral, which the
-expansions are checked against, are in tests/reference.py.
+pieces of that assembly cancel identically: their block is three cluster
+terms whose coefficients sum to zero. The closed six-region form of
+G_gamma and its spectral integral, which the expansions are checked
+against, are in tests/reference.py.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -23,6 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidGridSpec
+from .perturbation import evaluate_term, parse_terms
 from .potential import Potential
 from .quadrature import QuadratureGrid, contract, integrate, plan
 
@@ -148,53 +148,26 @@ def e4_finite_beta(p: Potential, g: QuadratureGrid, beta: float) -> float:
     return B1 * B2 + 2.0 * A * C - A * A * B3 - D
 
 
-#: Gauss-Legendre points per axis of divergent_block's tensor grid
-_BLOCK_NODES = 16
+#: The 1/beta kernel of divergent_block, one cluster term per pair |x_i - x_j|
+_BLOCK = parse_terms("""
+    1/32 | 0 | 0 | 0 1 0
+    1/32 | 0 | 0 | 0 1 0
+    -1/16 | 0 | 0 | 0 1 0
+""")
 
 
 def divergent_block(p: Potential, g: QuadratureGrid):
-    """The isolated 1/beta kernel of the fourth order, symmetrized.
+    """(symmetrized value, unsymmetrized scale) of the fourth order's 1/beta kernel.
 
-    The kernel (|x1-x2| + |x2-x3| - 2|x3-x4|)/32 multiplies V at all
-    four sites. Averaged over the 4! relabelings of the integration
-    variables it vanishes identically; the symmetrized integral is
-    evaluated on a _BLOCK_NODES-point tensor grid. Each unsymmetrized
-    piece factorizes into (int V)^2 I / 32, with I = int int V(x) V(y)
-    |x-y| >= 0, so their magnitude scale |v12| + |v23| + 2|v34| is
-    (int V)^2 I / 8, taken on g as one contract() and two integrate().
-
-    Returns:
-        (symmetrized value, unsymmetrized magnitude scale).
+    The kernel (|x1-x2| + |x2-x3| - 2|x3-x4|)/32 has V at all four sites.
+    Its pair terms are the cluster terms of _BLOCK, each a coefficient
+    times (int V)^2 I, with I = int int V(x) V(y) |x-y| >= 0. The
+    coefficients sum to zero, so the value, the terms' fsum, is 0; the
+    scale is the fsum of their magnitudes, (int V)^2 I / 8. Both reuse
+    the chains in the memo of plan(g, p).
     """
-    from numpy.polynomial.legendre import leggauss
-
-    R = p.support_radius() + 1.0
-    xs, ws = leggauss(_BLOCK_NODES)
-    x = R * xs
-    wv = R * ws * p.evaluate(x)
-    D = np.abs(x[:, None] - x[None, :])
-    W4 = (
-        wv[:, None, None, None]
-        * wv[None, :, None, None]
-        * wv[None, None, :, None]
-        * wv[None, None, None, :]
-    )
-
-    def pair_kernel(a, b):
-        shape = [1] * 4
-        shape[a] = shape[b] = _BLOCK_NODES
-        return np.broadcast_to(D.reshape(shape), W4.shape)
-
-    sym = np.zeros(W4.shape)
-    base = pair_kernel(0, 1) + pair_kernel(1, 2) - 2.0 * pair_kernel(2, 3)
-    for perm in itertools.permutations(range(4)):
-        sym += np.transpose(base, perm)
-    sym /= math.factorial(4)
-    value = float(np.sum(W4 * sym)) / 32.0
-
-    V = plan(g, p)[0]
-    scale = integrate(g, V) ** 2 * integrate(g, V * contract(g, p, 1, 0, np.ones(g.size))) / 8.0
-    return value, scale
+    terms = [evaluate_term(t, p, g) for t in _BLOCK]
+    return math.fsum(terms), math.fsum(map(abs, terms))
 
 
 __all__ = ["e4_finite_beta", "divergent_block"]

@@ -318,26 +318,37 @@ def dense_e4_finite_beta(p, g, beta):
     """e4_finite_beta from dense kernels greens_expansion_formula(l)(x_i, x_j).
 
     The plain panel rule sees the kinks of |x_i - x_j| inside the panels,
-    so it converges only at second order in the panel width. The kernel
-    rows are built in chunks, so no N x N array is held.
+    so it converges only at second order in the panel width. Each kernel
+    is built once per call, in row chunks. The l = 0 kernel is applied
+    three times in a row, each to the last result, so it is held whole:
+    one N x N array (32 MB at N = 2,048). The l = 1 and l = 2 kernels are
+    applied chunk by chunk to every source at once, and never held whole.
     """
     x, w = g.nodes, g.weights
     Vx = p.evaluate(x)
     ew = np.exp(-beta * np.abs(x))
     vend, vmid = w * Vx * ew, w * Vx
 
-    def apply(l, v):
-        out = np.empty(g.size)
+    def row_chunks(l):
         for lo in range(0, g.size, _ROW_CHUNK):
-            rows = greens_expansion_formula(l, beta, x[lo : lo + _ROW_CHUNK, None], x[None, :])
-            out[lo : lo + _ROW_CHUNK] = rows @ v
-        return out
+            rows = slice(lo, lo + _ROW_CHUNK)
+            yield rows, greens_expansion_formula(l, beta, x[rows, None], x[None, :])
+
+    K0 = np.empty((g.size, g.size))
+    for rows, block in row_chunks(0):
+        K0[rows] = block
+    m0 = K0 @ vend
+    m2 = K0 @ (vmid * (K0 @ (vmid * m0)))
+    sources = {1: np.column_stack([vend, vmid * m0]), 2: vend[:, None]}
+    applied = {l: np.empty_like(v) for l, v in sources.items()}
+    for l, v in sources.items():
+        for rows, block in row_chunks(l):
+            applied[l][rows] = block @ v
 
     A = beta * float(np.sum(w * Vx * ew * ew))
-    m0 = apply(0, vend)
-    B1, B2, B3 = (beta * float(vend @ m) for m in (m0, apply(1, vend), apply(2, vend)))
-    C = beta * float(vend @ apply(1, vmid * m0))
-    D = beta * float(vend @ apply(0, vmid * apply(0, vmid * m0)))
+    B1, B2, B3 = (beta * float(vend @ m) for m in (m0, applied[1][:, 0], applied[2][:, 0]))
+    C = beta * float(vend @ applied[1][:, 1])
+    D = beta * float(vend @ m2)
     return B1 * B2 + 2.0 * A * C - A * A * B3 - D
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from reference import (
     greens_spectral,
 )
 
+from shallowwell import greens, perturbation, quadrature
 from shallowwell.errors import InvalidGridSpec
 from shallowwell.greens import divergent_block, e4_finite_beta
 from shallowwell.perturbation import evaluate_terms, load_terms
@@ -125,11 +127,50 @@ def test_e4_finite_beta_rejects_bad_beta():
         e4_finite_beta(p, g, 0.5)
 
 
+#: the wells of scripts/report_digest.py, at unit strength
+_SECH2_X = np.linspace(1.3 - 12.0, 1.3 + 12.0, 2401)
+DIGEST_WELLS = {
+    "square": Potential("square_well", 1.0),
+    "square-a0.7": Potential("square_well", 1.0, a=0.7),
+    "poschl-teller": Potential("poschl_teller", 1.0),
+    "gaussian": Potential("gaussian", 1.0),
+    "sech2-x0-1.3": Potential.tabulated(_SECH2_X, -1.0 / np.cosh(_SECH2_X - 1.3) ** 2),
+}
+
+
 def test_divergent_block_cancels():
+    # looped, not parametrized, so that the test keeps its id
+    for name, p in DIGEST_WELLS.items():
+        value, scale = divergent_block(p, default_grid(p))
+        assert value == 0.0, name
+        assert scale > 0.0, name
+
+
+def test_divergent_block_kernel_averages_to_zero_pointwise():
+    # the 1/beta kernel (times 32) summed over the 4! relabelings of
+    # (x1, ..., x4) vanishes at every point, not only under the integral
+    rng = np.random.default_rng(13)
+    for x in rng.uniform(-3.0, 3.0, size=(200, 4)):
+        terms = [
+            abs(y[0] - y[1]) + abs(y[1] - y[2]) - 2.0 * abs(y[2] - y[3])
+            for y in (x[list(perm)] for perm in itertools.permutations(range(4)))
+        ]
+        assert abs(math.fsum(terms)) <= 1e-15 * math.fsum(map(abs, terms))
+
+
+def test_divergent_block_reuses_the_fourth_order_chains(monkeypatch):
+    # greens-check evaluates the fourth order first; the block then finds
+    # its chains, (0) and (0 1 0), in the memo of plan(g, p)
     p = Potential("gaussian", 1.0)
-    value, scale = divergent_block(p, default_grid(p))
-    assert scale > 0.0
-    assert abs(value) < 1e-8 * scale
+    g = default_grid(p)
+    evaluate_terms(load_terms(4), p, g)
+    calls = []
+    for module in (perturbation, greens, quadrature):
+        for name in ("contract", "integrate"):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _n=name, _f=original: calls.append(_n) or _f(*a))
+    divergent_block(p, g)
+    assert calls == []
 
 
 @pytest.mark.parametrize(
