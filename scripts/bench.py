@@ -19,7 +19,11 @@ its rounds, written beside the rounds themselves. Rows:
     the variational search of one compare row (minimize) at s = 0.1, 1, 3;
     energy_series per built-in shape, on a new Potential each time, so
       no kink plan is reused;
+    one _WronskianEngine.wronskian pass at B = 1, at the converged kappa,
+      per built-in shape (s = 1) and on a tabulated sech^2 centred at
+      x0 = 1.3 (2,401 samples, s = 1.5);
     a 30-strength shooting_sweep;
+    cmd_solve per built-in shape (s = 1), and on Poschl-Teller at s = 1e6;
     divergent_block on the Gaussian, after the fourth order has been
       evaluated on the same grid, as greens-check calls it;
     cmd_greens_check on the Gaussian;
@@ -27,14 +31,20 @@ its rounds, written beside the rounds themselves. Rows:
       s = 0.1-3.0, 30 steps), and the objective calls that it makes.
 
 --tier1 N also runs each tree's Tier-1 suite N times, from the directory
-above SRC, and records the median wall time. The record holds the core
+above SRC, and records each run's wall time and CPU time (user + sys of
+the pytest process and of the children it waited for, from getrusage),
+with the median of each. CPU time leaves out the time spent waiting for
+a core, and counts the CLI children that the suite runs two at a time;
+it still moves with the speed of the host. The record holds the core
 count and the Python, numpy and scipy versions.
 """
 import argparse
 import inspect
 import json
+import math
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -47,6 +57,8 @@ ROUNDS = 3
 SAMPLE_S = 0.02
 GAUSSIAN = "[potential]\nkind = gaussian\ns = 1.0\n"
 README_COMPARE = GAUSSIAN + "[sweep]\ns_min = 0.1\ns_max = 3.0\nsteps = 30\n"
+BUILT_IN = ("square_well", "poschl_teller", "gaussian")
+DEEP_SOLVE = "[potential]\nkind = poschl_teller\ns = 1e6\n"
 
 
 def _per_call(fn) -> float:
@@ -72,7 +84,7 @@ def _rows(src: str) -> dict:
 
     from shallowwell import cli, variational
     from shallowwell.greens import divergent_block
-    from shallowwell.oracles import shooting_sweep
+    from shallowwell.oracles import _WronskianEngine, shooting_sweep
     from shallowwell.perturbation import energy_series, evaluate_terms, load_terms
     from shallowwell.potential import Potential
     from shallowwell.quadrature import build_grid, contract, default_grid, integrate
@@ -120,6 +132,15 @@ def _rows(src: str) -> dict:
             lambda: energy_series(Potential(kind, 1.0), order=6)
         )
 
+    xs = np.linspace(1.3 - 12.0, 1.3 + 12.0, 2401)
+    wells = {kind: Potential(kind, 1.0) for kind in BUILT_IN}
+    wells["tabulated sech2 x0=1.3"] = Potential.tabulated(xs, -1.0 / np.cosh(xs - 1.3) ** 2, s=1.5)
+    for name, pw in wells.items():
+        engine = _WronskianEngine(pw)
+        (level,) = shooting_sweep(pw, [pw.s])
+        kappa = [math.sqrt(-level.energy)]
+        rows[f"oracles.wronskian B=1 {name}"] = _per_call(lambda: engine.wronskian([pw.s], kappa))
+
     s_values = np.linspace(0.1, 3.0, 30)
     rows["oracles.shooting_sweep 30 strengths"] = _per_call(lambda: shooting_sweep(p, s_values))
 
@@ -129,10 +150,14 @@ def _rows(src: str) -> dict:
     configs = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.ini")
-        for name, text in (("greens", GAUSSIAN), ("compare", README_COMPARE)):
+        solve = {f"solve {kind}": f"[potential]\nkind = {kind}\ns = 1.0\n" for kind in BUILT_IN}
+        solve["solve poschl_teller s=1e6"] = DEEP_SOLVE
+        for name, text in (("greens", GAUSSIAN), ("compare", README_COMPARE), *solve.items()):
             with open(path, "w") as fh:
                 fh.write(text)
             configs[name] = cli.load_config(path)
+    for name in solve:
+        rows[f"cli.cmd_{name}"] = _per_call(lambda: cli.cmd_solve(configs[name]))
     rows["cli.cmd_greens_check gaussian"] = _per_call(lambda: cli.cmd_greens_check(configs["greens"]))
     cfg = configs["compare"]
     rows["cli.cmd_compare README"] = _per_call(lambda: cli.cmd_compare(cfg))
@@ -152,16 +177,23 @@ def _rows(src: str) -> dict:
     return rows
 
 
+def _cpu_children() -> float:
+    """User + sys seconds of the waited-for children of this process so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def _tier1(src: str) -> tuple:
-    """(wall seconds, last output line) of one Tier-1 run of the tree above src."""
+    """(wall seconds, CPU seconds, last output line) of one Tier-1 run of the tree above src."""
     src = os.path.abspath(src)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    start = time.perf_counter()
+    cpu, start = _cpu_children(), time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"],
         cwd=os.path.dirname(src), env=env, capture_output=True, text=True,
     )
-    return time.perf_counter() - start, done.stdout.strip().splitlines()[-1]
+    wall = time.perf_counter() - start
+    return wall, _cpu_children() - cpu, done.stdout.strip().splitlines()[-1]
 
 
 def main() -> None:
@@ -203,14 +235,16 @@ def main() -> None:
         record["trees"][label] = {"rows": rows}
     for r in range(args.tier1):
         for label, src in (list(trees.items()) if r % 2 == 0 else list(trees.items())[::-1]):
-            wall, summary = _tier1(src)
-            tier1 = record["trees"][label].setdefault("tier1", {"runs_s": [], "summaries": []})
+            wall, cpu, summary = _tier1(src)
+            tier1 = record["trees"][label].setdefault("tier1", {"runs_s": [], "cpu_s": [], "summaries": []})
             tier1["runs_s"].append(wall)
+            tier1["cpu_s"].append(cpu)
             tier1["summaries"].append(summary)
-            print(f"tier1 {r + 1}: {label} {wall:.1f} s, {summary}", file=sys.stderr, flush=True)
+            print(f"tier1 {r + 1}: {label} {wall:.1f} s, {cpu:.1f} s CPU, {summary}", file=sys.stderr, flush=True)
     for tree in record["trees"].values():
         if "tier1" in tree:
             tree["tier1"]["median_s"] = statistics.median(tree["tier1"]["runs_s"])
+            tree["tier1"]["median_cpu_s"] = statistics.median(tree["tier1"]["cpu_s"])
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

@@ -5,10 +5,15 @@ propagator for every shape, matched at the peak of the well. Its one
 entry point is shooting_sweep; a single strength is a sweep of one. It
 finds the ground state by bisection on the level count (Sturm
 oscillation), then by Illinois regula falsi on the Wronskian. Each
-integration pass multiplies the step matrices pairwise into sub-block
+integration pass writes its step matrices into one batch-major
+(2, 2, batch, steps) array and multiplies them pairwise into sub-block
 products, each short enough (by the Sturm bound on the spacing of zeros)
 to hold at most one zero of the solution, so counting levels costs one
-sign test per sub-block. The exact square-well and Poschl-Teller levels,
+sign test per sub-block. The solution is carried across the products in
+Python floats, one kappa at a time, for batches of up to _SCALAR_CARRY
+kappas (a solve runs at one), and in numpy arrays above; both make the
+same IEEE operations in the same order, so W and the level count are the
+same bits either way. The exact square-well and Poschl-Teller levels,
 the closed-form Gaussian coefficients, the erf reference, the
 step-by-step propagation, the scan-and-polish search that this search
 replaced, a plain count bisection and the series fit that only the
@@ -39,13 +44,23 @@ class BoundStateResult:
 #: |t| below which the degree-5 series gives C and S to roundoff
 _SERIES_T = 0.05
 #: step-matrix entries built per chunk of steps; this bounds the
-#: temporaries of one pass to about 2.5 MB up to 2,048 kappas per pass
+#: temporaries of one pass up to 2,048 kappas per pass: by tracemalloc,
+#: a Gaussian pass peaks at 0.9 MB at 1 kappa, 2.4 MB at 64 and 160, and
+#: 2.3 MB at 480
 _BLOCK = 1 << 14
 #: fewest steps per chunk, so that a large batch still reduces several
 #: steps per vectorized product
 _MIN_CHUNK = 8
+#: most kappas per pass whose carry runs in Python floats (_carry_columns);
+#: on deep wells, where the carry dominates, the two carries break even
+#: near 32 kappas, and on shallow ones they tie from 8 to 48
+_SCALAR_CARRY = 24
 #: weight of the commutator term of the two-node Magnus step
 _MAGNUS_D = math.sqrt(3.0) / 12.0
+#: the 2x2 identity, entry first, as it pads a (2, 2, batch, steps) array
+_EYE = np.eye(2)[:, :, None, None]
+#: the NaN that numpy's 0/0 gives, made by the same kind of invalid operation
+_ZERO_BY_ZERO = math.inf - math.inf
 
 
 def _cosh_sinhc(t):
@@ -67,26 +82,68 @@ def _cosh_sinhc(t):
     return C, S
 
 
-def _products(m00, m01, m10, m11):
-    """Product M[:, r-1] ... M[:, 1] M[:, 0] of each run of 2x2 matrices.
+def _products(m):
+    """Product M[..., r-1] ... M[..., 1] M[..., 0] of each run of 2x2 matrices.
 
-    The entries are (runs, r, batch) arrays; each pairwise level
-    multiplies neighbours, later on the left, with the four entries
-    written out, and pads an odd level with one identity matrix.
-    Returns the four (runs, batch) entries of the products.
+    m is a (2, 2, batch, runs, r) array, entry first. Each pairwise level
+    multiplies neighbours, later on the left, in one broadcast expression
+    whose every element is b_i0*a_0j + b_i1*a_1j, and pads an odd level
+    with one identity matrix. Returns the (2, 2, batch, runs) products.
     """
-    while m00.shape[1] > 1:
-        if m00.shape[1] % 2:
-            one, zero = np.ones_like(m00[:, :1]), np.zeros_like(m00[:, :1])
-            m00, m01, m10, m11 = (
-                np.concatenate((m, e), axis=1)
-                for m, e in zip((m00, m01, m10, m11), (one, zero, zero, one))
-            )
-        a00, a01, a10, a11 = m00[:, 0::2], m01[:, 0::2], m10[:, 0::2], m11[:, 0::2]
-        b00, b01, b10, b11 = m00[:, 1::2], m01[:, 1::2], m10[:, 1::2], m11[:, 1::2]
-        m00, m01 = b00 * a00 + b01 * a10, b00 * a01 + b01 * a11
-        m10, m11 = b10 * a00 + b11 * a10, b10 * a01 + b11 * a11
-    return m00[:, 0], m01[:, 0], m10[:, 0], m11[:, 0]
+    if m.shape[-1] > 1:
+        pad = np.empty(m.shape[:-1] + (1,))
+        pad[...] = _EYE[..., None]
+    while m.shape[-1] > 1:
+        if m.shape[-1] % 2:
+            m = np.concatenate((m, pad), axis=-1)
+        a, b = m[..., 0::2], m[..., 1::2]
+        m = b[:, :1] * a[:1] + b[:, 1:] * a[1:]
+    return m[..., 0]
+
+
+def _carry_batch(prods, u, v, nodes):
+    """Carry (u, u') across the (2, 2, batch, runs) products, all columns at once.
+
+    Renormalizes by max(|u|, |u'|) after each product and counts the
+    sign changes of u. Returns the new (u, u', nodes).
+    """
+    nodes = nodes.copy()
+    for (p00, p01), (p10, p11) in np.moveaxis(prods, -1, 0):
+        unew = p00 * u + p01 * v
+        v = p10 * u + p11 * v
+        nodes += (unew * u) < 0.0
+        u = unew
+        r = np.maximum(np.abs(u), np.abs(v))
+        u /= r
+        v /= r
+    return u, v, nodes
+
+
+def _carry_columns(prods, u, v, nodes):
+    """_carry_batch in Python floats, one column at a time, to the same bits.
+
+    Each column makes the same IEEE operations in the same order:
+    np.maximum's choice (the first operand if it is NaN or not smaller,
+    else the second) is written out, and a zero r gives 0/0, the NaN that
+    numpy's division gives, where Python's would raise.
+    """
+    us, vs, ns = u.tolist(), v.tolist(), nodes.tolist()
+    for j, (uj, vj, nj) in enumerate(zip(us, vs, ns)):
+        (p00, p01), (p10, p11) = prods[:, :, j].tolist()
+        for a00, a01, a10, a11 in zip(p00, p01, p10, p11):
+            unew = a00 * uj + a01 * vj
+            vj = a10 * uj + a11 * vj
+            nj += (unew * uj) < 0.0
+            uj = unew
+            au, av = abs(uj), abs(vj)
+            r = au if au >= av or au != au else av
+            if r == 0.0:
+                uj = vj = _ZERO_BY_ZERO
+            else:
+                uj /= r
+                vj /= r
+        us[j], vs[j], ns[j] = uj, vj, nj
+    return np.array(us), np.array(vs), np.array(ns, dtype=nodes.dtype)
 
 
 def _propagate(shape, svec, kvec, h):
@@ -98,9 +155,16 @@ def _propagate(shape, svec, kvec, h):
     [h*cbar, -d]] of determinant 1, the exact propagator where the two
     node values agree. The steps are taken in sub-blocks of b steps with
     h*b*sqrt(q) <= pi/2, q the largest kappa^2 or s*max(shape) of the
-    batch. All sub-blocks of a chunk are reduced at once to one product
-    each (_products; the last chunk is padded with identity steps), and
-    (u, u') is carried across the products, renormalized after each.
+    batch. The step matrices of a chunk are written into one batch-major
+    (2, 2, batch, steps) array, the last chunk padded in place with
+    identity steps; all its sub-blocks are reduced at once to one product
+    each (_products), and (u, u') is carried across the products,
+    renormalized after each. Up to _SCALAR_CARRY kappas the carry runs in
+    Python floats, one column at a time (_carry_columns), where numpy's
+    per-call cost would outweigh its arithmetic; above, it runs on whole
+    columns (_carry_batch). Every element takes the same IEEE operations
+    in the same order in either layout and either carry, so W and the
+    level count are the same bits whichever path runs.
 
     Each step is the exact flow of a constant-coefficient system that
     turns the phase of (u, u') one way at every zero of u, at a rate of
@@ -111,33 +175,32 @@ def _propagate(shape, svec, kvec, h):
     product within about e^{pi/2} of norm 1, so none needs
     renormalizing inside. Returns (u, u', sign changes of u).
     """
+    batch = kvec.size
     u = np.ones_like(kvec)
     v = kvec.copy()
     k2 = kvec * kvec
     nodes = np.zeros(kvec.shape, dtype=int)
     q = max(float(k2.max()), float(svec.max()) * float(shape.max()))
-    chunk = max(_MIN_CHUNK, _BLOCK // kvec.size)
+    chunk = max(_MIN_CHUNK, _BLOCK // batch)
     b = min(max(1, int(0.5 * math.pi / (h * math.sqrt(q)))), chunk, len(shape))
     chunk -= chunk % b
+    carry = _carry_columns if batch <= _SCALAR_CARRY else _carry_batch
+    k2, svec = k2[:, None], svec[:, None]
     for b0 in range(0, len(shape), chunk):
-        c1 = k2 - svec * shape[b0 : b0 + chunk, :1]
-        c2 = k2 - svec * shape[b0 : b0 + chunk, 1:]
+        c1 = k2 - svec * shape[b0 : b0 + chunk, 0]
+        c2 = k2 - svec * shape[b0 : b0 + chunk, 1]
         d = (_MAGNUS_D * h * h) * (c1 - c2)
         hc = (0.5 * h) * (c1 + c2)
         C, S = _cosh_sinhc(d * d + h * hc)
-        m = C + S * d, S * h, S * hc, C - S * d
-        pad = -len(C) % b
-        if pad:
-            one, zero = np.ones((pad, kvec.size)), np.zeros((pad, kvec.size))
-            m = [np.concatenate((e, f)) for e, f in zip(m, (one, zero, zero, one))]
-        for p00, p01, p10, p11 in zip(*_products(*(e.reshape(-1, b, kvec.size) for e in m))):
-            unew = p00 * u + p01 * v
-            v = p10 * u + p11 * v
-            nodes += (unew * u) < 0.0
-            u = unew
-            r = np.maximum(np.abs(u), np.abs(v))
-            u /= r
-            v /= r
+        n = C.shape[1]
+        m = np.empty((2, 2, batch, n + -n % b))
+        Sd = S * d
+        np.add(C, Sd, out=m[0, 0, :, :n])
+        np.multiply(S, h, out=m[0, 1, :, :n])
+        np.multiply(S, hc, out=m[1, 0, :, :n])
+        np.subtract(C, Sd, out=m[1, 1, :, :n])
+        m[..., n:] = _EYE
+        u, v, nodes = carry(_products(m.reshape(2, 2, batch, -1, b)), u, v, nodes)
     return u, v, nodes
 
 

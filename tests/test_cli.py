@@ -676,8 +676,9 @@ _DEPTHS = st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(-320.0, 10.0).map(
 def _cli_runs(draw):
     """(files to write, argv, whether the well is nonzero) of one drawn CLI run."""
     command = draw(st.sampled_from(sorted(cli._COMMANDS)))
-    # shooting takes 1-5 s per strength from s ~ 1e5 to 1e20 (ROADMAP item 7)
-    top = 4.0 if command in ("solve", "compare") else 300.0
+    # on a 2-core host a solve takes at most about 0.6 s at any s up to 1e300, while
+    # three deep compare rows still take up to a second (square well a = 0.05, s = 1e10-1e20)
+    top = 4.0 if command == "compare" else 300.0
     kind = draw(st.sampled_from(sorted(cli._KINDS)))
     config = f"[potential]\nkind = {kind}\ns = {10.0 ** draw(st.floats(-320.0, top))!r}\n"
     files, nonzero = {}, True
@@ -737,6 +738,11 @@ def _pade_value(alpha, numerator, denominator, s):
           ["pade", "--config", "c.ini", "--format", "json"], True))
 @example(({"c.ini": "[potential]\nkind = square_well\ns = 2.5\na = 0.7\n"},
           ["series", "--config", "c.ini", "--format", "text"], True))
+# deep solves: a level found, and the search's own failure (ROADMAP item 7)
+@example(({"c.ini": "[potential]\nkind = poschl_teller\ns = 1e10\n"},
+          ["solve", "--config", "c.ini", "--format", "json"], True))
+@example(({"c.ini": "[potential]\nkind = square_well\ns = 1e12\na = 100.0\n"},
+          ["solve", "--config", "c.ini", "--format", "csv"], True))
 def test_cli_contract_on_drawn_inputs(run):
     files, argv, nonzero = run
     with tempfile.TemporaryDirectory() as tmp:

@@ -17,7 +17,13 @@ from reference import (
 )
 
 from shallowwell.errors import BracketFailure
-from shallowwell.oracles import _cosh_sinhc, _WronskianEngine, shooting_sweep
+from shallowwell.oracles import (
+    _carry_batch,
+    _carry_columns,
+    _cosh_sinhc,
+    _WronskianEngine,
+    shooting_sweep,
+)
 from shallowwell.potential import Potential
 
 #: abscissas of an off-centre sech^2 well, x0 = 1.3 +- 12
@@ -220,6 +226,33 @@ def test_sub_block_products_match_step_loop(p):
         W_ref, N_ref = wronskian_steps(engine, s, kappa)
         assert N.tolist() == N_ref.tolist()
         assert np.max(np.abs(W - W_ref)) <= 1e-13
+
+
+def test_scalar_carry_matches_batch_carry_bit_for_bit():
+    # the same sub-block products through both carries: u, u' and the counts
+    # agree to the bit, NaN payloads and signed zeros included
+    rng = np.random.default_rng(5)
+    runs = 40
+    prods = rng.normal(size=(2, 2, 8, runs))
+    prods[0, 1, 1, 10] = np.inf
+    prods[1, 1, 2, 20] = -np.inf
+    prods[0, 0, 0, -1] = prods[1, 0, 3, -1] = np.nan  # u, or u' alone, turns NaN: so does r
+    prods[:, :, 4, 30] = 0.0  # r = 0, so u = u' = 0/0
+    # sign flips and signed zeros: u' stays a zero whose sign the sums decide
+    prods[:, :, 5] = rng.choice([-1.0, 1.0], size=(2, 2, runs)) * np.eye(2)[:, :, None]
+    prods[:, :, 6, 3:] = 1.7e308  # overflows to inf, then inf/inf
+    u, v = np.ones(8), rng.normal(size=8)
+    v[5], v[6] = -0.0, 1.0
+    nodes = rng.integers(0, 5, 8)
+    with np.errstate(all="ignore"):
+        batch = _carry_batch(prods, u, v, nodes)
+    columns = _carry_columns(prods, u, v, nodes)
+    assert np.isnan(batch[0][[0, 1, 2, 3, 4, 6]]).all() and np.isfinite(batch[0][[5, 7]]).all()
+    assert batch[1][5] == 0.0
+    for got, want in zip(columns[:2], batch[:2]):
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert columns[2].dtype == batch[2].dtype
+    assert columns[2].tolist() == batch[2].tolist()
 
 
 @pytest.mark.parametrize("batch", [1, 64, 160, 480])
