@@ -22,7 +22,11 @@ its rounds, written beside the rounds themselves. Rows:
     one _WronskianEngine.wronskian pass at B = 1, at the converged kappa,
       per built-in shape (s = 1) and on a tabulated sech^2 centred at
       x0 = 1.3 (2,401 samples, s = 1.5);
-    a 30-strength shooting_sweep;
+    shooting_sweep on 30 Gaussian strengths (s = 0.1-3.0); on the 3 of a
+      compare-sweep job (the Gaussian at s = 0.11, 1.5 and 3.0); and on 30
+      Poschl-Teller strengths at s = 1e3-1e5, whose passes run the
+      vectorized carry until the batch falls to _SCALAR_CARRY strengths and
+      the scalar carry after;
     cmd_solve per built-in shape (s = 1), and on Poschl-Teller at s = 1e6;
     divergent_block on the Gaussian, after the fourth order has been
       evaluated on the same grid, as greens-check calls it;
@@ -143,6 +147,9 @@ def _rows(src: str) -> dict:
 
     s_values = np.linspace(0.1, 3.0, 30)
     rows["oracles.shooting_sweep 30 strengths"] = _per_call(lambda: shooting_sweep(p, s_values))
+    rows["oracles.shooting_sweep 3 strengths"] = _per_call(lambda: shooting_sweep(p, [0.11, 1.5, 3.0]))
+    deep, s_deep = Potential("poschl_teller", 1.0), np.geomspace(1e3, 1e5, 30)
+    rows["oracles.shooting_sweep 30 poschl_teller s=1e3-1e5"] = _per_call(lambda: shooting_sweep(deep, s_deep))
 
     evaluate_terms(load_terms(4), p, g)
     rows["greens.divergent_block gaussian"] = _per_call(lambda: divergent_block(p, g))

@@ -200,15 +200,22 @@ def _numeric(exc: Exception) -> bool:
     return not isinstance(exc, ValueError) or "in fsum" in str(exc)
 
 
-def _cell(fn) -> tuple:
-    """(fn() rounded to 9 digits, "") or, if fn fails numerically, (None, the reason)."""
+def _attempt(fn):
+    """fn(), or in its place the numeric failure (_NUMERIC, judged by _numeric) it raised."""
     try:
-        return _round9(fn()), ""
+        return fn()
     except _NUMERIC as exc:
         if not _numeric(exc):
             raise
-        # an OverflowError's own message holds a comma
-        return None, "float overflow" if isinstance(exc, OverflowError) else str(exc)
+        return exc
+
+
+def _cell(fn) -> tuple:
+    """(fn() rounded to 9 digits, "") or, if fn fails numerically, (None, the reason)."""
+    value = _attempt(lambda: _round9(fn()))
+    if isinstance(value, OverflowError):  # its own message holds a comma
+        return None, "float overflow"
+    return (None, str(value)) if isinstance(value, Exception) else (value, "")
 
 
 def _unless_failed(result):
@@ -313,30 +320,20 @@ def cmd_compare(cfg: RunConfig) -> Report:
     s_values = np.linspace(*cfg.sweep)
     p = cfg.potential
     g = _grid_for(cfg)
-    try:
-        es = energy_series(p, order=6, g=g)
-    except ShallowWellError as exc:  # an underflowing coefficient: the series and pade cells fail
-        es = exc
-    try:
-        pa = pade_with_asymptote(_unless_failed(es), p.shape_max())
-    except ShallowWellError as exc:  # or an all-zero well's SingularPade: its pade cells fail alone
-        pa = exc
+    # a failed series fails its pade cells too; a failed minimize both variational cells
+    es = _attempt(lambda: energy_series(p, order=6, g=g))
+    pa = _attempt(lambda: pade_with_asymptote(_unless_failed(es), p.shape_max()))
 
     shots = shooting_sweep(p, s_values)
 
     rows = []
     for s, shot in zip(s_values.tolist(), shots):
-        try:
-            var = minimize(replace(p, s=s), g)
-        except _NUMERIC as exc:  # fails both variational cells
-            if not _numeric(exc):
-                raise
-            var = dict.fromkeys(("gaussian", "expsqrt"), exc)
+        var = _attempt(lambda: minimize(replace(p, s=s), g))
         cells = {
             "series": _cell(lambda: _unless_failed(es).evaluate(s)),
             "pade": _cell(lambda: evaluate_pade(_unless_failed(pa), s)),
-            "var_gaussian": _cell(lambda: _unless_failed(var["gaussian"])[1]),
-            "var_expsqrt": _cell(lambda: _unless_failed(var["expsqrt"])[1]),
+            "var_gaussian": _cell(lambda: _unless_failed(_unless_failed(var)["gaussian"])[1]),
+            "var_expsqrt": _cell(lambda: _unless_failed(_unless_failed(var)["expsqrt"])[1]),
             "shooting": _cell(lambda: _unless_failed(shot).energy),
         }
         reasons = [f"{label}: {why}" for label, (cell, why) in cells.items() if cell is None]

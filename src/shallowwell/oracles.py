@@ -2,22 +2,23 @@
 
 A shooting/Wronskian bound-state solver with one fourth-order Magnus
 propagator for every shape, matched at the peak of the well. Its one
-entry point is shooting_sweep; a single strength is a sweep of one. It
-finds the ground state by bisection on the level count (Sturm
-oscillation), then by Illinois regula falsi on the Wronskian. Each
-integration pass writes its step matrices into one batch-major
-(2, 2, batch, steps) array and multiplies them pairwise into sub-block
-products, each short enough (by the Sturm bound on the spacing of zeros)
-to hold at most one zero of the solution, so counting levels costs one
-sign test per sub-block. The solution is carried across the products in
-Python floats, one kappa at a time, for batches of up to _SCALAR_CARRY
-kappas (a solve runs at one), and in numpy arrays above; both make the
-same IEEE operations in the same order, so W and the level count are the
-same bits either way. The exact square-well and Poschl-Teller levels,
-the closed-form Gaussian coefficients, the erf reference, the
-step-by-step propagation, the scan-and-polish search that this search
-replaced, a plain count bisection and the series fit that only the
-tests use live in tests/reference.py.
+entry point is shooting_sweep; a single strength is a sweep of one. Each
+strength runs its own search in Python floats, bisection on the level
+count (Sturm oscillation) then Illinois regula falsi on the Wronskian,
+and each integration pass serves every strength still searching. A pass
+writes its step matrices into one batch-major (2, 2, batch, steps)
+array and multiplies them pairwise into sub-block products, each short
+enough (by the Sturm bound on the spacing of zeros) to hold at most one
+zero of the solution, so counting levels costs one sign test per
+sub-block; a search that fails where steps exceed that bound says so.
+The solution is carried across the products in Python floats, one kappa
+at a time, for batches of up to _SCALAR_CARRY kappas (a solve runs at
+one), and in numpy arrays above; both make the same IEEE operations in
+the same order, so W and the level count are the same bits either way.
+The exact levels, the Gaussian closed forms, the erf reference, the
+step-by-step propagation, this search as array code over all strengths,
+the scan-and-polish search before it, a plain count bisection and the
+series fit that only the tests use live in tests/reference.py.
 """
 from __future__ import annotations
 
@@ -225,7 +226,6 @@ class _WronskianEngine:
         self.sides = [shape[:split]]
         if not p.is_even():
             self.sides.append(shape[split:][::-1, ::-1])
-        self.evaluations = 0
 
     def wronskian(self, svec, kvec):
         """W and the level count N at each (strength, kappa) pair.
@@ -235,7 +235,6 @@ class _WronskianEngine:
         """
         svec = np.asarray(svec, dtype=float)
         kvec = np.asarray(kvec, dtype=float)
-        self.evaluations += 1
         sols = [_propagate(side, svec, kvec, self.h) for side in self.sides]
         (uL, vL, nL), (uR, vR, nR) = sols[0], sols[-1]
         # right solution at the split: u_R = uR, u_R' = -vR (mirror variable)
@@ -244,84 +243,88 @@ class _WronskianEngine:
         return W, n + ((-1) ** n * W < 0.0)
 
 
-def shooting_sweep(p: Potential, s_values, nsteps: int = 4000) -> list:
-    """Ground-state energies for one shape at many strengths.
+def _search(s: float, depth: float):
+    """One strength's search, as a generator: yields each kappa, is sent its (W, N).
 
-    Each strength searches kappa in [1e-6, 1] * sqrt(s * shape_max()),
-    one kappa per strength in each shared pass. Bisection on the exact
-    level count N (_WronskianEngine.wronskian) keeps N(lo) >= 1 and
-    N(hi) = 0, in log kappa while hi > 2 lo. While N(lo) >= 2 it probes
-    where N would reach 1 if those levels were evenly spaced in kappa^2,
-    and bisects after a probe that overshoots. Once N(lo) = 1 and
-    hi <= 2 lo, W changes sign once in the bracket, at the ground state.
-    Illinois regula falsi on W (Dowell & Jarratt, BIT 11, 168, 1971),
-    with sides taken from N, then runs until the bracket is a few ulps
-    wide or the next point is not inside it, as when W = 0 at an end.
-    A strength leaves the batch once it has converged or failed.
-
-    Returns a list aligned with s_values holding, for each strength,
-    its BoundStateResult or the BracketFailure it failed with: no
-    attractive potential, a depth s*shape_max() whose lower kappa^2
-    underflows, or no level in the search range. A result's
-    bracket is the last count bracket, with one level below its lower
-    kappa and none below its upper, and its iterations are the passes
-    the strength took part in.
+    kappa runs over [1e-6, 1] * sqrt(s * depth), depth = shape_max().
+    Bisection on the exact level count N keeps N(lo) >= 1 and N(hi) = 0,
+    in log kappa while hi > 2 lo; while N(lo) >= 2 it probes where N would
+    reach 1 if those levels were evenly spaced in kappa^2, and bisects
+    after a probe that overshoots. Once N(lo) = 1 and hi <= 2 lo, W changes
+    sign once in the bracket, at the ground state, and Illinois regula
+    falsi on W (Dowell & Jarratt, BIT 11, 168, 1971), sides taken from N,
+    runs until the bracket is a few ulps wide or the next point is not
+    inside it, as when W = 0 at an end. Returns the search's outcome.
     """
-    svec = np.asarray(s_values, dtype=float)
-    hi = np.sqrt(np.maximum(svec, 0.0) * p.shape_max()) * (1.0 - 1e-9)
+    if not (s > 0.0 and depth > 0.0):
+        return BracketFailure("a nonzero attractive potential is required")
+    hi = math.sqrt(s * depth) * (1.0 - 1e-9)
     lo = hi * 1e-6
-    results: list = [
-        BracketFailure("a nonzero attractive potential is required")
-        if not (s > 0.0 and p.shape_max() > 0.0)
-        # every kappa searched is >= lo, so lo^2 > 0 keeps _propagate's q > 0
-        else None if k * k > 0.0
-        else BracketFailure(f"the well depth underflows for strength s={s:g}")
-        for s, k in zip(svec.tolist(), lo.tolist())
-    ]
-    a = np.array([j for j, r in enumerate(results) if r is None], dtype=int)
-    if not a.size:
-        return results
-    eng = _WronskianEngine(p, nsteps=nsteps)
-    n = len(svec)
-    # N at lo (0 until probed), W at the ends and its Illinois weights, the
-    # end the last probe moved (-1 lo, +1 hi), and which strengths run Illinois
-    levels, side = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-    w_lo, w_hi, f_lo, f_hi = (np.full(n, np.nan) for _ in range(4))
-    falsi = np.zeros(n, dtype=bool)
-    k = lo[a]
-    while a.size:
-        W, N = eng.wronskian(svec[a], k)
-        for j in a[(levels[a] == 0) & (N == 0)]:
-            results[j] = BracketFailure(f"no Wronskian sign change for strength s={svec[j]:g}")
-        below, above = N >= 1, (N == 0) & (levels[a] > 0)
-        up, down = a[below], a[above]
-        lo[up], w_lo[up], f_lo[up], levels[up] = k[below], W[below], W[below], N[below]
-        hi[down], w_hi[down], f_hi[down] = k[above], W[above], W[above]
-        # Illinois: an end kept twice in a row has its weight halved
-        f_hi[up[falsi[up] & (side[up] < 0)]] *= 0.5
-        f_lo[down[falsi[down] & (side[down] > 0)]] *= 0.5
-        side[up], side[down] = -1, 1
-        start = ~falsi & (levels == 1) & ~np.isnan(w_hi) & (hi <= 2.0 * lo)
-        side[start] = 0
-        falsi |= start
-        a = a[levels[a] > 0]
-        l, h, m = lo[a], hi[a], levels[a]
-        k = np.where(h <= 2.0 * l, 0.5 * (l + h), np.sqrt(l * h))
-        k = np.where((m >= 2) & (side[a] <= 0), np.sqrt(h * h - (h * h - l * l) / m), k)
-        k = np.where(falsi[a], h - f_hi[a] * (h - l) / (f_hi[a] - f_lo[a]), k)
-        done = ~((l < k) & (k < h)) | (falsi[a] & (h - l <= 4.0 * np.spacing(h)))
-        for j in a[done]:
-            if not falsi[j]:
-                results[j] = BracketFailure(f"no level bracket for strength s={svec[j]:g}")
-                continue
-            kappa, w = (lo[j], w_lo[j]) if abs(w_lo[j]) <= abs(w_hi[j]) else (hi[j], w_hi[j])
-            results[j] = BoundStateResult(
-                energy=-float(kappa) ** 2,
-                residual=abs(float(w)),
-                iterations=eng.evaluations,
-                bracket=(-float(hi[j]) ** 2, -float(lo[j]) ** 2),
-            )
-        a, k = a[~done], k[~done]
+    if not lo * lo > 0.0:  # every kappa searched is >= lo, so lo^2 > 0 keeps _propagate's q > 0
+        return BracketFailure(f"the well depth underflows for strength s={s:g}")
+    # N at lo, the end the last probe moved (-1 lo, +1 hi), Illinois on, passes, kappa
+    levels, side, falsi, passes, k = 0, 0, False, 0, lo
+    w_lo = w_hi = f_lo = f_hi = math.nan  # W at the ends, and their Illinois weights
+    while True:
+        W, N = yield k
+        passes += 1
+        if N >= 1:
+            lo, w_lo, f_lo, levels = k, W, W, N
+            f_hi *= 0.5 if falsi and side < 0 else 1.0  # Illinois: halve an end kept twice
+        elif not levels:
+            return BracketFailure(f"no Wronskian sign change for strength s={s:g}")
+        else:
+            hi, w_hi, f_hi = k, W, W
+            f_lo *= 0.5 if falsi and side > 0 else 1.0
+        side = -1 if N >= 1 else 1
+        if not falsi and levels == 1 and not math.isnan(w_hi) and hi <= 2.0 * lo:
+            side, falsi = 0, True
+        if falsi:  # where f_hi = f_lo the secant has no root, and NaN ends the search
+            k = hi - f_hi * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else math.nan
+        elif levels >= 2 and side <= 0:
+            k = math.sqrt(hi * hi - (hi * hi - lo * lo) / levels)
+        else:
+            k = 0.5 * (lo + hi) if hi <= 2.0 * lo else math.sqrt(lo * hi)
+        if not lo < k < hi or falsi and hi - lo <= 4.0 * math.ulp(hi):
+            break
+    if not falsi:
+        return BracketFailure(f"no level bracket for strength s={s:g}")
+    kappa, w = (lo, w_lo) if abs(w_lo) <= abs(w_hi) else (hi, w_hi)
+    bracket = (-float(hi) ** 2, -float(lo) ** 2)
+    return BoundStateResult(-float(kappa) ** 2, abs(float(w)), passes, bracket)
+
+
+def shooting_sweep(p: Potential, s_values, nsteps: int = 4000) -> list:
+    """Ground-state energies for one shape at many strengths, one _search each.
+
+    Each engine pass probes the next kappa of every live search, in the
+    order of s_values. Returns, aligned with s_values, each strength's
+    BoundStateResult (bracket: the last count bracket, one level below
+    its lower kappa and none below its upper; iterations: its passes) or
+    BracketFailure: no attractive potential, a depth s*shape_max() whose
+    lower kappa^2 underflows, or no level in the search range, read as
+    "nsteps steps do not resolve the well" where a step spans more than
+    pi/2 of sqrt(s*shape_max()), the phase bound the level count rests on.
+    """
+    svec = np.asarray(s_values, dtype=float).tolist()
+    depth = p.shape_max()
+    searches = {j: _search(s, depth) for j, s in enumerate(svec)}
+    results, sent, eng = [None] * len(svec), {}, None
+    while searches:
+        kappas = {}
+        for j, search in searches.items():
+            try:
+                kappas[j] = search.send(sent.get(j))
+            except StopIteration as stop:
+                unresolved = j in sent and eng.h * math.sqrt(svec[j] * depth) > 0.5 * math.pi
+                results[j] = stop.value
+                if unresolved and isinstance(stop.value, BracketFailure):
+                    results[j] = BracketFailure(f"{nsteps} steps do not resolve the well at s={svec[j]:g}")
+        searches = {j: searches[j] for j in kappas}
+        if kappas:
+            eng = eng or _WronskianEngine(p, nsteps=nsteps)
+            W, N = eng.wronskian([svec[j] for j in kappas], list(kappas.values()))
+            sent = dict(zip(kappas, zip(W.tolist(), N.tolist())))
     return results
 
 

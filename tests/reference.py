@@ -5,8 +5,10 @@ in place of the extraction sum of integrate, dense N x N kernel sums in
 place of the O(N) contraction, and the small-beta resolvent expansions
 written out as formulas in place of the monomial tables, the shooting
 propagation one Magnus step at a time in place of sub-block products,
-and the scan-and-polish search and a plain bisection on the level count
-in place of the bisection and Illinois search of shooting_sweep. The
+and, in place of the one-strength bisection and Illinois search of
+shooting_sweep, the same search as array code over every strength, the
+scan-and-polish search before it and a plain bisection on the level
+count. The
 Gaussian-well closed forms, an erf from first principles, the series fit
 of solver energies, the exact square-well and Poschl-Teller levels, the
 closed-form and spectral resolvents of the regulator delta well and the
@@ -95,6 +97,75 @@ def wronskian_steps(engine, svec, kvec):
     return W, n + ((-1) ** n * W < 0.0)
 
 
+def vectorized_search_sweep(p, s_values, nsteps=4000):
+    """The search of shooting_sweep as array code over all strengths at once.
+
+    The bisection and Illinois search that shooting_sweep runs one
+    strength at a time, written over arrays of every strength's bracket,
+    weights and phase, with every candidate kappa formed by np.where on
+    each pass. It counts its passes itself. Same batches, same kappas,
+    same results, bit for bit, except that it keeps the search's own
+    failure text where shooting_sweep names an unresolved well.
+    """
+    svec = np.asarray(s_values, dtype=float)
+    hi = np.sqrt(np.maximum(svec, 0.0) * p.shape_max()) * (1.0 - 1e-9)
+    lo = hi * 1e-6
+    results: list = [
+        BracketFailure("a nonzero attractive potential is required")
+        if not (s > 0.0 and p.shape_max() > 0.0)
+        # every kappa searched is >= lo, so lo^2 > 0 keeps _propagate's q > 0
+        else None if k * k > 0.0
+        else BracketFailure(f"the well depth underflows for strength s={s:g}")
+        for s, k in zip(svec.tolist(), lo.tolist())
+    ]
+    a = np.array([j for j, r in enumerate(results) if r is None], dtype=int)
+    if not a.size:
+        return results
+    eng = _WronskianEngine(p, nsteps=nsteps)
+    n, passes = len(svec), 0
+    # N at lo (0 until probed), W at the ends and its Illinois weights, the
+    # end the last probe moved (-1 lo, +1 hi), and which strengths run Illinois
+    levels, side = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    w_lo, w_hi, f_lo, f_hi = (np.full(n, np.nan) for _ in range(4))
+    falsi = np.zeros(n, dtype=bool)
+    k = lo[a]
+    while a.size:
+        W, N = eng.wronskian(svec[a], k)
+        passes += 1
+        for j in a[(levels[a] == 0) & (N == 0)]:
+            results[j] = BracketFailure(f"no Wronskian sign change for strength s={svec[j]:g}")
+        below, above = N >= 1, (N == 0) & (levels[a] > 0)
+        up, down = a[below], a[above]
+        lo[up], w_lo[up], f_lo[up], levels[up] = k[below], W[below], W[below], N[below]
+        hi[down], w_hi[down], f_hi[down] = k[above], W[above], W[above]
+        # Illinois: an end kept twice in a row has its weight halved
+        f_hi[up[falsi[up] & (side[up] < 0)]] *= 0.5
+        f_lo[down[falsi[down] & (side[down] > 0)]] *= 0.5
+        side[up], side[down] = -1, 1
+        start = ~falsi & (levels == 1) & ~np.isnan(w_hi) & (hi <= 2.0 * lo)
+        side[start] = 0
+        falsi |= start
+        a = a[levels[a] > 0]
+        l, h, m = lo[a], hi[a], levels[a]
+        k = np.where(h <= 2.0 * l, 0.5 * (l + h), np.sqrt(l * h))
+        k = np.where((m >= 2) & (side[a] <= 0), np.sqrt(h * h - (h * h - l * l) / m), k)
+        k = np.where(falsi[a], h - f_hi[a] * (h - l) / (f_hi[a] - f_lo[a]), k)
+        done = ~((l < k) & (k < h)) | (falsi[a] & (h - l <= 4.0 * np.spacing(h)))
+        for j in a[done]:
+            if not falsi[j]:
+                results[j] = BracketFailure(f"no level bracket for strength s={svec[j]:g}")
+                continue
+            kappa, w = (lo[j], w_lo[j]) if abs(w_lo[j]) <= abs(w_hi[j]) else (hi[j], w_hi[j])
+            results[j] = BoundStateResult(
+                energy=-float(kappa) ** 2,
+                residual=abs(float(w)),
+                iterations=passes,
+                bracket=(-float(hi[j]) ** 2, -float(lo[j]) ** 2),
+            )
+        a, k = a[~done], k[~done]
+    return results
+
+
 #: the scan, subdivision and polish of scan_search_sweep
 _SCAN_POINTS = 160
 _SUBDIV = 64
@@ -102,7 +173,7 @@ _MAX_ROUNDS = 40
 
 
 def scan_search_sweep(p, s_values, nsteps=4000):
-    """The search that shooting_sweep replaced, on the same engine.
+    """The search that the bisection and Illinois search replaced, on the same engine.
 
     A 160-point geometric kappa scan down from sqrt(s * shape_max())
     brackets each strength where the level count first reaches 1; rounds
@@ -123,8 +194,12 @@ def scan_search_sweep(p, s_values, nsteps=4000):
     eng = _WronskianEngine(p, nsteps=nsteps)
     lo, hi, levels = np.zeros(len(svec)), np.ones(len(svec)), np.zeros(len(svec), dtype=int)
 
+    passes = 0
+
     def wronskian_rows(active, ks):
-        """W and N at one row of kappas per active strength, in one pass."""
+        """W and N at one row of kappas per active strength, in one counted pass."""
+        nonlocal passes
+        passes += 1
         W, N = eng.wronskian(np.repeat(svec[active], ks.shape[1]), ks.ravel())
         return W.reshape(ks.shape), N.reshape(ks.shape)
 
@@ -168,13 +243,13 @@ def scan_search_sweep(p, s_values, nsteps=4000):
         step = np.where(slope != 0.0, -mean / slope, 0.0)
         root = root + np.clip(step, -0.5, 0.5) * w
 
-    Wf, _ = eng.wronskian(svec[active], root)
+    Wf, _ = wronskian_rows(active, root[:, None])
     for row, j in enumerate(active):
         kappa = float(root[row])
         results[j] = BoundStateResult(
             energy=-kappa * kappa,
-            residual=abs(float(Wf[row])),
-            iterations=eng.evaluations,
+            residual=abs(float(Wf[row, 0])),
+            iterations=passes,
             bracket=(-float(hi[j]) ** 2, -float(lo[j]) ** 2),
         )
     return results

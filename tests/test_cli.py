@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shallowwell
@@ -329,7 +329,8 @@ def test_solve_poschl_teller(tmp_path, capsys):
     "s, reason",
     [
         ("0", "a nonzero attractive potential is required"),
-        ("1e200", "no Wronskian sign change for strength s=1e+200"),
+        # each step spans far more than pi/2 of the phase sqrt(s): the steps are named
+        ("1e200", "4000 steps do not resolve the well at s=1e+200"),
     ],
 )
 def test_solve_failure_is_one_numeric_failure_line(tmp_path, capsys, s, reason):
@@ -604,6 +605,23 @@ def test_compare_series_inf_minus_inf_fails_only_its_cell(tmp_path, capsys):
     assert rows[1][1] == "" and rows[1][-1].startswith("series: -inf + inf in fsum; ")
 
 
+def test_compare_failed_series_keeps_every_row(tmp_path, capsys):
+    # the series chains of a depth-1e60 triangle overflow to +-inf, so energy_series
+    # itself raises fsum's ValueError: the series and pade cells fail, the rest stay
+    path = _write(tmp_path, "tri.txt", "-1 0\n0 -1e60\n1 0\n")
+    sweep = "[sweep]\ns_min = 1e-62\ns_max = 1e-60\nsteps = 2\n"
+    cfg = _write(tmp_path, "c.ini", f"[potential]\nkind = tabulated\nfile = {path}\n" + sweep)
+    out, err = _one_line_exit(capsys, 3, ["compare", "--config", cfg])
+    assert err == "numeric failure: no row is complete\n"
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[:6] for row in rows] == [
+        ["1e-62", "", "", "-1.59159653e-05", "-2.48836142e-05", "-2.48839737e-05"],
+        ["1e-60", "", "", "-0.145907958", "-0.17359928", "-0.173818992"],
+    ]
+    for row in rows:
+        assert row[-1] == "series: -inf + inf in fsum; pade: -inf + inf in fsum"
+
+
 def test_compare_zero_well_fails_only_its_pade_cells(tmp_path, capsys):
     # an all-zero series has no Pade approximant; the report is still written
     samples = _write(tmp_path, "zeros.txt", "# x V\n-1 0\n0 0\n1 0\n")
@@ -673,9 +691,8 @@ _DEPTHS = st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(-320.0, 10.0).map(
 
 
 @st.composite
-def _cli_runs(draw):
-    """(files to write, argv, whether the well is nonzero) of one drawn CLI run."""
-    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+def _cli_runs(draw, command):
+    """(files to write, argv, whether the well is nonzero) of one drawn run of command."""
     # on a 2-core host a solve takes at most about 0.6 s at any s up to 1e300, while
     # three deep compare rows still take up to a second (square well a = 0.05, s = 1e10-1e20)
     top = 4.0 if command == "compare" else 300.0
@@ -731,20 +748,8 @@ def _pade_value(alpha, numerator, denominator, s):
     return (Fraction(alpha) * s + p / q if q else None), q, max(map(abs, q_terms))
 
 
-@settings(max_examples=18)
-@given(_cli_runs())
-# the Pade samples whose polynomials overflow, and a square well
-@example(({"c.ini": GAUSS_CFG + "[sweep]\ns_min = 6e102\ns_max = 1e150\nsteps = 3\n"},
-          ["pade", "--config", "c.ini", "--format", "json"], True))
-@example(({"c.ini": "[potential]\nkind = square_well\ns = 2.5\na = 0.7\n"},
-          ["series", "--config", "c.ini", "--format", "text"], True))
-# deep solves: a level found, and the search's own failure (ROADMAP item 7)
-@example(({"c.ini": "[potential]\nkind = poschl_teller\ns = 1e10\n"},
-          ["solve", "--config", "c.ini", "--format", "json"], True))
-@example(({"c.ini": "[potential]\nkind = square_well\ns = 1e12\na = 100.0\n"},
-          ["solve", "--config", "c.ini", "--format", "csv"], True))
-def test_cli_contract_on_drawn_inputs(run):
-    files, argv, nonzero = run
+def _check_contract(files, argv, nonzero):
+    """The exit-code and report contract of one CLI run, made twice in child processes."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
             Path(tmp, name).write_text(text)
@@ -765,6 +770,9 @@ def test_cli_contract_on_drawn_inputs(run):
                 # a failed cell is empty; series' exact column holds rationals such as 4/3
                 for cell in (row[j] for row in rows if not header.endswith("[text]")):
                     assert cell == "" or "/" in cell or math.isfinite(float(cell)), (header, cell)
+    if command == "compare" and code in (0, 3):  # a failed cell leaves its row in place
+        steps = int(re.search(r"^steps = (\d+)$", files["c.ini"], re.M).group(1))
+        assert [len(rows) for _, rows in _tables(out)] == [steps]
     if command == "series" and code == 0 and nonzero:  # else exit 3, say with "c2 underflows"
         c2 = payload["coefficients"][1] if payload else float(_tables(out)[0][1][1][1])
         assert c2 < 0.0
@@ -788,3 +796,37 @@ def test_cli_contract_on_drawn_inputs(run):
                 assert abs(q) <= 1e-8 * q_scale, (s, why)
             else:
                 assert value is None or abs(value) > sys.float_info.max * (1 - 1e-8), (s, why)
+
+
+#: explicit runs, each checked once: (files to write, argv, whether the well is nonzero)
+FIXED_RUNS = {
+    # the Pade samples whose polynomials overflow, and a square well
+    "pade-polynomial-overflow": (
+        {"c.ini": GAUSS_CFG + "[sweep]\ns_min = 6e102\ns_max = 1e150\nsteps = 3\n"},
+        ["pade", "--config", "c.ini", "--format", "json"], True),
+    "series-square-well": ({"c.ini": "[potential]\nkind = square_well\ns = 2.5\na = 0.7\n"},
+                           ["series", "--config", "c.ini", "--format", "text"], True),
+    # deep solves: a level found, and a well the steps do not resolve (ROADMAP item 7)
+    "solve-poschl-teller-1e10": ({"c.ini": "[potential]\nkind = poschl_teller\ns = 1e10\n"},
+                                 ["solve", "--config", "c.ini", "--format", "json"], True),
+    "solve-square-well-1e12": ({"c.ini": "[potential]\nkind = square_well\ns = 1e12\na = 100.0\n"},
+                               ["solve", "--config", "c.ini", "--format", "csv"], True),
+    # a series whose chains overflow: compare keeps its rows
+    "compare-series-overflow": (
+        {"tri.txt": "-1 0\n0 -1e60\n1 0\n",
+         "c.ini": "[potential]\nkind = tabulated\nfile = tri.txt\n"
+                  "[sweep]\ns_min = 1e-62\ns_max = 1e-60\nsteps = 2\n"},
+        ["compare", "--config", "c.ini", "--format", "csv"], True),
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+@settings(max_examples=4)
+@given(data=st.data())
+def test_cli_contract_on_drawn_inputs(command, data):
+    _check_contract(*data.draw(_cli_runs(command)))
+
+
+@pytest.mark.parametrize("run", FIXED_RUNS.values(), ids=FIXED_RUNS)
+def test_cli_contract_on_fixed_inputs(run):
+    _check_contract(*run)

@@ -13,6 +13,7 @@ from reference import (
     fit_series_coefficients,
     gaussian_closed_coefficients,
     scan_search_sweep,
+    vectorized_search_sweep,
     wronskian_steps,
 )
 
@@ -157,6 +158,60 @@ def test_sweep_matches_count_bisection_at_random_strengths(p):
     assert max(r.residual for r in results) <= 1e-12
     for r in results:
         assert r.bracket[0] <= r.energy <= r.bracket[1]
+
+
+#: a tabulated triangle of halfwidth 1e20: each of its 4,000 steps is about 2.5e16 wide
+_WIDE_TRIANGLE = Potential.tabulated([-1e20, 0.0, 1e20], [0.0, -1.0, 0.0])
+#: strengths at every edge of the search: refused, underflowing, shallow, deep, beyond any grid
+_EDGE_S = (0.0, -0.0, 1e-300, 1e-13, 1e10, 1e12, 1e20, 1e30, 1e300, 5e149)
+
+
+def _bits(result):
+    """A search's outcome as exact bits: a failure's text, or a result's hex floats and passes."""
+    if isinstance(result, BracketFailure):
+        return str(result)
+    floats = (result.energy, result.residual, *result.bracket)
+    return [x.hex() for x in floats], result.iterations
+
+
+@pytest.mark.parametrize(
+    "p, s_values",
+    [
+        (_WIDE_TRIANGLE, _EDGE_S),
+        (Potential("gaussian", 1.0), (1e-13, 0.5, 1e12, 1e20)),
+        (Potential("square_well", 1.0, a=0.05), np.geomspace(1e-3, 1e6, 3)),
+        (Potential("poschl_teller", 1.0), (3.0,)),
+        (Potential.tabulated(_SECH2_X, -1.0 / np.cosh(_SECH2_X - 1.3) ** 2), (0.7, 20.0)),
+    ],
+    ids=["wide-triangle-edges", "gaussian-shallow-to-deep", "square-well-a0.05", "poschl-teller",
+         "tabulated"],
+)
+def test_sweep_matches_vectorized_search_bit_for_bit(p, s_values):
+    # the one-strength searches make the passes of the array code they replaced: the
+    # same kappas in the same batches, so the same W, N and outcomes, to the bit; only
+    # a search failure where a step spans over pi/2 of sqrt(s * shape_max) reads differently
+    h = _WronskianEngine(p).h
+    with np.errstate(all="ignore"):
+        got, want = shooting_sweep(p, s_values), vectorized_search_sweep(p, s_values)
+    for s, res, ref in zip(s_values, got, want):
+        unresolved = s > 0.0 and h * math.sqrt(s * p.shape_max()) > math.pi / 2
+        if unresolved and str(ref).startswith(("no Wronskian", "no level")):
+            ref = BracketFailure(f"4000 steps do not resolve the well at s={s:g}")
+        assert _bits(res) == _bits(ref), s
+
+
+def test_failures_name_unresolved_steps():
+    # phases h * sqrt(s * shape_max) of 2.5e16 and 3.75e3: the steps cannot count levels;
+    # at 1.2e-9 the search's own cause stands
+    with np.errstate(all="ignore"):
+        wide, deep, shallow = (
+            shooting_sweep(p, [s])[0]
+            for p, s in ((_WIDE_TRIANGLE, 1.0), (Potential("gaussian", 1.0), 1e12),
+                         (Potential("gaussian", 1.0), 1e-13))
+        )
+    assert str(wide) == "4000 steps do not resolve the well at s=1"
+    assert str(deep) == "4000 steps do not resolve the well at s=1e+12"
+    assert str(shallow) == "no Wronskian sign change for strength s=1e-13"
 
 
 def test_step_series_matches_cosh_and_cos():
