@@ -19,14 +19,18 @@ its rounds, written beside the rounds themselves. Rows:
     the variational search of one compare row (minimize) at s = 0.1, 1, 3;
     energy_series per built-in shape, on a new Potential each time, so
       no kink plan is reused;
-    one _WronskianEngine.wronskian pass at B = 1, at the converged kappa,
-      per built-in shape (s = 1) and on a tabulated sech^2 centred at
-      x0 = 1.3 (2,401 samples, s = 1.5);
+    one _WronskianEngine.wronskian pass of one (strength, kappa) pair, at
+      the converged kappa, per built-in shape (s = 1) and on a tabulated
+      sech^2 centred at x0 = 1.3 (2,401 samples, s = 1.5), called as
+      wronskian(s, kappa) or, where the engine takes arrays of pairs, as
+      wronskian([s], [kappa]);
     shooting_sweep on 30 Gaussian strengths (s = 0.1-3.0); on the 3 of a
-      compare-sweep job (the Gaussian at s = 0.11, 1.5 and 3.0); and on 30
-      Poschl-Teller strengths at s = 1e3-1e5, whose passes run the
-      vectorized carry until the batch falls to _SCALAR_CARRY strengths and
-      the scalar carry after;
+      compare-sweep job (the Gaussian at s = 0.11, 1.5 and 3.0); on 30 of
+      the tabulated sech^2 (s = 0.1-3.0); and on 30 and on 160
+      Poschl-Teller strengths at s = 1e3-1e5, whose passes carry the
+      solution across hundreds of sub-block products each, in Python
+      floats one strength at a time (or, in a tree that batches the
+      strengths of a pass, across whole columns of a large batch);
     cmd_solve per built-in shape (s = 1), and on Poschl-Teller at s = 1e6;
     divergent_block on the Gaussian, after the fourth order has been
       evaluated on the same grid, as greens-check calls it;
@@ -142,14 +146,20 @@ def _rows(src: str) -> dict:
     for name, pw in wells.items():
         engine = _WronskianEngine(pw)
         (level,) = shooting_sweep(pw, [pw.s])
-        kappa = [math.sqrt(-level.energy)]
-        rows[f"oracles.wronskian B=1 {name}"] = _per_call(lambda: engine.wronskian([pw.s], kappa))
+        pair = (pw.s, math.sqrt(-level.energy))
+        if next(iter(inspect.signature(engine.wronskian).parameters)) == "svec":  # arrays of pairs
+            pair = ([pw.s], [pair[1]])
+        rows[f"oracles.wronskian B=1 {name}"] = _per_call(lambda: engine.wronskian(*pair))
 
     s_values = np.linspace(0.1, 3.0, 30)
     rows["oracles.shooting_sweep 30 strengths"] = _per_call(lambda: shooting_sweep(p, s_values))
     rows["oracles.shooting_sweep 3 strengths"] = _per_call(lambda: shooting_sweep(p, [0.11, 1.5, 3.0]))
-    deep, s_deep = Potential("poschl_teller", 1.0), np.geomspace(1e3, 1e5, 30)
-    rows["oracles.shooting_sweep 30 poschl_teller s=1e3-1e5"] = _per_call(lambda: shooting_sweep(deep, s_deep))
+    sech2 = wells["tabulated sech2 x0=1.3"]
+    rows["oracles.shooting_sweep 30 tabulated sech2"] = _per_call(lambda: shooting_sweep(sech2, s_values))
+    deep = Potential("poschl_teller", 1.0)
+    for n in (30, 160):
+        s_deep = np.geomspace(1e3, 1e5, n)
+        rows[f"oracles.shooting_sweep {n} poschl_teller s=1e3-1e5"] = _per_call(lambda: shooting_sweep(deep, s_deep))
 
     evaluate_terms(load_terms(4), p, g)
     rows["greens.divergent_block gaussian"] = _per_call(lambda: divergent_block(p, g))

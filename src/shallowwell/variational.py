@@ -9,9 +9,9 @@ over the whole line: closed forms for the Gaussian, one trapezoid sum in
 x = beta sinh t for exp-sqrt. Only int V psi^2 is integrated on the
 caller's fixed grid, so one objective call costs one correctly rounded
 quadrature.integrate at numpy speed. minimize evaluates V at the nodes
-once, and its objective is the core of the public
-rayleigh_quotient(tf, v, g), with psi^2's denominators formed once per
-beta. The module needs numpy alone.
+once, and its objective is the public rayleigh_quotient(tf, v, g, den),
+called by that name so that a traced run counts it, with psi^2's
+denominators den formed once per beta. The module needs numpy alone.
 
 Both families are searched as alpha = c (1 + beta), beta = u / (1 - u),
 whose u = 1 edge is the Gaussian trial alpha = c / 2. Brent's search
@@ -103,22 +103,18 @@ class ExpSqrtTrial:
         return norm, scale * self.alpha**2 * (edge + float(np.dot(aw, 1.0 / (1.0 + a))))
 
 
-def rayleigh_quotient(tf, v, g: QuadratureGrid) -> float:
+def rayleigh_quotient(tf, v, g: QuadratureGrid, den=None) -> float:
     """(<psi'|psi'> + int V psi^2) / <psi|psi>, with v the values of V at g.nodes.
 
     The norm and kinetic terms come from one trial.norm_and_kinetic() call
     over the whole line; int V psi^2 is integrated on g. V = -s*shape <= 0,
     so cutting that integral off at +-L can only raise the quotient, which
-    stays an upper bound.
+    stays an upper bound. den, if given, is an exp-sqrt trial's
+    hypot(beta, x) + beta at g.nodes.
 
     Raises:
         NonNormalizable: the norm underflows (parameters too extreme).
     """
-    return _quotient(tf, v, g)
-
-
-def _quotient(tf, v, g, den=None):
-    """rayleigh_quotient, with an exp-sqrt trial's hypot(beta, x) + beta at g.nodes as den, if given."""
     norm, kinetic = tf.norm_and_kinetic()
     if not (norm > _NORM_FLOOR):
         raise NonNormalizable(f"trial norm {norm:g} underflows")
@@ -224,7 +220,7 @@ def minimize(p: Potential, g: QuadratureGrid) -> dict:
     v = p.evaluate(g.nodes)
 
     def search(u, den, lo, hi):
-        return _brent(lambda t: (_quotient(_trial(t, u), v, g, den), t, u), lo, hi)
+        return _brent(lambda t: (rayleigh_quotient(_trial(t, u), v, g, den), t, u), lo, hi)
 
     gaussian = search(1.0, None, *_LOG_C)
     start = gaussian[1]

@@ -5,10 +5,12 @@ in place of the extraction sum of integrate, dense N x N kernel sums in
 place of the O(N) contraction, and the small-beta resolvent expansions
 written out as formulas in place of the monomial tables, the shooting
 propagation one Magnus step at a time in place of sub-block products,
-and, in place of the one-strength bisection and Illinois search of
-shooting_sweep, the same search as array code over every strength, the
-scan-and-polish search before it and a plain bisection on the level
-count. The
+the carry across sub-block products over whole columns of kappas in
+place of one kappa's carry in Python floats, and, in place of the
+one-strength bisection and Illinois search of shooting_sweep, the same
+search as array code over every strength, the scan-and-polish search
+before it and a plain bisection on the level count, all three passing
+their (strength, kappa) pairs to the engine one at a time. The
 Gaussian-well closed forms, an erf from first principles, the series fit
 of solver energies, the exact square-well and Poschl-Teller levels, the
 closed-form and spectral resolvents of the regulator delta well and the
@@ -86,6 +88,31 @@ def propagate_steps(shape, svec, kvec, h):
     return u, v, nodes
 
 
+def carry_batch(prods, u, v, nodes):
+    """Carry (u, u') across the (2, 2, batch, runs) products, all columns at once.
+
+    Renormalizes by max(|u|, |u'|) after each product and counts the
+    sign changes of u. Returns the new (u, u', nodes).
+    """
+    nodes = nodes.copy()
+    for (p00, p01), (p10, p11) in np.moveaxis(prods, -1, 0):
+        unew = p00 * u + p01 * v
+        v = p10 * u + p11 * v
+        nodes += (unew * u) < 0.0
+        u = unew
+        r = np.maximum(np.abs(u), np.abs(v))
+        u /= r
+        v /= r
+    return u, v, nodes
+
+
+def wronskian_pairs(engine, svec, kvec):
+    """W and N of engine.wronskian at each (strength, kappa) pair in turn, as arrays."""
+    svec, kvec = np.asarray(svec, dtype=float).tolist(), np.asarray(kvec, dtype=float).tolist()
+    W, N = zip(*map(engine.wronskian, svec, kvec))
+    return np.array(W), np.array(N)
+
+
 def wronskian_steps(engine, svec, kvec):
     """W and the level count N of engine.wronskian, through propagate_steps."""
     svec = np.asarray(svec, dtype=float)
@@ -103,9 +130,10 @@ def vectorized_search_sweep(p, s_values, nsteps=4000):
     The bisection and Illinois search that shooting_sweep runs one
     strength at a time, written over arrays of every strength's bracket,
     weights and phase, with every candidate kappa formed by np.where on
-    each pass. It counts its passes itself. Same batches, same kappas,
-    same results, bit for bit, except that it keeps the search's own
-    failure text where shooting_sweep names an unresolved well.
+    each pass, and each pass's pairs passed to the engine one at a time
+    (wronskian_pairs). It counts its passes itself. Same kappas, same
+    results, bit for bit, except that it keeps the search's own failure
+    text where shooting_sweep names an unresolved well.
     """
     svec = np.asarray(s_values, dtype=float)
     hi = np.sqrt(np.maximum(svec, 0.0) * p.shape_max()) * (1.0 - 1e-9)
@@ -130,7 +158,7 @@ def vectorized_search_sweep(p, s_values, nsteps=4000):
     falsi = np.zeros(n, dtype=bool)
     k = lo[a]
     while a.size:
-        W, N = eng.wronskian(svec[a], k)
+        W, N = wronskian_pairs(eng, svec[a], k)
         passes += 1
         for j in a[(levels[a] == 0) & (N == 0)]:
             results[j] = BracketFailure(f"no Wronskian sign change for strength s={svec[j]:g}")
@@ -200,7 +228,7 @@ def scan_search_sweep(p, s_values, nsteps=4000):
         """W and N at one row of kappas per active strength, in one counted pass."""
         nonlocal passes
         passes += 1
-        W, N = eng.wronskian(np.repeat(svec[active], ks.shape[1]), ks.ravel())
+        W, N = wronskian_pairs(eng, np.repeat(svec[active], ks.shape[1]), ks.ravel())
         return W.reshape(ks.shape), N.reshape(ks.shape)
 
     def narrow(active, ks, N):
@@ -266,7 +294,7 @@ def count_bisection(p, s_values, nsteps=4000, steps=60):
     lo, hi = np.zeros_like(svec), np.sqrt(svec * p.shape_max())
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        _, N = eng.wronskian(svec, mid)
+        _, N = wronskian_pairs(eng, svec, mid)
         lo, hi = np.where(N >= 1, mid, lo), np.where(N >= 1, hi, mid)
     return -(0.5 * (lo + hi)) ** 2
 

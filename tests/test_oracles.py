@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from reference import (
+    carry_batch,
     count_bisection,
     erf_reference,
     exact_poschl_teller,
@@ -14,17 +15,12 @@ from reference import (
     gaussian_closed_coefficients,
     scan_search_sweep,
     vectorized_search_sweep,
+    wronskian_pairs,
     wronskian_steps,
 )
 
 from shallowwell.errors import BracketFailure
-from shallowwell.oracles import (
-    _carry_batch,
-    _carry_columns,
-    _cosh_sinhc,
-    _WronskianEngine,
-    shooting_sweep,
-)
+from shallowwell.oracles import _carry, _cosh_sinhc, _WronskianEngine, shooting_sweep
 from shallowwell.potential import Potential
 
 #: abscissas of an off-centre sech^2 well, x0 = 1.3 +- 12
@@ -150,7 +146,7 @@ def test_deep_off_centre_well_matches_count_bisection(x0, s):
     ids=["square_well", "poschl_teller", "gaussian", "tabulated"],
 )
 def test_sweep_matches_count_bisection_at_random_strengths(p):
-    # one batch from shallow to deep: strengths leave the batch at different passes
+    # one sweep from shallow to deep: its strengths take different numbers of passes
     s = np.exp(np.random.default_rng(11).uniform(math.log(0.02), math.log(3000.0), 12))
     results = shooting_sweep(p, s)
     energies = np.array([r.energy for r in results])
@@ -188,8 +184,9 @@ def _bits(result):
 )
 def test_sweep_matches_vectorized_search_bit_for_bit(p, s_values):
     # the one-strength searches make the passes of the array code they replaced: the
-    # same kappas in the same batches, so the same W, N and outcomes, to the bit; only
-    # a search failure where a step spans over pi/2 of sqrt(s * shape_max) reads differently
+    # same kappas, each passed to the engine alone, so the same W, N and outcomes, to the
+    # bit; only a search failure where a step spans over pi/2 of sqrt(s * shape_max) reads
+    # differently
     h = _WronskianEngine(p).h
     with np.errstate(all="ignore"):
         got, want = shooting_sweep(p, s_values), vectorized_search_sweep(p, s_values)
@@ -255,7 +252,7 @@ def test_level_count_on_deep_poschl_teller():
     kappa0 = 0.5 * (math.sqrt(1.0 + 4.0 * s) - 1.0)
     kappas = [kappa0 + 0.5] + [kappa0 - n - 0.5 for n in range(5)]
     engine = _WronskianEngine(Potential("poschl_teller", 1.0))
-    _, levels = engine.wronskian([s] * len(kappas), kappas)
+    _, levels = wronskian_pairs(engine, [s] * len(kappas), kappas)
     assert levels.tolist() == [0, 1, 2, 3, 4, 5]
 
 
@@ -277,15 +274,16 @@ def test_sub_block_products_match_step_loop(p):
     for batch in (1, 3, 64, 160):
         s = np.exp(rng.uniform(math.log(0.05), math.log(1e4), batch))
         kappa = np.sqrt(s * p.shape_max()) * rng.uniform(0.0, 1.0, batch)
-        W, N = engine.wronskian(s, kappa)
+        W, N = wronskian_pairs(engine, s, kappa)
         W_ref, N_ref = wronskian_steps(engine, s, kappa)
         assert N.tolist() == N_ref.tolist()
         assert np.max(np.abs(W - W_ref)) <= 1e-13
 
 
 def test_scalar_carry_matches_batch_carry_bit_for_bit():
-    # the same sub-block products through both carries: u, u' and the counts
-    # agree to the bit, NaN payloads and signed zeros included
+    # the same sub-block products through the carry of a whole batch of columns and,
+    # column by column, through the carry in Python floats: u, u' and the counts agree
+    # to the bit, NaN payloads and signed zeros included
     rng = np.random.default_rng(5)
     runs = 40
     prods = rng.normal(size=(2, 2, 8, runs))
@@ -300,21 +298,24 @@ def test_scalar_carry_matches_batch_carry_bit_for_bit():
     v[5], v[6] = -0.0, 1.0
     nodes = rng.integers(0, 5, 8)
     with np.errstate(all="ignore"):
-        batch = _carry_batch(prods, u, v, nodes)
-    columns = _carry_columns(prods, u, v, nodes)
+        batch = carry_batch(prods, u, v, nodes)
     assert np.isnan(batch[0][[0, 1, 2, 3, 4, 6]]).all() and np.isfinite(batch[0][[5, 7]]).all()
     assert batch[1][5] == 0.0
-    for got, want in zip(columns[:2], batch[:2]):
-        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-    assert columns[2].dtype == batch[2].dtype
-    assert columns[2].tolist() == batch[2].tolist()
+    for j in range(8):
+        uj, vj, nj = _carry(prods[:, :, j], float(u[j]), float(v[j]))
+        assert np.array([uj, vj]).view(np.int64).tolist() == [batch[0][j].view(np.int64), batch[1][j].view(np.int64)]
+        assert int(nodes[j]) + nj == batch[2][j]
 
 
-@pytest.mark.parametrize("batch", [1, 64, 160, 480])
-def test_wronskian_pass_memory_is_bounded(batch):
-    engine = _WronskianEngine(Potential("gaussian", 1.0))
-    s = np.geomspace(0.05, 1e4, batch)
-    kappa = 0.5 * np.sqrt(s)
+@pytest.mark.parametrize(
+    "p",
+    [Potential("gaussian", 1.0), Potential.tabulated(_SECH2_X, -1.0 / np.cosh(_SECH2_X - 1.3) ** 2)],
+    ids=["gaussian", "tabulated"],
+)
+def test_wronskian_pass_memory_is_bounded(p):
+    engine = _WronskianEngine(p)
+    s = 1e4
+    kappa = 0.5 * math.sqrt(s * p.shape_max())
     tracemalloc.start()
     try:
         engine.wronskian(s, kappa)
@@ -322,6 +323,24 @@ def test_wronskian_pass_memory_is_bounded(batch):
     finally:
         tracemalloc.stop()
     assert peak <= 3e6
+
+
+def test_sweep_mates_do_not_move_a_strength():
+    # s = 1e6 beside s = 2 once set the sub-block length of both
+    p = Potential("square_well", 1.0)
+    assert _bits(shooting_sweep(p, [2.0, 1e6])[0]) == _bits(shooting_sweep(p, [2.0])[0])
+
+
+@pytest.mark.parametrize(
+    "p",
+    [Potential("square_well", 1.0), Potential("poschl_teller", 1.0), Potential("gaussian", 1.0)],
+    ids=["square_well", "poschl_teller", "gaussian"],
+)
+def test_sweep_equals_its_strengths_solved_alone(p):
+    s = np.exp(np.random.default_rng(13).uniform(math.log(0.02), math.log(3000.0), 12)).tolist()
+    alone = [_bits(shooting_sweep(p, [sj])[0]) for sj in s]
+    assert [_bits(r) for r in shooting_sweep(p, s)] == alone
+    assert [_bits(r) for r in shooting_sweep(p, s[::-1])] == alone[::-1]
 
 
 def test_shooting_gaussian_regression():

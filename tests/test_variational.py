@@ -253,13 +253,13 @@ def test_objective_calls_per_minimize(monkeypatch, gaussian_unit, gaussian_grid)
     # one log-c search, warm-started around the previous step's optimum,
     # for 146 in all
     calls = []
-    quotient = variational._quotient
+    quotient = variational.rayleigh_quotient
 
     def counted(tf, *args):
         calls.append(type(tf))
         return quotient(tf, *args)
 
-    monkeypatch.setattr(variational, "_quotient", counted)
+    monkeypatch.setattr(variational, "rayleigh_quotient", counted)
     minimize(gaussian_unit, gaussian_grid)
     assert calls.count(GaussianTrial) == 20
     assert len(calls) == 146
