@@ -11,8 +11,11 @@ ROUNDS times, in alternating order; each row's figure is the median of
 its rounds, written beside the rounds themselves. Rows:
 
     integrate at N = 1,024;
-    contract for k = 0, 1, 2 and 5 at N = 1,024 and 2,048 (m = 0, on one
-      grid and well, so the kink plan is built once, as in a series);
+    contract for k = 0, 1, 2, 3 and 5 with m = 0, and for k = 1 with m = 1
+      and m = 2, at N = 1,024 and 2,048 (on one grid and well, so the kink
+      plan is built once, as in a series);
+    _kink_correction, the own-panel part of an odd contract, for k = 1, 3
+      and 5 at N = 1,024 and 2,048 (m = 0);
     evaluate_terms for each order 2-6 on the Gaussian, on a new Potential
       each time, so every chain is contracted afresh;
     one objective call (rayleigh_quotient) per trial family;
@@ -34,6 +37,8 @@ its rounds, written beside the rounds themselves. Rows:
     cmd_solve per built-in shape (s = 1), and on Poschl-Teller at s = 1e6;
     divergent_block on the Gaussian, after the fourth order has been
       evaluated on the same grid, as greens-check calls it;
+    e4_finite_beta on the Gaussian at beta = 0.01, on one grid and well, as
+      greens-check calls it for each of its three betas;
     cmd_greens_check on the Gaussian;
     cmd_compare on the README's example config (the Gaussian,
       s = 0.1-3.0, 30 steps), and the objective calls that it makes.
@@ -90,8 +95,8 @@ def _rows(src: str) -> dict:
     sys.path.insert(0, os.path.abspath(src))
     import numpy as np
 
-    from shallowwell import cli, variational
-    from shallowwell.greens import divergent_block
+    from shallowwell import cli, quadrature, variational
+    from shallowwell.greens import divergent_block, e4_finite_beta
     from shallowwell.oracles import _WronskianEngine, shooting_sweep
     from shallowwell.perturbation import energy_series, evaluate_terms, load_terms
     from shallowwell.potential import Potential
@@ -107,8 +112,18 @@ def _rows(src: str) -> dict:
     for P in (128, 256):
         gk = build_grid(g.L, P, g.q)
         ones = np.ones(gk.size)
-        for k in (0, 1, 2, 5):
+        for k in (0, 1, 2, 3, 5):
             rows[f"quadrature.contract k={k} N={gk.size}"] = _per_call(lambda: contract(gk, p, k, 0, ones))
+        for m in (1, 2):
+            rows[f"quadrature.contract k=1 m={m} N={gk.size}"] = _per_call(lambda: contract(gk, p, 1, m, ones))
+        V, Vsub, memo = quadrature.plan(gk, p)
+        u = V * ones
+        # a tree whose _kink_correction takes the plan's memo, for the sub-node powers
+        memo_arg = (memo,) if len(inspect.signature(quadrature._kink_correction).parameters) == 7 else ()
+        for k in (1, 3, 5):
+            rows[f"quadrature._kink_correction k={k} N={gk.size}"] = _per_call(
+                lambda: quadrature._kink_correction(gk, k, 0, ones, u, Vsub, *memo_arg)
+            )
     for order in range(2, 7):
         terms = load_terms(order)
         rows[f"perturbation.evaluate_terms order={order}"] = _per_call(
@@ -163,6 +178,7 @@ def _rows(src: str) -> dict:
 
     evaluate_terms(load_terms(4), p, g)
     rows["greens.divergent_block gaussian"] = _per_call(lambda: divergent_block(p, g))
+    rows["greens.e4_finite_beta gaussian beta=0.01"] = _per_call(lambda: e4_finite_beta(p, g, 0.01))
 
     configs = {}
     with tempfile.TemporaryDirectory() as tmp:

@@ -93,16 +93,27 @@ def _apply_expansion(l, beta, g, p, Vx, F):
     """sum_j G^(l)(x_i, x_j) w_j V(x_j) F_j at every node x_i.
 
     The kink term is one contraction; each separable row is a weighted
-    sum over x_j times a monomial in x_i.
+    sum over x_j times a monomial in x_i. The monomials x^i |x|^j at the
+    nodes are built once per (grid, potential) pair, kept in the memo of
+    plan(g, p) under ("monomial", i, j), and shared by every beta and
+    kernel application.
     """
     kink, rows = _expansion(l)
-    x = g.nodes
+    _, _, memo = plan(g, p)
+
+    def monomial(i, j):
+        key = ("monomial", i, j)
+        if key not in memo:
+            memo[key] = _monomial(g.nodes, i, j)
+            memo[key].setflags(write=False)
+        return memo[key]
+
     sums = {}
     out = kink * contract(g, p, 2 * l + 1, 0, F)
     for coeff, e, i1, j1, i2, j2 in rows:
         if (i2, j2) not in sums:
-            sums[i2, j2] = integrate(g, Vx * F * _monomial(x, i2, j2))
-        out = out + coeff / beta**e * sums[i2, j2] * _monomial(x, i1, j1)
+            sums[i2, j2] = integrate(g, Vx * F * monomial(i2, j2))
+        out = out + coeff / beta**e * sums[i2, j2] * monomial(i1, j1)
     return out
 
 

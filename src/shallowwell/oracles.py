@@ -253,7 +253,9 @@ def shooting_sweep(p: Potential, s_values, nsteps: int = 4000) -> list:
     s*shape_max() whose lower kappa^2 underflows, or no level in the
     search range, read as "nsteps steps do not resolve the well" where a
     step spans more than pi/2 of sqrt(s*shape_max()), the phase bound the
-    level count rests on.
+    level count rests on. A pass through such a well overflows to inf
+    and NaN, and its search fails; numpy's warnings on those values are
+    silenced once for the whole sweep, not pass by pass.
     """
     depth, eng, results = p.shape_max(), None, []
 
@@ -262,11 +264,12 @@ def shooting_sweep(p: Potential, s_values, nsteps: int = 4000) -> list:
         eng = eng or _WronskianEngine(p, nsteps=nsteps)
         return eng.wronskian(s, kappa)
 
-    for s in np.asarray(s_values, dtype=float).tolist():
-        result, passes = _search(s, depth, wronskian)
-        if passes and isinstance(result, BracketFailure) and eng.h * math.sqrt(s * depth) > 0.5 * math.pi:
-            result = BracketFailure(f"{nsteps} steps do not resolve the well at s={s:g}")
-        results.append(result)
+    with np.errstate(all="ignore"):
+        for s in np.asarray(s_values, dtype=float).tolist():
+            result, passes = _search(s, depth, wronskian)
+            if passes and isinstance(result, BracketFailure) and eng.h * math.sqrt(s * depth) > 0.5 * math.pi:
+                result = BracketFailure(f"{nsteps} steps do not resolve the well at s={s:g}")
+            results.append(result)
     return results
 
 

@@ -10,10 +10,14 @@ has a kink on the diagonal, where plain panel rules converge only as
 O(P^-2); contract() re-integrates each target node's own panel with the
 panel split at the kink, interpolating the incoming grid function
 polynomially inside the panel. That restores spectral accuracy at
-moderate panel counts. The split-panel geometry depends only on q and is
-built once per q. All that depends on a (grid, potential) pair, V at the
-nodes and sub-nodes and the memo in which perturbation keeps chain values,
-is one record, plan(g, p), built once per pair.
+moderate panel counts. The Gauss-Legendre rule and the split-panel
+geometry depend only on q, and the split rule's weights times distance^k
+only on (q, k); each is built once. All that depends on a (grid,
+potential) pair is one record, plan(g, p), built once per pair: V at the
+nodes and sub-nodes, and a memo that keeps the sub-node coordinates
+raised to each m, perturbation's chain values and greens' monomials.
+Rows 0 and 1 of the contraction's powers are written exactly; only the
+rows from 2 on run numpy's pow.
 """
 from __future__ import annotations
 
@@ -47,6 +51,19 @@ class QuadratureGrid:
         return self.nodes.size
 
 
+@lru_cache(maxsize=None)
+def _gauss(q: int):
+    """The q-point Gauss-Legendre rule on [-1, 1], (nodes, weights), read-only.
+
+    leggauss solves an eigenvalue problem; every grid and split rule of
+    one q shares this one solve.
+    """
+    rule = leggauss(q)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def build_grid(L: float, P: int, q: int) -> QuadratureGrid:
     """Build a composite Gauss-Legendre grid.
 
@@ -68,7 +85,7 @@ def build_grid(L: float, P: int, q: int) -> QuadratureGrid:
         raise InvalidGridSpec(f"nodes per panel must satisfy 1 <= q <= 16, got {q}")
     if P * q > MAX_NODES:
         raise InvalidGridSpec(f"{P} panels of {q} nodes exceed the {MAX_NODES} nodes of one grid")
-    xs, ws = leggauss(int(q))
+    xs, ws = _gauss(int(q))
     edges = np.linspace(-L, L, int(P) + 1)
     half = L / P
     nodes = (edges[:-1, None] + half * (xs[None, :] + 1.0)).ravel()
@@ -216,11 +233,11 @@ def contract(g: QuadratureGrid, p, k: int, m: int, f) -> np.ndarray:
         raise ValueError("kernel and polynomial powers must be nonnegative")
     f = _check_aligned(g, f)
     x = g.nodes
-    V, Vsub, _ = plan(g, p)
+    V, Vsub, memo = plan(g, p)
     u = V * x**m * f
     h = _polynomial_sum(x, g.weights * u, k)
     if k % 2 == 1:
-        h += _kink_correction(g, k, m, f, u, Vsub)
+        h += _kink_correction(g, k, m, f, u, Vsub, memo)
     return h
 
 
@@ -229,8 +246,16 @@ def _polynomial_sum(x, wu, k):
     mass = np.abs(wu)
     total = float(mass.sum())
     y = x - (float(mass @ x) / total if total > 0.0 else 0.0)
-    # terms[b, j] = (-y_j)^b wu_j, so that (y_i - y_j)^k = sum_b C(k, b) y_i^(k-b) (-y_j)^b
-    terms = (-y) ** np.arange(k + 1)[:, None]
+    # terms[b, j] = (-y_j)^b wu_j, so that (y_i - y_j)^k = sum_b C(k, b) y_i^(k-b) (-y_j)^b.
+    # Rows 0 and 1 are exact; rows 2..k come from numpy's generic pow, in one call with
+    # several exponent rows. A lone exponent row 2 would take numpy's square path, whose
+    # bits differ, so k = 2 takes row 1 along.
+    terms = np.empty((k + 1, x.size))
+    terms[0] = 1.0
+    terms[1:2] = -y  # no row where k = 0
+    if k >= 2:
+        first = 1 if k == 2 else 2
+        terms[first:] = terms[1] ** np.arange(first, k + 1)[:, None]
     terms *= wu
     if k % 2 == 0:
         sums = terms.sum(axis=1, keepdims=True)
@@ -256,7 +281,7 @@ def _split_rule(q: int):
     (q, q). Scaled by the panel half-width they hold for every panel.
     There is one rule per q <= 16.
     """
-    xi, om = leggauss(q)
+    xi, om = _gauss(q)
     left, right = (1.0 + xi)[:, None] / 2.0, (1.0 - xi)[:, None] / 2.0
     eta = np.hstack([xi[:, None] - left * (1.0 - xi), xi[:, None] + right * (1.0 + xi)])
     sub_weights = np.hstack([left * om, right * om])
@@ -274,12 +299,15 @@ def plan(g: QuadratureGrid, p):
     """The one record of a (grid, potential) pair: (V, Vsub, memo).
 
     V at the grid nodes (N,) and at every node's kink-split sub-nodes
-    (P, q, 2q), both read-only, and a memo dict in which perturbation
-    keeps chain values and suffix contractions. Built on first use, so
-    grids that are never contracted cost nothing; four plans cover the
-    coarse and fine grids of two potentials. Keyed on the grid's
-    (L, P, q) and on the potential object, by identity, so a memo never
-    serves another well or grid. The sub-node coordinates are not held.
+    (P, q, 2q), both read-only, and a memo dict of the pair's fixed and
+    computed arrays: the sub-node coordinates raised to each m > 0 that
+    contract() has used, under ("sub_nodes", m); the monomials
+    x^i |x|^j at the nodes that greens applies, under ("monomial", i, j);
+    and the chain values and suffix contractions of perturbation. Built
+    on first use, so grids that are never contracted cost nothing; four
+    plans cover the coarse and fine grids of two potentials. Keyed on the
+    grid's (L, P, q) and on the potential object, by identity, so a memo
+    never serves another well or grid.
     """
     V, Vsub = p.evaluate(g.nodes), p.evaluate(_sub_nodes(g, _split_rule(g.q)[0]))
     V.setflags(write=False)
@@ -292,18 +320,36 @@ def _sub_nodes(g, eta):
     return g.edges[:-1, None, None] + half * (eta[None] + 1.0)
 
 
-def _kink_correction(g, k, m, f, u, Vsub):
-    """Replace each node's own-panel contribution by a kink-split rule."""
+@lru_cache(maxsize=None)
+def _kernel_weights(q: int, k: int):
+    """The split rule's weights times distance^k: sub-panels (q, 2q), own panel (q, q); read-only."""
+    _, sub_weights, dist, _, om, own_dist = _split_rule(q)
+    weights = (sub_weights * dist**k, om * own_dist**k)
+    for a in weights:
+        a.setflags(write=False)
+    return weights
+
+
+def _kink_correction(g, k, m, f, u, Vsub, memo):
+    """Replace each node's own-panel contribution by a kink-split rule.
+
+    memo is that of plan(g, p); the sub-node coordinates raised to m are
+    kept in it, under ("sub_nodes", m).
+    """
     P, q = g.P, g.q
-    eta, sub_weights, dist, interp, om, own_dist = _split_rule(q)
+    eta, _, _, interp, _, _ = _split_rule(q)
     usub = (f.reshape(P, q) @ interp.reshape(2 * q * q, q).T).reshape(P, q, 2 * q)
     usub *= Vsub
     if m:
-        ysub = _sub_nodes(g, eta)
-        ysub **= m
-        usub *= ysub
-    refined = np.einsum("rs,prs->pr", sub_weights * dist**k, usub)
-    crude = u.reshape(P, q) @ (om * own_dist**k).T
+        if ("sub_nodes", m) not in memo:
+            ysub = _sub_nodes(g, eta)
+            ysub **= m
+            ysub.setflags(write=False)
+            memo["sub_nodes", m] = ysub
+        usub *= memo["sub_nodes", m]
+    sub_kernel, own_kernel = _kernel_weights(q, k)
+    refined = np.einsum("rs,prs->pr", sub_kernel, usub)
+    crude = u.reshape(P, q) @ own_kernel.T
     return (g.L / g.P) ** (k + 1) * (refined - crude).ravel()
 
 

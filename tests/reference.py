@@ -2,7 +2,9 @@
 
 They are the direct, slow forms of what the package computes: math.fsum
 in place of the extraction sum of integrate, dense N x N kernel sums in
-place of the O(N) contraction, and the small-beta resolvent expansions
+place of the O(N) contraction, every power row of that contraction's
+sums from one numpy pow in place of exact rows 0 and 1, the small-beta
+resolvent expansions
 written out as formulas in place of the monomial tables, the shooting
 propagation one Magnus step at a time in place of sub-block products,
 the carry across sub-block products over whole columns of kappas in
@@ -297,6 +299,31 @@ def count_bisection(p, s_values, nsteps=4000, steps=60):
         _, N = wronskian_pairs(eng, svec, mid)
         lo, hi = np.where(N >= 1, mid, lo), np.where(N >= 1, hi, mid)
     return -(0.5 * (lo + hi)) ** 2
+
+
+def polynomial_sum(x, wu, k):
+    """quadrature._polynomial_sum with every power row from one numpy pow.
+
+    h_i = sum_j |x_i - x_j|^k wu_j by k+1 sums per node, the rows
+    (-y)^b, b = 0..k, all taken by numpy's generic pow in one call with
+    an exponent column, as the package did before it wrote rows 0 and 1
+    exactly. The package must give these bits.
+    """
+    mass = np.abs(wu)
+    total = float(mass.sum())
+    y = x - (float(mass @ x) / total if total > 0.0 else 0.0)
+    terms = (-y) ** np.arange(k + 1)[:, None]
+    terms *= wu
+    if k % 2 == 0:
+        sums = terms.sum(axis=1, keepdims=True)
+    else:
+        sums = np.zeros_like(terms)
+        np.cumsum(terms[:, :-1], axis=1, out=sums[:, 1:])
+        sums[:, :-1] -= np.cumsum(terms[:, :0:-1], axis=1)[:, ::-1]
+    h = np.zeros_like(x)
+    for b in range(k + 1):
+        h = h * y + math.comb(k, b) * sums[b]
+    return h
 
 
 def dense_contract(g, p, k, sources):

@@ -104,6 +104,31 @@ def test_e4_finite_beta_matches_dense_richardson():
     assert abs(e4_finite_beta(p, g, 0.02) - extrapolated) <= 1e-8
 
 
+def test_e4_finite_beta_bits_do_not_depend_on_the_monomial_memo():
+    # each beta alone on a cold plan, and after another beta has filled the
+    # memo's monomials, gives the same bits
+    g = default_grid(Potential("gaussian", 1.0))
+    betas = (0.02, 0.01, 0.005)
+    cold = [e4_finite_beta(Potential("gaussian", 1.0), g, beta).hex() for beta in betas]
+    for i, beta in enumerate(betas):
+        p = Potential("gaussian", 1.0)
+        e4_finite_beta(p, g, betas[i - 1])
+        assert e4_finite_beta(p, g, beta).hex() == cold[i], beta
+
+
+def test_e4_finite_beta_builds_each_monomial_once(monkeypatch):
+    # the three expansions use 8 distinct x^i |x|^j; a second beta on the same
+    # (grid, potential) pair finds all of them in the memo of plan(g, p)
+    calls, monomial = [], greens._monomial
+    monkeypatch.setattr(greens, "_monomial", lambda x, i, j: calls.append((i, j)) or monomial(x, i, j))
+    p = Potential("gaussian", 1.0)
+    g = default_grid(p)
+    e4_finite_beta(p, g, 0.02)
+    assert len(calls) == len(set(calls)) == 8
+    e4_finite_beta(p, g, 0.01)
+    assert len(calls) == 8
+
+
 def test_e4_finite_beta_rejects_odd_panel_count():
     p = Potential("gaussian", 1.0)
     with pytest.raises(InvalidGridSpec, match="129"):

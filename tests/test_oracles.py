@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -209,6 +210,20 @@ def test_failures_name_unresolved_steps():
     assert str(wide) == "4000 steps do not resolve the well at s=1"
     assert str(deep) == "4000 steps do not resolve the well at s=1e+12"
     assert str(shallow) == "no Wronskian sign change for strength s=1e-13"
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "poschl_teller", "square_well"])
+def test_unresolved_sweep_warns_nothing(kind):
+    # passes through these wells overflow; the sweep keeps numpy's warnings in,
+    # and its results are those of a sweep run with every warning ignored
+    p, s_values = Potential(kind, 1.0), [1e12, 1e20, 1e300]
+    with np.errstate(all="ignore"):
+        quiet = shooting_sweep(p, s_values)
+    with np.errstate(all="warn"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loud = shooting_sweep(p, s_values)
+    assert [str(r) for r in loud] == [str(r) for r in quiet]
+    assert all(isinstance(r, BracketFailure) for r in loud)
 
 
 def test_step_series_matches_cosh_and_cos():

@@ -1,3 +1,4 @@
+import collections
 import importlib.util
 import math
 from fractions import Fraction
@@ -250,6 +251,7 @@ def test_energy_series_shares_contractions(monkeypatch):
     monkeypatch.setattr(Potential, "evaluate", counting_evaluate)
     energy_series(Potential("gaussian", 1.0), order=6)
     assert len(calls) == 26
+    assert sorted(collections.Counter(args[0].P for args in calls).items()) == [(128, 13), (256, 13)]
     assert evaluations == [(1024,), (128, 8, 16), (2048,), (256, 8, 16)]
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from reference import dense_contract, fsum_oracle
+from reference import dense_contract, fsum_oracle, polynomial_sum
 from scipy.special import erf
 
 from shallowwell import greens, perturbation, quadrature, variational
@@ -302,6 +302,62 @@ def test_kink_plan_built_once_per_grid_and_potential_object(monkeypatch):
     sub_node_calls.clear()
     perturbation.energy_series(_sech2(1.3), order=6)  # its coarse and fine grid
     assert len(sub_node_calls) == 2 and len(set(sub_node_calls)) == 1
+
+
+def _hex(a):
+    return [v.hex() for v in np.asarray(a, dtype=float).tolist()]
+
+
+def _sums_match_reference(x, wu, ks=range(6)):
+    for k in ks:
+        assert _hex(quadrature._polynomial_sum(x, wu, k)) == _hex(polynomial_sum(x, wu, k)), (x.size, k)
+
+
+def test_polynomial_sum_bits_on_random_nodes():
+    # exact rows 0 and 1 keep the bits of numpy's generic pow, which the rows
+    # from 2 on still come from; a lone exponent row 2 would take numpy's square
+    # path and round differently on a few percent of the nodes
+    rng = np.random.default_rng(30)
+    for n in (8, 9, 15, 100, 1000, 1024, 2048, 4096):
+        x = np.sort(rng.uniform(-12.0, 12.0, n))
+        _sums_match_reference(x, rng.standard_normal(n) * rng.uniform(0.0, 1.0, n))
+
+
+def test_polynomial_sum_bits_on_every_series_and_greens_input(monkeypatch):
+    # every (x, wu) that the sixth-order series and the greens-check sequence
+    # hand to the sums on the built-in wells, at k = 0..5; Poschl-Teller's k = 2
+    # calls are the ones a lone exponent row 2 changes
+    inputs, polynomial_sum_of = [], quadrature._polynomial_sum
+
+    def recording(x, wu, k):
+        inputs.append((x, wu.copy(), k))
+        return polynomial_sum_of(x, wu, k)
+
+    monkeypatch.setattr(quadrature, "_polynomial_sum", recording)
+    for kind in ("square_well", "poschl_teller", "gaussian"):
+        perturbation.energy_series(Potential(kind, 1.0), order=6)
+        p = Potential(kind, 1.0)
+        g = default_grid(p)
+        for beta in (0.02, 0.01, 0.005):
+            greens.e4_finite_beta(p, g, beta)
+    monkeypatch.undo()
+    assert len(inputs) == 3 * (26 + 3 * 6)  # 13 per series grid, 6 per beta
+    assert {k for _, _, k in inputs} == {1, 2, 3, 5}
+    for x, wu, _ in inputs:
+        _sums_match_reference(x, wu)
+
+
+def test_gauss_rule_solved_once_per_q(monkeypatch):
+    # build_grid and the split rule share one Gauss-Legendre solve per q, so a
+    # second series in the process solves none
+    solves, leggauss = [], quadrature.leggauss
+    monkeypatch.setattr(quadrature, "leggauss", lambda q: solves.append(q) or leggauss(q))
+    quadrature._gauss.cache_clear()
+    perturbation.energy_series(Potential("gaussian", 1.0), order=6)
+    assert solves == [8]
+    perturbation.energy_series(Potential("poschl_teller", 1.0), order=6)
+    assert solves == [8]
+    assert not quadrature._gauss(8)[0].flags.writeable
 
 
 def test_contract_odd_kernel_matches_closed_form():
