@@ -41,7 +41,27 @@ its rounds, written beside the rounds themselves. Rows:
       greens-check calls it for each of its three betas;
     cmd_greens_check on the Gaussian;
     cmd_compare on the README's example config (the Gaussian,
-      s = 0.1-3.0, 30 steps), and the objective calls that it makes.
+      s = 0.1-3.0, 30 steps), and the objective calls that it makes;
+    start-up: the wall time of a fresh `python -c pass`, of `import numpy`,
+      and of each subcommand's imports (shallowwell.cli and the layers
+      its _LAYERS entry names), each in a new process with SRC on
+      PYTHONPATH and PYTHONDONTWRITEBYTECODE=1, so no run writes bytecode.
+
+Each tree's record also holds accuracy rows, which take no flag: for
+each coefficient c2..c6 that energy_series reports on five wells, its
+value, its exact value, its relative error against that value, and its
+coarse/fine error estimate. The wells and their exact values:
+
+    the unit square well: the exact rationals;
+    the square well with a = 0.7: the same rationals times a^(2n-2), with
+      a the float 0.7 taken exactly;
+    Poschl-Teller: -1, 2, -5, 14, -42;
+    the Gaussian: c2 = -pi/4, c3 = pi sqrt(2)/4 and the closed forms of
+      c4..c6 in tests/reference.py, evaluated with the package of this
+      checkout;
+    the tabulated triangle -1 0 / 0 -1 / 1 0: the term tables' exact
+      rationals; c2 = -(int V)^2/4 = -1/4 and c3 = (int V)(int int
+      V|x - y|V)/4 = 7/60 also follow from the first two orders directly.
 
 --tier1 N also runs each tree's Tier-1 suite N times, from the directory
 above SRC, and records each run's wall time and CPU time (user + sys of
@@ -63,6 +83,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 
 REPEATS = 7
 ROUNDS = 3
@@ -72,6 +93,18 @@ GAUSSIAN = "[potential]\nkind = gaussian\ns = 1.0\n"
 README_COMPARE = GAUSSIAN + "[sweep]\ns_min = 0.1\ns_max = 3.0\nsteps = 30\n"
 BUILT_IN = ("square_well", "poschl_teller", "gaussian")
 DEEP_SOLVE = "[potential]\nkind = poschl_teller\ns = 1e6\n"
+#: the unit square well's c2..c6
+SQUARE_WELL = tuple(map(Fraction, ("-1", "4/3", "-92/45", "1072/315", "-84752/14175")))
+#: well name -> the exact c2..c6 of the wells whose exact values are rationals
+RATIONAL = {
+    "square_well a=1": SQUARE_WELL,
+    # a is the float 0.7 that the well is built with, taken as the exact rational it is
+    "square_well a=0.7": tuple(c * Fraction(0.7) ** (2 * n - 2) for n, c in enumerate(SQUARE_WELL, 2)),
+    "poschl_teller": tuple(map(Fraction, (-1, 2, -5, 14, -42))),
+    "tabulated triangle": tuple(
+        map(Fraction, ("-1/4", "7/60", "-463/7200", "386819/9979200", "-8464589/342144000"))
+    ),
+}
 
 
 def _per_call(fn) -> float:
@@ -90,8 +123,84 @@ def _per_call(fn) -> float:
     return statistics.median(samples)
 
 
+def _startup(src: str) -> dict:
+    """Start-up rows: name -> median wall seconds of a fresh process running that code."""
+    env = dict(
+        os.environ,
+        PYTHONDONTWRITEBYTECODE="1",
+        PYTHONPATH=os.pathsep.join(filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])),
+    )
+    codes = {"python -c pass": "pass", "import numpy": "import numpy"}
+    for command in ("series", "compare", "pade", "solve", "greens-check"):
+        # a tree without _LAYERS imports every layer with the cli
+        codes[f"imports {command}"] = (
+            "import importlib, shallowwell.cli as cli\n"
+            f"for name in getattr(cli, '_LAYERS', {{}}).get({command!r}, ()):\n"
+            "    importlib.import_module('shallowwell.' + name)"
+        )
+    rows = {}
+    for name, code in codes.items():
+        samples = []
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            subprocess.run([sys.executable, "-c", code], env=env, check=True)
+            samples.append(time.perf_counter() - start)
+        rows[f"startup {name}"] = statistics.median(samples)
+    return rows
+
+
+def _series(src: str) -> dict:
+    """Well name -> (c2..c6, their error estimates) that energy_series gives in one tree."""
+    sys.path.insert(0, os.path.abspath(src))
+    import numpy as np
+
+    from shallowwell.perturbation import energy_series
+    from shallowwell.potential import Potential
+
+    wells = {
+        "square_well a=1": Potential("square_well", 1.0),
+        "square_well a=0.7": Potential("square_well", 1.0, a=0.7),
+        "poschl_teller": Potential("poschl_teller", 1.0),
+        "gaussian": Potential("gaussian", 1.0),
+        "tabulated triangle": Potential.tabulated(np.array([-1.0, 0.0, 1.0]), np.array([0.0, -1.0, 0.0])),
+    }
+    series = {}
+    for name, p in wells.items():
+        es = energy_series(p, order=6)
+        series[name] = (list(es.coefficients[1:]), list(es.error_estimates[1:]))
+    return series
+
+
+def _exact() -> dict:
+    """Well name -> the exact c2..c6 as Fractions (the Gaussian's as the floats of its closed forms)."""
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path[:0] = [os.path.join(here, "src"), os.path.join(here, "tests")]
+    from reference import gaussian_closed_coefficients
+
+    # c2 = -(int V)^2 / 4 = -pi/4; c3 = (int V)(int int V|x - y|V)/4 = sqrt(pi) sqrt(2 pi)/4
+    gaussian = (-math.pi / 4.0, math.pi * math.sqrt(2.0) / 4.0, *gaussian_closed_coefficients())
+    return {**RATIONAL, "gaussian": tuple(map(Fraction, gaussian))}
+
+
+def _accuracy(series: dict, exact: dict) -> dict:
+    """The accuracy rows of one tree: well -> cn -> value, exact value, relative error, estimate."""
+    rows = {}
+    for name, (values, estimates) in series.items():
+        rows[name] = {
+            f"c{n}": {
+                "value": value,
+                "exact": str(want) if name in RATIONAL else float(want),
+                "rel_error": float(abs(Fraction(value) - want) / abs(want)),
+                "estimate": estimate,
+            }
+            for n, value, estimate, want in zip(range(2, 7), values, estimates, exact[name])
+        }
+    return rows
+
+
 def _rows(src: str) -> dict:
     """Every row of one tree: name -> seconds per call, or a count."""
+    rows = _startup(src)
     sys.path.insert(0, os.path.abspath(src))
     import numpy as np
 
@@ -102,7 +211,6 @@ def _rows(src: str) -> dict:
     from shallowwell.potential import Potential
     from shallowwell.quadrature import build_grid, contract, default_grid, integrate
 
-    rows = {}
     g = build_grid(10.0, 128, 8)
     f = -np.exp(-g.nodes**2) * np.exp(-0.4 * g.nodes**2)
     rows["quadrature.integrate N=1024"] = _per_call(lambda: integrate(g, f))
@@ -266,6 +374,12 @@ def main() -> None:
             for name in runs[0]
         }
         record["trees"][label] = {"rows": rows}
+    exact = _exact()
+    for label, src in trees.items():
+        done = subprocess.run(
+            [sys.executable, __file__, "--series", src], capture_output=True, text=True, check=True
+        )
+        record["trees"][label]["accuracy"] = _accuracy(json.loads(done.stdout.splitlines()[-1]), exact)
     for r in range(args.tier1):
         for label, src in (list(trees.items()) if r % 2 == 0 else list(trees.items())[::-1]):
             wall, cpu, summary = _tier1(src)
@@ -286,5 +400,7 @@ def main() -> None:
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
         print(json.dumps(_rows(sys.argv[2])))
+    elif sys.argv[1:2] == ["--series"]:
+        print(json.dumps(_series(sys.argv[2])))
     else:
         main()

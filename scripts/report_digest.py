@@ -7,11 +7,11 @@ Poschl-Teller, Gaussian, and a tabulated sech^2 centred at x0 = 1.3 with
 Then runs the failure paths of FAILURES: wells whose depth underflows the
 shooting search or a series coefficient (in series and greens-check),
 grids whose kink plan is too large (and `solve` on one such well, which
-uses no such grid), domains whose width 2L overflows, and Pade samples
-whose polynomials overflow. Each run gets 2 GiB of address space,
-so a tree that tries to allocate more fails in seconds instead of
-exhausting the machine, and one BLAS thread, whose reserve fits in that
-on any core count.
+uses no such grid), domains whose width 2L overflows, Pade samples whose
+polynomials overflow, and sweeps of more steps than a sweep may have.
+Each run gets 2 GiB of address space, so a tree that tries to allocate
+more fails in seconds instead of exhausting the machine, and one BLAS
+thread, whose reserve fits in that on any core count.
 Prints one line per run: name, exit code, sha256 of stdout and of stderr.
 
     python scripts/report_digest.py PARENT/src > parent.txt
@@ -67,6 +67,9 @@ FAILURES = [
        ["greens-check"]) for d in ("1e-100", "5e-324")),
     ("gaussian+sweep-6e102-1e150/pade",
      WELLS["gaussian"] + "[sweep]\ns_min = 6e102\ns_max = 1e150\nsteps = 3\n", ["pade"]),
+    *((f"gaussian+sweep-steps-1e10/{c}",
+       WELLS["gaussian"] + "[sweep]\ns_min = 0.1\ns_max = 3\nsteps = 10000000000\n", [c])
+      for c in ("pade", "compare")),
 ]
 #: the address space of each run, in bytes
 ADDRESS_SPACE = 2 << 30

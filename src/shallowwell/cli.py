@@ -59,6 +59,9 @@ _KEYS = {
     "sweep": {"s_min": (float, "> 0"), "s_max": (float, "> 0"), "steps": (int, ">= 2")},
 }
 
+#: the most strengths of one [sweep]; pade at this bound peaks at 1.2 GB, in json
+MAX_STEPS = 10**6
+
 _BETA_LADDER = (0.02, 0.01, 0.005)
 
 
@@ -159,6 +162,8 @@ def load_config(path: str) -> RunConfig:
         ranges[section] = tuple(sec[key] for key in _KEYS[section]) if sec else None
     if ranges["sweep"] and not ranges["sweep"][0] < ranges["sweep"][1]:
         raise ConfigError("sweep needs s_min < s_max, got [{:g}, {:g}]".format(*ranges["sweep"]))
+    if ranges["sweep"] and ranges["sweep"][2] > MAX_STEPS:
+        raise ConfigError(f"[sweep] steps={ranges['sweep'][2]} exceeds the bound of {MAX_STEPS} steps")
     return RunConfig(potential, **ranges, **values.get("run", {}))
 
 

@@ -16,8 +16,6 @@ only on (q, k); each is built once. All that depends on a (grid,
 potential) pair is one record, plan(g, p), built once per pair: V at the
 nodes and sub-nodes, and a memo that keeps the sub-node coordinates
 raised to each m, perturbation's chain values and greens' monomials.
-Rows 0 and 1 of the contraction's powers are written exactly; only the
-rows from 2 on run numpy's pow.
 """
 from __future__ import annotations
 
@@ -246,17 +244,11 @@ def _polynomial_sum(x, wu, k):
     mass = np.abs(wu)
     total = float(mass.sum())
     y = x - (float(mass @ x) / total if total > 0.0 else 0.0)
-    # terms[b, j] = (-y_j)^b wu_j, so that (y_i - y_j)^k = sum_b C(k, b) y_i^(k-b) (-y_j)^b.
-    # Rows 0 and 1 are exact; rows 2..k come from numpy's generic pow, in one call with
-    # several exponent rows. A lone exponent row 2 would take numpy's square path, whose
-    # bits differ, so k = 2 takes row 1 along.
+    # terms[b, j] = (-y_j)^b wu_j, so that (y_i - y_j)^k = sum_b C(k, b) y_i^(k-b) (-y_j)^b
     terms = np.empty((k + 1, x.size))
-    terms[0] = 1.0
-    terms[1:2] = -y  # no row where k = 0
-    if k >= 2:
-        first = 1 if k == 2 else 2
-        terms[first:] = terms[1] ** np.arange(first, k + 1)[:, None]
-    terms *= wu
+    terms[0] = wu
+    for b in range(1, k + 1):
+        np.multiply(terms[b - 1], -y, out=terms[b])
     if k % 2 == 0:
         sums = terms.sum(axis=1, keepdims=True)
     else:  # sums over j < i minus sums over j > i

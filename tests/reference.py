@@ -2,11 +2,10 @@
 
 They are the direct, slow forms of what the package computes: math.fsum
 in place of the extraction sum of integrate, dense N x N kernel sums in
-place of the O(N) contraction, every power row of that contraction's
-sums from one numpy pow in place of exact rows 0 and 1, the small-beta
-resolvent expansions
-written out as formulas in place of the monomial tables, the shooting
-propagation one Magnus step at a time in place of sub-block products,
+place of the O(N) contraction, that contraction's sums in exact rational
+arithmetic in place of its floating-point rows, the small-beta resolvent
+expansions written out as formulas in place of the monomial tables, the
+shooting propagation one Magnus step at a time in place of sub-block products,
 the carry across sub-block products over whole columns of kappas in
 place of one kappa's carry in Python floats, and, in place of the
 one-strength bisection and Illinois search of shooting_sweep, the same
@@ -24,6 +23,7 @@ stand in for that search.
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
@@ -301,29 +301,39 @@ def count_bisection(p, s_values, nsteps=4000, steps=60):
     return -(0.5 * (lo + hi)) ** 2
 
 
-def polynomial_sum(x, wu, k):
-    """quadrature._polynomial_sum with every power row from one numpy pow.
+def polynomial_sum_exact(x, wu, k):
+    """h_i = sum_j |x_i - x_j|^k wu_j on sorted nodes, exactly, as Fractions.
 
-    h_i = sum_j |x_i - x_j|^k wu_j by k+1 sums per node, the rows
-    (-y)^b, b = 0..k, all taken by numpy's generic pow in one call with
-    an exponent column, as the package did before it wrote rows 0 and 1
-    exactly. The package must give these bits.
+    The exact value of what quadrature._polynomial_sum rounds: in x
+    itself, free of the centroid shift. O(N k) prefix and suffix sums of
+    the binomial rows, in integers (see binomial_sums_exact).
     """
-    mass = np.abs(wu)
-    total = float(mass.sum())
-    y = x - (float(mass @ x) / total if total > 0.0 else 0.0)
-    terms = (-y) ** np.arange(k + 1)[:, None]
-    terms *= wu
-    if k % 2 == 0:
-        sums = terms.sum(axis=1, keepdims=True)
-    else:
-        sums = np.zeros_like(terms)
-        np.cumsum(terms[:, :-1], axis=1, out=sums[:, 1:])
-        sums[:, :-1] -= np.cumsum(terms[:, :0:-1], axis=1)[:, ::-1]
-    h = np.zeros_like(x)
+    return binomial_sums_exact(x, -np.asarray(x, dtype=float), wu, k, signed=k % 2 == 1)
+
+
+def binomial_sums_exact(t, s, w, k, signed):
+    """Exact h_i = sum_j sgn_ij (t_i + s_j)^k w_j, as Fractions; t, s, w of one length.
+
+    sgn_ij is sign(i - j) where signed, else 1. Every float is an integer
+    over a power of two, so with 2^e the largest denominator of the inputs
+    each row (s_j 2^e)^b (w_j 2^e) is an integer; its prefix and suffix
+    sums are exact, and so is h_i 2^(e(k+1)) = sum_b C(k, b) (t_i 2^e)^(k-b)
+    times the row b sums, in Python integers.
+    """
+    t, s, w = (np.asarray(a, dtype=float).tolist() for a in (t, s, w))
+    e = max(v.as_integer_ratio()[1].bit_length() - 1 for v in (*t, *s, *w))
+    T, S, W = ([n * ((1 << e) // d) for n, d in map(float.as_integer_ratio, a)] for a in (t, s, w))
+    h = [0] * len(t)
     for b in range(k + 1):
-        h = h * y + math.comb(k, b) * sums[b]
-    return h
+        row = [s_j**b * w_j for s_j, w_j in zip(S, W)]
+        if signed:  # sums over j < i minus sums over j > i
+            before = [0, *itertools.accumulate(row)]
+            sums = [before[i] - (before[-1] - before[i + 1]) for i in range(len(row))]
+        else:
+            sums = [sum(row)] * len(row)
+        c = math.comb(k, b)
+        h = [h_i + c * t_i ** (k - b) * s_b for h_i, t_i, s_b in zip(h, T, sums)]
+    return [Fraction(h_i, 1 << e * (k + 1)) for h_i in h]
 
 
 def dense_contract(g, p, k, sources):

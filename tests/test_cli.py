@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import shallowwell
 from shallowwell import cli
-from shallowwell.cli import load_config, main
+from shallowwell.cli import MAX_STEPS, load_config, main
 from shallowwell.errors import ConfigError
 
 
@@ -129,6 +129,15 @@ REFUSALS = {
     },
     "grid-flag-on-solve": ("solve", GAUSS_CFG, ["--grid", "10,64,8"], "--grid"),
     "run-asymptote": ("pade", GAUSS_CFG + "[run]\nasymptote = 1.0\n", [], "'asymptote'"),
+    **{
+        f"steps-above-bound-on-{command}": (
+            command,
+            GAUSS_CFG + SWEEP_CFG.replace("steps = 3", "steps = 10000000000"),
+            [],
+            f"exceeds the bound of {MAX_STEPS} steps",
+        )
+        for command in ("pade", "compare")
+    },
 }
 
 
@@ -151,6 +160,11 @@ def test_sweep_validation(tmp_path):
         tmp_path, "c.ini", GAUSS_CFG + "[sweep]\ns_min = 2.0\ns_max = 1.0\nsteps = 5\n"
     )
     assert main(["compare", "--config", cfg]) == 2
+
+
+def test_sweep_steps_at_the_bound_accepted(tmp_path):
+    config = GAUSS_CFG + SWEEP_CFG.replace("steps = 3", f"steps = {MAX_STEPS}")
+    assert load_config(_write(tmp_path, "c.ini", config)).sweep == (0.5, 1.5, MAX_STEPS)
 
 
 def test_compare_requires_sweep(tmp_path):

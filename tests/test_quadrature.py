@@ -1,13 +1,14 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from reference import dense_contract, fsum_oracle, polynomial_sum
+from reference import binomial_sums_exact, dense_contract, fsum_oracle, polynomial_sum_exact
 from scipy.special import erf
 
 from shallowwell import greens, perturbation, quadrature, variational
@@ -304,33 +305,55 @@ def test_kink_plan_built_once_per_grid_and_potential_object(monkeypatch):
     assert len(sub_node_calls) == 2 and len(set(sub_node_calls)) == 1
 
 
-def _hex(a):
-    return [v.hex() for v in np.asarray(a, dtype=float).tolist()]
+def _assert_within_rounding_bound(x, wu, k):
+    # The bound is the standard forward-error model (Higham, Accuracy and
+    # Stability of Numerical Algorithms, 2nd ed., 2002, ch. 3-4): each operation
+    # is exact times (1 + d), |d| <= u = 2^-53, and n such factors stay within
+    # gamma_n = n u / (1 - n u) of 1. _polynomial_sum shifts the nodes to
+    # y = fl(x - c) and returns h_i = sum_b C(k, b) y_i^(k-b) sum_j (-y_j)^b wu_j,
+    # summing over every j (even k) or over j < i minus j > i (odd k; y is
+    # sorted, so either way this is sum_j |y_i - y_j|^k wu_j). Each summand meets
+    # b roundings in its row's products, at most N - 1 in the sums (in any
+    # order, or a prefix or suffix and the subtraction) and 2(k - b) + 2 in
+    # Horner: N + 2k + 1 at most, so h_i is within gamma_(N+2k+1) S_i of that sum,
+    # with S_i = sum_j (|y_i| + |y_j|)^k |wu_j| = sum_b C(k, b) |y_i|^(k-b)
+    # sum_j |y_j|^b |wu_j|. The shift errs by |(y_i - y_j) - (x_i - x_j)| <=
+    # u (|x_i - c| + |x_j - c|), which moves |x_i - x_j|^k by at most
+    # k u (1 + u)^(k-1) (1 - u)^-k (|y_i| + |y_j|)^k <= gamma_(k+1) (|y_i| + |y_j|)^k.
+    # As gamma_a + gamma_b <= gamma_(a+b), h_i is within gamma_(N+3k+2) S_i of the
+    # exact sum_j |x_i - x_j|^k wu_j. A product that underflows errs by up to
+    # 2^-1075 instead; carried through at most 2k products by |y| and k + 1 sums
+    # and binomials, the N k + k of them add less than eta.
+    h = quadrature._polynomial_sum(x, wu, k).tolist()
+    exact = polynomial_sum_exact(x, wu, k)
+    mass = np.abs(wu)
+    total = float(mass.sum())
+    y = np.abs(x - (float(mass @ x) / total if total > 0.0 else 0.0))  # as _polynomial_sum shifts
+    scale = binomial_sums_exact(y, y, mass, k, signed=False)
+    n = x.size + 3 * k + 2
+    gamma = Fraction(n, 2**53 - n)
+    eta = Fraction((x.size + 1) * (k + 1) * 2**k * max(1.0, float(y.max())) ** (2 * k)) / 2**1074
+    for i, (h_i, exact_i, scale_i) in enumerate(zip(h, exact, scale)):
+        assert abs(Fraction(h_i) - exact_i) <= gamma * scale_i + eta, (x.size, k, i)
 
 
-def _sums_match_reference(x, wu, ks=range(6)):
-    for k in ks:
-        assert _hex(quadrature._polynomial_sum(x, wu, k)) == _hex(polynomial_sum(x, wu, k)), (x.size, k)
-
-
-def test_polynomial_sum_bits_on_random_nodes():
-    # exact rows 0 and 1 keep the bits of numpy's generic pow, which the rows
-    # from 2 on still come from; a lone exponent row 2 would take numpy's square
-    # path and round differently on a few percent of the nodes
+def test_polynomial_sum_within_rounding_bound_on_random_nodes():
     rng = np.random.default_rng(30)
-    for n in (8, 9, 15, 100, 1000, 1024, 2048, 4096):
+    for n in (1, 2, 8, 9, 15, 100, 257):
         x = np.sort(rng.uniform(-12.0, 12.0, n))
-        _sums_match_reference(x, rng.standard_normal(n) * rng.uniform(0.0, 1.0, n))
+        wu = rng.standard_normal(n) * rng.uniform(0.0, 1.0, n)
+        for k in range(6):
+            _assert_within_rounding_bound(x, wu, k)
 
 
-def test_polynomial_sum_bits_on_every_series_and_greens_input(monkeypatch):
-    # every (x, wu) that the sixth-order series and the greens-check sequence
-    # hand to the sums on the built-in wells, at k = 0..5; Poschl-Teller's k = 2
-    # calls are the ones a lone exponent row 2 changes
+def test_polynomial_sum_within_rounding_bound_on_series_and_greens_inputs(monkeypatch):
+    # the (x, wu, k) that the sixth-order series and the greens-check sequence
+    # hand to the sums on the built-in wells; one per (well, k), the largest
+    # grid's first, is checked against the exact sums
     inputs, polynomial_sum_of = [], quadrature._polynomial_sum
 
     def recording(x, wu, k):
-        inputs.append((x, wu.copy(), k))
+        inputs.append((kind, x, wu.copy(), k))
         return polynomial_sum_of(x, wu, k)
 
     monkeypatch.setattr(quadrature, "_polynomial_sum", recording)
@@ -342,9 +365,14 @@ def test_polynomial_sum_bits_on_every_series_and_greens_input(monkeypatch):
             greens.e4_finite_beta(p, g, beta)
     monkeypatch.undo()
     assert len(inputs) == 3 * (26 + 3 * 6)  # 13 per series grid, 6 per beta
-    assert {k for _, _, k in inputs} == {1, 2, 3, 5}
-    for x, wu, _ in inputs:
-        _sums_match_reference(x, wu)
+    assert {k for *_, k in inputs} == {1, 2, 3, 5}
+    checked = {}
+    for kind, x, wu, k in inputs:
+        if x.size > checked.get((kind, k), (0,))[0]:
+            checked[kind, k] = (x.size, x, wu)
+    assert len(checked) == 12
+    for (_, k), (_, x, wu) in checked.items():
+        _assert_within_rounding_bound(x, wu, k)
 
 
 def test_gauss_rule_solved_once_per_q(monkeypatch):
