@@ -12,8 +12,8 @@ its rounds, written beside the rounds themselves. Rows:
 
     integrate at N = 1,024;
     contract for k = 0, 1, 2, 3 and 5 with m = 0, and for k = 1 with m = 1
-      and m = 2, at N = 1,024 and 2,048 (on one grid and well, so the kink
-      plan is built once, as in a series);
+      and m = 2, at N = 1,024 and 2,048 (on one grid and well, so the plan
+      is built once, as in a series);
     _kink_correction, the own-panel part of an odd contract, for k = 1, 3
       and 5 at N = 1,024 and 2,048 (m = 0);
     evaluate_terms for each order 2-6 on the Gaussian, on a new Potential
@@ -21,7 +21,7 @@ its rounds, written beside the rounds themselves. Rows:
     one objective call (rayleigh_quotient) per trial family;
     the variational search of one compare row (minimize) at s = 0.1, 1, 3;
     energy_series per built-in shape, on a new Potential each time, so
-      no kink plan is reused;
+      no plan is reused;
     one _WronskianEngine.wronskian pass of one (strength, kappa) pair, at
       the converged kappa, per built-in shape (s = 1) and on a tabulated
       sech^2 centred at x0 = 1.3 (2,401 samples, s = 1.5), called as
@@ -224,14 +224,22 @@ def _rows(src: str) -> dict:
             rows[f"quadrature.contract k={k} N={gk.size}"] = _per_call(lambda: contract(gk, p, k, 0, ones))
         for m in (1, 2):
             rows[f"quadrature.contract k=1 m={m} N={gk.size}"] = _per_call(lambda: contract(gk, p, 1, m, ones))
-        V, Vsub, memo = quadrature.plan(gk, p)
-        u = V * ones
-        # a tree whose _kink_correction takes the plan's memo, for the sub-node powers
-        memo_arg = (memo,) if len(inspect.signature(quadrature._kink_correction).parameters) == 7 else ()
+        plan = quadrature.plan(gk, p)
+        u = plan[0] * ones
+        arity = len(inspect.signature(quadrature._kink_correction).parameters)
+        if arity == 3:  # one (q, q) matrix applied to u
+
+            def kink(k):
+                return quadrature._kink_correction(gk, k, u)
+        else:  # f interpolated to the sub-nodes and times V there, from a (V, Vsub, memo) plan
+            _, Vsub, memo = plan
+            memo_arg = (memo,) if arity == 7 else ()  # the sub-node powers, in the plan's memo
+
+            def kink(k):
+                return quadrature._kink_correction(gk, k, 0, ones, u, Vsub, *memo_arg)
+
         for k in (1, 3, 5):
-            rows[f"quadrature._kink_correction k={k} N={gk.size}"] = _per_call(
-                lambda: quadrature._kink_correction(gk, k, 0, ones, u, Vsub, *memo_arg)
-            )
+            rows[f"quadrature._kink_correction k={k} N={gk.size}"] = _per_call(lambda: kink(k))
     for order in range(2, 7):
         terms = load_terms(order)
         rows[f"perturbation.evaluate_terms order={order}"] = _per_call(

@@ -6,9 +6,10 @@ Poschl-Teller, Gaussian, and a tabulated sech^2 centred at x0 = 1.3 with
 2,401 samples), each with and without a [sweep], plus `series --grid`.
 Then runs the failure paths of FAILURES: wells whose depth underflows the
 shooting search or a series coefficient (in series and greens-check),
-grids whose kink plan is too large (and `solve` on one such well, which
-uses no such grid), domains whose width 2L overflows, Pade samples whose
-polynomials overflow, and sweeps of more steps than a sweep may have.
+grids whose 2P twin has too many nodes to contract in 2 GiB (and
+`solve` on one such well, which uses no such grid), domains whose width
+2L overflows, Pade samples whose polynomials overflow, and sweeps of more
+steps than a sweep may have.
 Each run gets 2 GiB of address space, so a tree that tries to allocate
 more fails in seconds instead of exhausting the machine, and one BLAS
 thread, whose reserve fits in that on any core count.
@@ -58,6 +59,7 @@ FAILURES = [
     ("gaussian/series-grid-L-1e308", WELLS["gaussian"], ["series", "--grid", "1e308,64,8"]),
     ("gaussian/greens-check-grid-P-1e6", WELLS["gaussian"],
      ["greens-check", "--grid", "15,1000000,8"]),
+    ("gaussian/series-grid-P-4e6-q-2", WELLS["gaussian"], ["series", "--grid", "15,4000000,2"]),
     ("square-a1e-5/series", "kind = square_well\ns = 1\na = 1e-5\n", ["series"]),
     ("square-a1e-5/solve", "kind = square_well\ns = 1\na = 1e-5\n", ["solve"]),
     *((f"abscissas-1e308/{c}", HUGE, [c]) for c in ("series", "solve", "greens-check")),

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidGridSpec, ShallowWellError
 from .potential import Potential
-from .quadrature import MAX_NODES, build_grid, default_spec
+from .quadrature import build_grid, default_spec
 
 #: exact rationals for the unit-halfwidth square well, c2..c6
 _SQUARE_WELL_RATIONALS = ("-1", "4/3", "-92/45", "1072/315", "-84752/14175")
@@ -61,6 +61,8 @@ _KEYS = {
 
 #: the most strengths of one [sweep]; pade at this bound peaks at 1.2 GB, in json
 MAX_STEPS = 10**6
+#: the most nodes of the 2P twin of a contracted grid; a series at this bound peaks near 1.2 GB
+MAX_FINE_NODES = 2**22
 
 _BETA_LADDER = (0.02, 0.01, 0.005)
 
@@ -170,13 +172,14 @@ def load_config(path: str) -> RunConfig:
 def _grid_for(cfg: RunConfig):
     """The [grid] override or the default grid, for the subcommands that contract on it.
 
-    Refused before it is built if its 2P twin's kink plan (2P*q*2q values)
-    exceeds MAX_NODES, and after, if a nonzero well is 0 at every node.
+    Refused before it is built if its 2P twin, the fine grid of the error
+    estimates, has more than MAX_FINE_NODES nodes, and after, if a nonzero
+    well is 0 at every node.
     """
     p = cfg.potential
     L, P, q = default_spec(p, *(cfg.grid or ()))
-    if 2 * P * q * 2 * q > MAX_NODES:
-        why = f"its 2P twin's kink plan exceeds {MAX_NODES} values"
+    if 2 * P * q > MAX_FINE_NODES:
+        why = f"its 2P twin exceeds {MAX_FINE_NODES} nodes"
         raise ConfigError(f"grid L={L:g} P={P} q={q} is too large: {why}")
     g = build_grid(L, P, q)
     if p.shape_max() > 0 and not np.any(p.shape(g.nodes)):

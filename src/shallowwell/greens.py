@@ -99,7 +99,7 @@ def _apply_expansion(l, beta, g, p, Vx, F):
     kernel application.
     """
     kink, rows = _expansion(l)
-    _, _, memo = plan(g, p)
+    _, memo = plan(g, p)
 
     def monomial(i, j):
         key = ("monomial", i, j)
@@ -142,7 +142,7 @@ def e4_finite_beta(p: Potential, g: QuadratureGrid, beta: float) -> float:
         raise ValueError("beta must lie in [1e-4, 0.1]")
     if g.P % 2:
         raise InvalidGridSpec(f"x = 0 must be a panel edge, but the panel count {g.P} is odd")
-    Vx, _, _ = plan(g, p)
+    Vx, _ = plan(g, p)
     ew = np.exp(-beta * np.abs(g.nodes))
 
     def kernel(l, F):

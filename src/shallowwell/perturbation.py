@@ -102,7 +102,7 @@ def _suffix(p, g, site_powers, link_powers) -> np.ndarray:
     """
     if not link_powers:
         return np.ones_like(g.nodes)
-    _, _, memo = plan(g, p)
+    _, memo = plan(g, p)
     key = ("suffix", site_powers, link_powers)
     if key not in memo:
         tail = _suffix(p, g, site_powers[1:], link_powers[1:])
@@ -112,7 +112,7 @@ def _suffix(p, g, site_powers, link_powers) -> np.ndarray:
 
 def _chain(p, g, site_powers, link_powers) -> float:
     """Chain integral with x^m weights attached at each site."""
-    V, _, memo = plan(g, p)
+    V, memo = plan(g, p)
     key = ("chain", site_powers, link_powers)
     if key not in memo:
         f = _suffix(p, g, site_powers[1:], link_powers)

@@ -8,14 +8,13 @@ in O(N): an even power as k+1 weighted sums times powers of x_i, an odd
 power as prefix and suffix sums over the sorted nodes. An odd power also
 has a kink on the diagonal, where plain panel rules converge only as
 O(P^-2); contract() re-integrates each target node's own panel with the
-panel split at the kink, interpolating the incoming grid function
-polynomially inside the panel. That restores spectral accuracy at
-moderate panel counts. The Gauss-Legendre rule and the split-panel
-geometry depend only on q, and the split rule's weights times distance^k
-only on (q, k); each is built once. All that depends on a (grid,
-potential) pair is one record, plan(g, p), built once per pair: V at the
-nodes and sub-nodes, and a memo that keeps the sub-node coordinates
-raised to each m, perturbation's chain values and greens' monomials.
+panel split at the kink, interpolating the summand V x^m f polynomially
+inside the panel. That restores spectral accuracy at moderate panel
+counts. The Gauss-Legendre rule depends only on q, and that fix, one
+(q, q) matrix, only on (q, k); each is built once. All that depends on a
+(grid, potential) pair is one record, plan(g, p), built once per pair:
+V at the nodes, and a memo that keeps perturbation's chain values and
+greens' monomials.
 """
 from __future__ import annotations
 
@@ -53,7 +52,7 @@ class QuadratureGrid:
 def _gauss(q: int):
     """The q-point Gauss-Legendre rule on [-1, 1], (nodes, weights), read-only.
 
-    leggauss solves an eigenvalue problem; every grid and split rule of
+    leggauss solves an eigenvalue problem; every grid and kink matrix of
     one q shares this one solve.
     """
     rule = leggauss(q)
@@ -217,8 +216,8 @@ def contract(g: QuadratureGrid, p, k: int, m: int, f) -> np.ndarray:
     j > i as prefix and suffix sums on the sorted nodes. For odd k the
     diagonal kink is then handled exactly: the contribution of node i's
     own panel is replaced by two sub-panel Gauss rules split at x_i, with
-    f interpolated in the panel and V taken at the sub-nodes from
-    plan(g, p).
+    the summand x^m V f interpolated in the panel (_kink_matrix); V comes
+    from plan(g, p).
 
     Args:
         g: quadrature grid.
@@ -231,11 +230,11 @@ def contract(g: QuadratureGrid, p, k: int, m: int, f) -> np.ndarray:
         raise ValueError("kernel and polynomial powers must be nonnegative")
     f = _check_aligned(g, f)
     x = g.nodes
-    V, Vsub, memo = plan(g, p)
+    V, _ = plan(g, p)
     u = V * x**m * f
     h = _polynomial_sum(x, g.weights * u, k)
     if k % 2 == 1:
-        h += _kink_correction(g, k, m, f, u, Vsub, memo)
+        h += _kink_correction(g, k, u)
     return h
 
 
@@ -262,87 +261,50 @@ def _polynomial_sum(x, wu, k):
 
 
 @lru_cache(maxsize=None)
-def _split_rule(q: int):
-    """Reference geometry of the kink-split own-panel rule, per node r.
+def _kink_matrix(q: int, k: int):
+    """The own-panel kink fix of an odd |x-y|^k on the reference panel, (q, q), read-only.
 
     Node r of the q-point rule on [-1, 1] splits its panel into
-    [-1, xi_r] and [xi_r, 1], each carrying a q-point rule. Returns the
-    sub-nodes eta (q, 2q), sub-weights (q, 2q), distances |xi_r - eta|
-    (q, 2q), the interpolation from the q nodes to the sub-nodes
-    (q, 2q, q), the nodes' own weights (q,) and distances |xi_r - xi_t|
-    (q, q). Scaled by the panel half-width they hold for every panel.
-    There is one rule per q <= 16.
+    [-1, xi_r] and [xi_r, 1], each carrying a q-point rule. Row r maps
+    the panel's values of u to the split rule's sum of |xi_r - eta|^k
+    times u interpolated at the sub-nodes eta, minus the plain rule's sum
+    of |xi_r - xi_t|^k u_t. On each side of the split the integrand is a
+    polynomial of degree q - 1 + k, so the split rule is exact for k <= q.
+    Scaled by the panel half-width to the power k + 1 it holds for every
+    panel.
     """
     xi, om = _gauss(q)
     left, right = (1.0 + xi)[:, None] / 2.0, (1.0 - xi)[:, None] / 2.0
     eta = np.hstack([xi[:, None] - left * (1.0 - xi), xi[:, None] + right * (1.0 + xi)])
-    sub_weights = np.hstack([left * om, right * om])
     dist = np.hstack([left * (1.0 - xi), right * (1.0 + xi)])
+    sub_kernel = np.hstack([left * om, right * om]) * dist**k
     interp = legvander(eta, q - 1) @ np.linalg.inv(legvander(xi, q - 1))
-    own_dist = np.abs(xi[:, None] - xi[None, :])
-    rule = (eta, sub_weights, dist, interp, om, own_dist)
-    for a in rule:
-        a.setflags(write=False)
-    return rule
+    M = np.einsum("rs,rst->rt", sub_kernel, interp) - om * np.abs(xi[:, None] - xi) ** k
+    M.setflags(write=False)
+    return M
 
 
 @lru_cache(maxsize=4)
 def plan(g: QuadratureGrid, p):
-    """The one record of a (grid, potential) pair: (V, Vsub, memo).
+    """The one record of a (grid, potential) pair: (V, memo).
 
-    V at the grid nodes (N,) and at every node's kink-split sub-nodes
-    (P, q, 2q), both read-only, and a memo dict of the pair's fixed and
-    computed arrays: the sub-node coordinates raised to each m > 0 that
-    contract() has used, under ("sub_nodes", m); the monomials
-    x^i |x|^j at the nodes that greens applies, under ("monomial", i, j);
-    and the chain values and suffix contractions of perturbation. Built
-    on first use, so grids that are never contracted cost nothing; four
-    plans cover the coarse and fine grids of two potentials. Keyed on the
-    grid's (L, P, q) and on the potential object, by identity, so a memo
-    never serves another well or grid.
+    V at the grid nodes (N,), read-only, and a memo dict of the pair's
+    computed arrays: the monomials x^i |x|^j at the nodes that greens
+    applies, under ("monomial", i, j), and the chain values and suffix
+    contractions of perturbation. Built on first use, so grids that are
+    never contracted cost nothing; four plans cover the coarse and fine
+    grids of two potentials. Keyed on the grid's (L, P, q) and on the
+    potential object, by identity, so a memo never serves another well or
+    grid.
     """
-    V, Vsub = p.evaluate(g.nodes), p.evaluate(_sub_nodes(g, _split_rule(g.q)[0]))
+    V = p.evaluate(g.nodes)
     V.setflags(write=False)
-    Vsub.setflags(write=False)
-    return V, Vsub, {}
+    return V, {}
 
 
-def _sub_nodes(g, eta):
-    half = g.L / g.P
-    return g.edges[:-1, None, None] + half * (eta[None] + 1.0)
-
-
-@lru_cache(maxsize=None)
-def _kernel_weights(q: int, k: int):
-    """The split rule's weights times distance^k: sub-panels (q, 2q), own panel (q, q); read-only."""
-    _, sub_weights, dist, _, om, own_dist = _split_rule(q)
-    weights = (sub_weights * dist**k, om * own_dist**k)
-    for a in weights:
-        a.setflags(write=False)
-    return weights
-
-
-def _kink_correction(g, k, m, f, u, Vsub, memo):
-    """Replace each node's own-panel contribution by a kink-split rule.
-
-    memo is that of plan(g, p); the sub-node coordinates raised to m are
-    kept in it, under ("sub_nodes", m).
-    """
-    P, q = g.P, g.q
-    eta, _, _, interp, _, _ = _split_rule(q)
-    usub = (f.reshape(P, q) @ interp.reshape(2 * q * q, q).T).reshape(P, q, 2 * q)
-    usub *= Vsub
-    if m:
-        if ("sub_nodes", m) not in memo:
-            ysub = _sub_nodes(g, eta)
-            ysub **= m
-            ysub.setflags(write=False)
-            memo["sub_nodes", m] = ysub
-        usub *= memo["sub_nodes", m]
-    sub_kernel, own_kernel = _kernel_weights(q, k)
-    refined = np.einsum("rs,prs->pr", sub_kernel, usub)
-    crude = u.reshape(P, q) @ own_kernel.T
-    return (g.L / g.P) ** (k + 1) * (refined - crude).ravel()
+def _kink_correction(g, k, u):
+    """Replace each node's own-panel contribution to an odd contraction of u by a kink-split rule."""
+    return (g.L / g.P) ** (k + 1) * (u.reshape(g.P, g.q) @ _kink_matrix(g.q, k).T).ravel()
 
 
 # plan is public but left out, so that a span recorder wrapping __all__ does

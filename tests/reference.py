@@ -3,7 +3,9 @@
 They are the direct, slow forms of what the package computes: math.fsum
 in place of the extraction sum of integrate, dense N x N kernel sums in
 place of the O(N) contraction, that contraction's sums in exact rational
-arithmetic in place of its floating-point rows, the small-beta resolvent
+arithmetic in place of its floating-point rows, the unit square well's
+kernel moments in exact rationals and a piecewise-linear well's |x - y|
+integral in closed form in place of contract, the small-beta resolvent
 expansions written out as formulas in place of the monomial tables, the
 shooting propagation one Magnus step at a time in place of sub-block products,
 the carry across sub-block products over whole columns of kappas in
@@ -336,15 +338,54 @@ def binomial_sums_exact(t, s, w, k, signed):
     return [Fraction(h_i, 1 << e * (k + 1)) for h_i in h]
 
 
+def unit_well_moments_exact(x, k, n):
+    """int_{-1}^{1} |x_i - y|^k y^n dy at each float x_i, exactly, as Fractions.
+
+    With x_i = N/D and c = C/D the split point x_i clipped to [-1, 1], the
+    integral is that of (x - y)^k on [-1, c] plus (-1)^k times it on [c, 1],
+    expanded binomially in y. Every term has the denominator
+    D^(k+n+1) times a divisor of l = lcm(n+1, ..., n+k+1), so the sum runs
+    in integers.
+    """
+    l = math.lcm(*range(n + 1, n + k + 2))
+    h = []
+    for N, D in map(float.as_integer_ratio, np.asarray(x, dtype=float).tolist()):
+        C = min(max(N, -D), D)
+        total = 0
+        for b in range(k + 1):
+            j = n + b + 1
+            span = C**j - (-D) ** j + (-1) ** k * (D**j - C**j)
+            total += math.comb(k, b) * (-1) ** b * N ** (k - b) * span * (l // j)
+        h.append(Fraction(total, l * D ** (k + n + 1)))
+    return h
+
+
+def piecewise_linear_abs_moment(x, xs, vs):
+    """int |x_i - y| V(y) dy for V linear between samples (xs, vs) and 0 outside, in closed form.
+
+    |x - y| is y - x, less 2 (y - x) where y < x; G is an antiderivative
+    of (y - x) V(y) on each segment, and the segments are summed.
+    """
+    a, b = xs[:-1], xs[1:]
+    beta = (vs[1:] - vs[:-1]) / (b - a)
+    alpha = vs[:-1] - beta * a
+    X = np.asarray(x, dtype=float)[:, None]
+
+    def G(y):
+        return beta * y**3 / 3.0 + (alpha - beta * X) * y**2 / 2.0 - alpha * X * y
+
+    return np.sum(G(b) - 2.0 * G(np.clip(X, a, b)) + G(a), axis=1)
+
+
 def dense_contract(g, p, k, sources):
     """Dense kernel sums with the own-panel kink correction, and their scales.
 
     Returns, for each (m, f) in sources, (h, scale) with
-    h_i = sum_j w_j |x_i - x_j|^k x_j^m V_j f_j, the own panel of every
-    node re-integrated split at the node for odd k, and scale_i the same
-    sum with every summand taken in absolute value (the roundoff scale of
-    h_i). The |x_i - x_j|^k kernel is built once, a chunk of rows at a
-    time, and applied to every source.
+    h_i = sum_j w_j |x_i - x_j|^k u_j, u = x^m V f, the own panel of every
+    node re-integrated split at the node for odd k, with u interpolated
+    in the panel, and scale_i the same sum with every summand taken in
+    absolute value (the roundoff scale of h_i). The |x_i - x_j|^k kernel
+    is built once, a chunk of rows at a time, and applied to every source.
     """
     x, w = g.nodes, g.weights
     v = p.evaluate(x)
@@ -371,12 +412,12 @@ def dense_contract(g, p, k, sources):
         local = 2.0 * (y - lo[:, None]) / (hi - lo)[:, None] - 1.0
         vand = legvander(local.ravel(), q - 1).reshape(g.size, q, q)
         wk = halfw[:, None] * ws[None, :] * np.abs(x[:, None] - y) ** k
-        splits.append((y, p.evaluate(y), vand, wk))
-    for i, ((m, f), u) in enumerate(zip(sources, us)):
-        coeffs = (f.reshape(P, q) @ to_coeffs)[panel]
+        splits.append((vand, wk))
+    for i, u in enumerate(us):
+        coeffs = (u.reshape(P, q) @ to_coeffs)[panel]
         h[:, i] -= np.sum(own_kernel * u.reshape(P, q)[panel], axis=1)
-        for y, vy, vand, wk in splits:
-            uy = vy * y**m * np.einsum("nij,nj->ni", vand, coeffs)
+        for vand, wk in splits:
+            uy = np.einsum("nij,nj->ni", vand, coeffs)
             h[:, i] += np.sum(wk * uy, axis=1)
             scale[:, i] += np.sum(wk * np.abs(uy), axis=1)
     return list(zip(h.T, scale.T))

@@ -426,12 +426,14 @@ def _cli_child(tmp_path, argv, address_space=1 << 30):
         ("series", GAUSS_CFG, ["--grid", "15,1000000,8"], "L=15 P=1000000 q=8"),
         ("greens-check", GAUSS_CFG, ["--grid", "15,1000000,8"], "L=15 P=1000000 q=8"),
         ("series", "[potential]\nkind = square_well\na = 1e-5\n", [], "L=10 P=2000000 q=8"),
+        ("series", GAUSS_CFG, ["--grid", "15,4000000,2"], "L=15 P=4000000 q=2"),
     ],
-    ids=["series-grid-P-1e6", "greens-check-grid-P-1e6", "series-square-a-1e-5"],
+    ids=["series-grid-P-1e6", "greens-check-grid-P-1e6", "series-square-a-1e-5", "series-grid-P-4e6-q-2"],
 )
 def test_grid_whose_fine_plan_is_too_large_is_config_error(tmp_path, command, config, extra, spec):
-    # the fine twin's kink plan holds 2P * q * 2q values, 32 times the grid's
-    # nodes at q = 8: refused before any of it is built, well inside 1 GiB
+    # a fine twin of more than 2^22 nodes is refused before any grid is
+    # built, well inside 1 GiB; the 4e6-panel grid at q = 2 ran out of 2 GiB
+    # when it was accepted
     cfg = _write(tmp_path, "c.ini", config)
     code, out, err = _cli_child(tmp_path, [command, "--config", cfg] + extra)
     assert (code, out) == (2, "")

@@ -235,7 +235,7 @@ def test_energy_series_evaluate_is_polynomial(es_gaussian):
 def test_energy_series_shares_contractions(monkeypatch):
     # orders 2-6 hold 13 distinct chain suffixes; each is contracted
     # once per grid, on the coarse and on the fine grid. V is evaluated
-    # only by the two plans, at the nodes and at the kink sub-nodes.
+    # only by the two plans, once each, at the nodes.
     calls, evaluations = [], []
     evaluate = Potential.evaluate
 
@@ -252,7 +252,7 @@ def test_energy_series_shares_contractions(monkeypatch):
     energy_series(Potential("gaussian", 1.0), order=6)
     assert len(calls) == 26
     assert sorted(collections.Counter(args[0].P for args in calls).items()) == [(128, 13), (256, 13)]
-    assert evaluations == [(1024,), (128, 8, 16), (2048,), (256, 8, 16)]
+    assert evaluations == [(1024,), (2048,)]
 
 
 def test_chain_memo_belongs_to_one_grid_and_potential():

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from reference import binomial_sums_exact, dense_contract, fsum_oracle, polynomial_sum_exact
+from reference import (
+    binomial_sums_exact,
+    dense_contract,
+    fsum_oracle,
+    piecewise_linear_abs_moment,
+    polynomial_sum_exact,
+    unit_well_moments_exact,
+)
 from scipy.special import erf
 
 from shallowwell import greens, perturbation, quadrature, variational
@@ -282,13 +289,13 @@ def test_contract_allocates_linear_memory():
 
 
 def test_kink_plan_built_once_per_grid_and_potential_object(monkeypatch):
-    # V at the kink sub-nodes, shape (P, q, 2q), is the one 3-D evaluation
-    sub_node_calls = []
+    # a plan evaluates V once, at its grid's nodes, and nothing else in a
+    # series or greens-check evaluates V: each node-shaped evaluation is a build
+    builds = []
     evaluate = Potential.evaluate
 
     def recording(self, x):
-        if np.ndim(x) == 3:
-            sub_node_calls.append(self)
+        builds.append((self, np.shape(x)))
         return evaluate(self, x)
 
     monkeypatch.setattr(Potential, "evaluate", recording)
@@ -297,12 +304,14 @@ def test_kink_plan_built_once_per_grid_and_potential_object(monkeypatch):
     perturbation.evaluate_terms(perturbation.load_terms(4), p, g)
     for beta in (0.02, 0.01, 0.005):  # the greens-check sequence
         greens.e4_finite_beta(p, g, beta)
-    assert sub_node_calls == [p]
-    greens.e4_finite_beta(replace(p), g, 0.01)  # equal, but another object
-    assert len(sub_node_calls) == 2
-    sub_node_calls.clear()
+    assert builds == [(p, g.nodes.shape)]
+    other = replace(p)  # equal, but another object
+    greens.e4_finite_beta(other, g, 0.01)
+    assert builds[1:] == [(other, g.nodes.shape)]
+    builds.clear()
     perturbation.energy_series(_sech2(1.3), order=6)  # its coarse and fine grid
-    assert len(sub_node_calls) == 2 and len(set(sub_node_calls)) == 1
+    assert [shape for _, shape in builds] == [(1024,), (2048,)]
+    assert builds[0][0] is builds[1][0]
 
 
 def _assert_within_rounding_bound(x, wu, k):
@@ -376,7 +385,7 @@ def test_polynomial_sum_within_rounding_bound_on_series_and_greens_inputs(monkey
 
 
 def test_gauss_rule_solved_once_per_q(monkeypatch):
-    # build_grid and the split rule share one Gauss-Legendre solve per q, so a
+    # build_grid and the kink matrices share one Gauss-Legendre solve per q, so a
     # second series in the process solves none
     solves, leggauss = [], quadrature.leggauss
     monkeypatch.setattr(quadrature, "leggauss", lambda q: solves.append(q) or leggauss(q))
@@ -396,6 +405,42 @@ def test_contract_odd_kernel_matches_closed_form():
     x = g.nodes
     exact = -(math.sqrt(math.pi) * x * erf(x) + np.exp(-(x**2)))
     assert np.max(np.abs(got - exact)) < 1e-12
+
+
+def test_contract_is_exact_on_the_unit_square_well():
+    # V is -1 on [-1, 1] and the edges +-1 are panel edges, so on each side of
+    # a node's split |x - y|^k x^m V f is a polynomial of degree k + m + 2
+    # <= 2q - 1 = 15: the kink-split rule is exact, up to rounding
+    p = Potential("square_well", 1.0)
+    g = default_grid(p)
+    assert g.q == 8
+    x = g.nodes
+    coeffs = (1.0, 0.3, 0.2)
+    f = coeffs[0] + coeffs[1] * x + coeffs[2] * x * x
+    for k in (1, 3, 5):
+        moments = [unit_well_moments_exact(x, k, n) for n in range(5)]
+        for m in (0, 1, 2):
+            exact = [-sum(Fraction(c) * moments[m + j][i] for j, c in enumerate(coeffs))
+                     for i in range(x.size)]
+            got = contract(g, p, k, m, f)
+            worst = max(abs(Fraction(h) - e) for h, e in zip(got.tolist(), exact))
+            assert worst <= Fraction(1, 10**14) * max(map(abs, exact)), (k, m)
+
+
+@pytest.mark.parametrize(
+    "p, bound",
+    [(Potential.tabulated([-1.0, 0.0, 1.0], [0.0, -1.0, 0.0]), 2.1e-5), (SHAPES["sech2_x0_10"], 2.3e-6)],
+    ids=["triangle", "sech2_x0_10"],
+)
+def test_contract_loses_digits_to_kinks_of_v_inside_a_panel(p, bound):
+    # the panel rules, and the split rule's interpolation of V x^m f, take V
+    # to be smooth inside a panel; the triangle's kinks at +-1 and the sample
+    # abscissas of sech^2 fall inside panels. Measured at 2.010e-5 and
+    # 2.166e-6 of max|exact|.
+    g = default_grid(p)
+    exact = piecewise_linear_abs_moment(g.nodes, p.sample_x, p.evaluate(p.sample_x))
+    got = contract(g, p, 1, 0, np.ones_like(g.nodes))
+    assert np.max(np.abs(got - exact)) <= bound * np.max(np.abs(exact))
 
 
 def test_contract_cubic_kernel_matches_dense_plus_correction():
