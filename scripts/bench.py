@@ -19,7 +19,9 @@ its rounds, written beside the rounds themselves. Rows:
     evaluate_terms for each order 2-6 on the Gaussian, on a new Potential
       each time, so every chain is contracted afresh;
     one objective call (rayleigh_quotient) per trial family;
-    the variational search of one compare row (minimize) at s = 0.1, 1, 3;
+    the variational search of one compare row (minimize) at s = 0.1, 1, 3,
+      with its objective calls and its Newton passes (calls of the
+      steering function variational._slopes; 0 in a tree without one);
     energy_series per built-in shape, on a new Potential each time, so
       no plan is reused;
     one _WronskianEngine.wronskian pass of one (strength, kappa) pair, at
@@ -41,7 +43,8 @@ its rounds, written beside the rounds themselves. Rows:
       greens-check calls it for each of its three betas;
     cmd_greens_check on the Gaussian;
     cmd_compare on the README's example config (the Gaussian,
-      s = 0.1-3.0, 30 steps), and the objective calls that it makes;
+      s = 0.1-3.0, 30 steps), and the objective calls and Newton passes
+      that it makes;
     start-up: the wall time of a fresh `python -c pass`, of `import numpy`,
       and of each subcommand's imports (shallowwell.cli and the layers
       its _LAYERS entry names), each in a new process with SRC on
@@ -62,6 +65,14 @@ coarse/fine error estimate. The wells and their exact values:
     the tabulated triangle -1 0 / 0 -1 / 1 0: the term tables' exact
       rationals; c2 = -(int V)^2/4 = -1/4 and c3 = (int V)(int int
       V|x - y|V)/4 = 7/60 also follow from the first two orders directly.
+
+They also hold compare's two variational cells on Poschl-Teller at
+s = 1e2, 1e3, 1e4 and 1e5 on the default grid: each cell as compare
+prints it, the minimize energy at 9 significant digits, the exact level
+-kappa^2, and (E_var - E)/|E| of that cell, which is negative where the
+cell is not the upper bound it should be. A result that is a
+BelowWellFloor keeps its message, and its value is the minimum that the
+message prints, also at 9 digits.
 
 --tier1 N also runs each tree's Tier-1 suite N times, from the directory
 above SRC, and records each run's wall time and CPU time (user + sys of
@@ -93,6 +104,8 @@ GAUSSIAN = "[potential]\nkind = gaussian\ns = 1.0\n"
 README_COMPARE = GAUSSIAN + "[sweep]\ns_min = 0.1\ns_max = 3.0\nsteps = 30\n"
 BUILT_IN = ("square_well", "poschl_teller", "gaussian")
 DEEP_SOLVE = "[potential]\nkind = poschl_teller\ns = 1e6\n"
+#: Poschl-Teller strengths of the variational accuracy rows
+DEEP_VARIATIONAL = (1e2, 1e3, 1e4, 1e5)
 #: the unit square well's c2..c6
 SQUARE_WELL = tuple(map(Fraction, ("-1", "4/3", "-92/45", "1072/315", "-84752/14175")))
 #: well name -> the exact c2..c6 of the wells whose exact values are rationals
@@ -171,6 +184,39 @@ def _series(src: str) -> dict:
     return series
 
 
+def _variational(src: str) -> dict:
+    """Strength -> family -> compare's cell of one tree on Poschl-Teller: a 9-digit energy or a failure message."""
+    sys.path.insert(0, os.path.abspath(src))
+    from shallowwell.potential import Potential
+    from shallowwell.quadrature import default_grid
+    from shallowwell.variational import minimize
+
+    cells = {}
+    for s in DEEP_VARIATIONAL:
+        p = Potential("poschl_teller", s)
+        results = minimize(p, default_grid(p))
+        cells[f"{s:g}"] = {
+            family: str(got) if isinstance(got, Exception) else float(f"{got[1]:.9g}")
+            for family, got in results.items()
+        }
+    return cells
+
+
+def _variational_accuracy(cells: dict) -> dict:
+    """The variational accuracy rows of one tree: strength -> family -> value, exact level, (E_var - E)/|E|."""
+    from reference import exact_poschl_teller
+
+    rows = {}
+    for s, results in cells.items():
+        exact = exact_poschl_teller(float(s))
+        rows[f"compare poschl_teller s={s}"] = row = {}
+        for family, got in results.items():
+            cell = {"value": got} if isinstance(got, float) else {"failure": got, "value": float(got.split()[1])}
+            cell.update(exact=exact, rel_error=(cell["value"] - exact) / abs(exact))
+            row[f"var_{family}"] = cell
+    return rows
+
+
 def _exact() -> dict:
     """Well name -> the exact c2..c6 as Fractions (the Gaussian's as the floats of its closed forms)."""
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -196,6 +242,30 @@ def _accuracy(series: dict, exact: dict) -> dict:
             for n, value, estimate, want in zip(range(2, 7), values, estimates, exact[name])
         }
     return rows
+
+
+def _counts(variational, fn) -> tuple:
+    """(objective calls, Newton passes) of one fn(): calls of variational's integrate and of its _slopes."""
+    counts = [0, 0]
+    saved = {name: getattr(variational, name, None) for name in ("integrate", "_slopes")}
+
+    def counting(i, f):
+        def counted(*args):
+            counts[i] += 1
+            return f(*args)
+
+        return counted
+
+    for i, (name, f) in enumerate(saved.items()):
+        if f is not None:
+            setattr(variational, name, counting(i, f))
+    try:
+        fn()
+    finally:
+        for name, f in saved.items():
+            if f is not None:
+                setattr(variational, name, f)
+    return tuple(counts)
 
 
 def _rows(src: str) -> dict:
@@ -265,6 +335,9 @@ def _rows(src: str) -> dict:
     for s in (0.1, 1.0, 3.0):
         ps = Potential("gaussian", s)
         rows[f"variational.minimize s={s:g}"] = _per_call(lambda: compare_row(ps))
+        calls, passes = _counts(variational, lambda: compare_row(ps))
+        rows[f"variational.minimize s={s:g} objective calls"] = calls
+        rows[f"variational.minimize s={s:g} Newton passes"] = passes
 
     for kind in ("square_well", "poschl_teller", "gaussian"):
         rows[f"perturbation.energy_series {kind}"] = _per_call(
@@ -311,18 +384,9 @@ def _rows(src: str) -> dict:
     cfg = configs["compare"]
     rows["cli.cmd_compare README"] = _per_call(lambda: cli.cmd_compare(cfg))
 
-    calls = 0
-    quadrature_integrate = variational.integrate
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return quadrature_integrate(*args)
-
-    variational.integrate = counted
-    cli.cmd_compare(cfg)
-    variational.integrate = quadrature_integrate
+    calls, passes = _counts(variational, lambda: cli.cmd_compare(cfg))
     rows["cli.cmd_compare README objective calls"] = calls
+    rows["cli.cmd_compare README Newton passes"] = passes
     return rows
 
 
@@ -388,6 +452,10 @@ def main() -> None:
             [sys.executable, __file__, "--series", src], capture_output=True, text=True, check=True
         )
         record["trees"][label]["accuracy"] = _accuracy(json.loads(done.stdout.splitlines()[-1]), exact)
+        done = subprocess.run(
+            [sys.executable, __file__, "--variational", src], capture_output=True, text=True, check=True
+        )
+        record["trees"][label]["accuracy"].update(_variational_accuracy(json.loads(done.stdout.splitlines()[-1])))
     for r in range(args.tier1):
         for label, src in (list(trees.items()) if r % 2 == 0 else list(trees.items())[::-1]):
             wall, cpu, summary = _tier1(src)
@@ -410,5 +478,7 @@ if __name__ == "__main__":
         print(json.dumps(_rows(sys.argv[2])))
     elif sys.argv[1:2] == ["--series"]:
         print(json.dumps(_series(sys.argv[2])))
+    elif sys.argv[1:2] == ["--variational"]:
+        print(json.dumps(_variational(sys.argv[2])))
     else:
         main()

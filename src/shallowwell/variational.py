@@ -14,12 +14,17 @@ called by that name so that a traced run counts it, with psi^2's
 denominators den formed once per beta. The module needs numpy alone.
 
 Both families are searched as alpha = c (1 + beta), beta = u / (1 - u),
-whose u = 1 edge is the Gaussian trial alpha = c / 2. Brent's search
-(Brent 1973, ch. 5), golden-section steps sped up by parabolic
-interpolation, in log c, and in u for exp-sqrt, needs no derivatives
-and is deterministic. One minimize serves both families: the Gaussian
-search is the u = 1 edge of the exp-sqrt one, and each log-c search in
-u starts near the optimum of the one before.
+whose u = 1 edge is the Gaussian trial alpha = c / 2. One minimize
+serves both families: the Gaussian search is the u = 1 edge of the
+exp-sqrt one, and each log-c search in u starts near the optimum of the
+one before. Brent's search (Brent 1973, ch. 5), golden-section steps
+sped up by parabolic interpolation, needs no derivatives and is
+deterministic; it searches u, and log c from cold over the whole range.
+The warm log-c searches in u take safeguarded Newton steps instead
+(Nocedal & Wright 2006, ch. 3): at fixed beta, the first two
+derivatives of the quotient in log c are plain dot products over the
+same exp arrays that it forms, and only the point that they steer to
+costs an objective call.
 """
 from __future__ import annotations
 
@@ -90,9 +95,7 @@ class ExpSqrtTrial:
         z = 2.0 * self.alpha * self.beta
         if z <= _Z_MIN:  # psi = e^{-alpha |x|}
             return 1.0 / self.alpha, self.alpha
-        h = min(0.25, 0.25 / math.sqrt(z))
-        # a = 2 sinh^2(t/2) at t = 0, h, 2h, ...: no cancellation at small t
-        a = 2.0 * np.sinh(np.arange(0.0, math.asinh(math.sqrt(20.0 / z)), 0.5 * h)) ** 2
+        h, a = _sinh_nodes(z, z)
         w = np.exp(-z * a)
         w[0] = 0.5  # the t = 0 node is shared by both halves of the line
         aw = a * w
@@ -101,6 +104,17 @@ class ExpSqrtTrial:
         # cosh t = 1 + a and sinh t tanh t = a + a / (1 + a)
         norm = scale * (float(w.sum()) + edge)
         return norm, scale * self.alpha**2 * (edge + float(np.dot(aw, 1.0 / (1.0 + a))))
+
+
+def _sinh_nodes(z_step, z_cut):
+    """Step h and a = cosh t - 1 at t = 0, h, 2h, ... of the sums in x = beta sinh t.
+
+    h resolves psi^2 = e^{-za} for every z <= z_step, and the nodes run on
+    to psi^2 = e^{-40} for every z >= z_cut.
+    """
+    h = min(0.25, 0.25 / math.sqrt(z_step))
+    # a = 2 sinh^2(t/2) at t = 0, h, 2h, ...: no cancellation at small t
+    return h, 2.0 * np.sinh(np.arange(0.0, math.asinh(math.sqrt(20.0 / z_cut)), 0.5 * h)) ** 2
 
 
 def rayleigh_quotient(tf, v, g: QuadratureGrid, den=None) -> float:
@@ -125,9 +139,10 @@ def rayleigh_quotient(tf, v, g: QuadratureGrid, den=None) -> float:
 _LOG_C = (-80.0, 40.0)  # psi^2 = e^{-c x^2} at u = 1, e^{-2c|x|} at u = 0; norms stay >= e^{-40}
 _TOL = 1e-9
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
-#: half-width of the log-c bracket that each exp-sqrt step in u starts from; of
-#: 0.05-2, 0.4 took the fewest objective calls over 30-strength compares of
-#: five wells
+#: half-width of the log-c bracket that the Newton steps of each exp-sqrt step
+#: in u search; of 0.05-2, 0.4 took the fewest objective calls over
+#: 30-strength compares of five wells, measured with Brent's search on each
+#: bracket
 _WARM = 0.4
 
 
@@ -193,6 +208,79 @@ def _brent(f, a, b):
                 v, fv = u, fu
 
 
+def _newton(slopes, lo, hi, t):
+    """A least point of a smooth f on [lo, hi] by safeguarded Newton steps from t.
+
+    slopes(t) returns f'(t) and f''(t). Each pass keeps the part of the
+    bracket downhill of t, so the bracket only shrinks. The step is
+    Newton's, -f'/f'', or a full downhill step where f'' <= 0, clipped to
+    +-1 and to the bracket (Nocedal & Wright, Numerical Optimization,
+    2006, ch. 3); where it lands on a bracket end that an earlier pass
+    took, the middle of the bracket is taken instead. So a slope that
+    points out of the bracket at one of its own ends closes it there. The
+    search stops once the step is within _tol(t), the tolerance of _brent.
+    """
+    seen = set()
+    while True:
+        d1, d2 = slopes(t)
+        seen.add(t)
+        if d1 > 0.0:
+            hi = t
+        else:
+            lo = t
+        step = -d1 / d2 if d2 > 0.0 else -1.0 if d1 > 0.0 else 1.0
+        new = min(max(t + step, t - 1.0, lo), t + 1.0, hi)
+        if new in seen and abs(new - t) > _tol(t):
+            new = 0.5 * (lo + hi)
+        if abs(new - t) <= _tol(t):
+            return new
+        t = new
+
+
+def _exp_sqrt_line(u, beta, x, den, wv, lo, hi):
+    """The fixed arrays of _slopes on the exp-sqrt line at u, for log c in [lo, hi].
+
+    G = x^2 / den at the grid nodes x, with the rows (wV, wV G, wV G^2) of
+    the weights times V; and the nodes a of norm_and_kinetic's trapezoid
+    sums, fine and long enough for every z = 2 alpha beta of the bracket,
+    with the rows 2 h beta (1 + a) a^j and 2 h beta (a + a / (1 + a)) a^j,
+    j = 0, 1, 2, whose t = 0 node is halved.
+    """
+    G = x * x / den
+    z = 2.0 * beta / (1.0 - u)
+    h, a = _sinh_nodes(z * math.exp(hi), z * math.exp(lo))
+    cosh = 1.0 + a
+    sinh_tanh = a + a / cosh
+    rows = (cosh, cosh * a, cosh * a * a, sinh_tanh, sinh_tanh * a, sinh_tanh * a * a)
+    trap = 2.0 * h * beta * np.stack(rows)
+    trap[:, 0] *= 0.5
+    return G, np.stack([wv, wv * G, wv * G * G]), a, trap
+
+
+def _slopes(t, u, beta, G, rows, a, trap):
+    """dQ/dt and d^2Q/dt^2 of the exp-sqrt quotient Q at log c = t, from dot products.
+
+    With D = d/dt = alpha d/dalpha, psi^2 = e^{-2 alpha G} on the grid gives
+    D int V psi^2 = -2 alpha int V G psi^2 and D^2 int V psi^2 =
+    4 alpha^2 int V G^2 psi^2 + D int V psi^2; each trapezoid weight
+    e^{-za} of the norm N and of the kinetic sum S = <psi'|psi'> / alpha^2
+    gives D e^{-za} = -za e^{-za} and D^2 e^{-za} = (z^2 a^2 - za) e^{-za}.
+    The sums are plain ones: they steer _newton, and the cell's value is
+    rayleigh_quotient's at the point they steer it to.
+    """
+    alpha = math.exp(t) / (1.0 - u)
+    p0, p1, p2 = rows @ np.exp(-2.0 * alpha * G)
+    z = 2.0 * alpha * beta
+    n0, n1, n2, s0, s1, s2 = trap @ np.exp(-z * a)
+    dn, ds, dp = -z * n1, -z * s1, -2.0 * alpha * p1
+    d2n, d2s, d2p = z * z * n2 + dn, z * z * s2 + ds, 4.0 * alpha * alpha * p2 + dp
+    aa = alpha * alpha
+    q = (aa * s0 + p0) / n0
+    dq = (aa * (2.0 * s0 + ds) + dp - q * dn) / n0
+    d2q = (aa * (4.0 * s0 + 4.0 * ds + d2s) + d2p - 2.0 * dq * dn - q * d2n) / n0
+    return dq, d2q
+
+
 def _trial(log_c, u):
     """alpha = c (1 + beta) with beta = u / (1 - u); u = 1 is the Gaussian limit e^{-c x^2 / 2}."""
     c = math.exp(log_c)
@@ -202,14 +290,17 @@ def _trial(log_c, u):
 def minimize(p: Potential, g: QuadratureGrid) -> dict:
     """Minimize the Rayleigh quotient over both trial families in one search.
 
-    The Gaussian family is the search in log c at u = 1. The exp-sqrt
-    family searches u in [0, 1] over the log-c minima and keeps the
-    better of that and u = 1, so it never loses to the Gaussian family.
-    Each step in u starts its log-c search on [t - _WARM, t + _WARM]
-    around the previous step's optimum t (the Gaussian one first), and
-    searches all of _LOG_C again when that bracket leaves _LOG_C or its
-    optimum lands within 4 _tol of an end. hypot(beta, x) + beta is
-    formed once per step in u.
+    The Gaussian family is Brent's search in log c at u = 1, over all of
+    _LOG_C: its quotient need not be unimodal there. The exp-sqrt family
+    searches u in [0, 1] by Brent's search over the log-c minima and
+    keeps the better of that and u = 1, so it never loses to the
+    Gaussian family. Each step in u runs _newton on [t - _WARM, t + _WARM]
+    from the previous step's optimum t (the Gaussian one first), steered
+    by _slopes, and takes one objective call at the point it returns. It
+    runs Brent's search on all of _LOG_C instead when that bracket leaves
+    _LOG_C or Newton's point lands within 4 _tol of an end.
+    hypot(beta, x) + beta, and the fixed arrays of _slopes, are formed
+    once per step in u.
 
     Returns:
         {"gaussian": result, "expsqrt": result}, each result the pair
@@ -218,6 +309,7 @@ def minimize(p: Potential, g: QuadratureGrid) -> dict:
         grid does not resolve it, the BelowWellFloor that says so.
     """
     v = p.evaluate(g.nodes)
+    wv = g.weights * v
 
     def search(u, den, lo, hi):
         return _brent(lambda t: (rayleigh_quotient(_trial(t, u), v, g, den), t, u), lo, hi)
@@ -230,8 +322,13 @@ def minimize(p: Potential, g: QuadratureGrid) -> dict:
         beta = u / (1.0 - u)
         den = np.hypot(beta, g.nodes) + beta
         lo, hi = start - _WARM, start + _WARM
-        best = search(u, den, lo, hi) if _LOG_C[0] <= lo and hi <= _LOG_C[1] else None
-        if best is None or not lo + 4.0 * _tol(best[1]) < best[1] < hi - 4.0 * _tol(best[1]):
+        t = None
+        if _LOG_C[0] <= lo and hi <= _LOG_C[1]:
+            line = _exp_sqrt_line(u, beta, g.nodes, den, wv, lo, hi)
+            t = _newton(lambda log_c: _slopes(log_c, u, beta, *line), lo, hi, start)
+        if t is not None and lo + 4.0 * _tol(t) < t < hi - 4.0 * _tol(t):
+            best = rayleigh_quotient(_trial(t, u), v, g, den), t, u
+        else:
             best = search(u, den, *_LOG_C)
         start = best[1]
         return best

@@ -20,7 +20,8 @@ closed-form and spectral resolvents of the regulator delta well and the
 Taylor coefficients of a Pade approximant are independent oracles that
 only the tests use. The golden-section search that Brent's search
 replaced in variational.minimize, and the Nelder-Mead ladder before it,
-stand in for that search.
+stand in for that search, and minimize_brent keeps Brent's search on the
+warm log-c lines where minimize now takes Newton steps.
 """
 import itertools
 import math
@@ -41,8 +42,11 @@ from shallowwell.resummation import PadeApproximant
 from shallowwell.variational import (
     _LOG_C,
     _TOL,
+    _WARM,
     ExpSqrtTrial,
     GaussianTrial,
+    _brent,
+    _tol,
     _trial,
     rayleigh_quotient,
 )
@@ -933,3 +937,42 @@ def golden_section_minimize(tf_kind, p, g):
     if energy <= floor:
         raise BelowWellFloor(f"minimum {energy:.9g} at or below the well floor {floor:.9g}")
     return _trial(log_c, u), float(energy)
+
+
+def minimize_brent(p, g):
+    """variational.minimize with Brent's search on every log-c line.
+
+    The search that the Newton steps of the warm exp-sqrt lines replaced:
+    each step in u runs _brent on [t - _WARM, t + _WARM] around the
+    previous optimum t, and on all of _LOG_C when that bracket leaves
+    _LOG_C or its optimum lands within 4 _tol of an end. Same result dict
+    as minimize.
+    """
+    v = p.evaluate(g.nodes)
+
+    def search(u, den, lo, hi):
+        return _brent(lambda t: (rayleigh_quotient(_trial(t, u), v, g, den), t, u), lo, hi)
+
+    gaussian = search(1.0, None, *_LOG_C)
+    start = gaussian[1]
+
+    def at_u(u):
+        nonlocal start
+        beta = u / (1.0 - u)
+        den = np.hypot(beta, g.nodes) + beta
+        lo, hi = start - _WARM, start + _WARM
+        best = search(u, den, lo, hi) if _LOG_C[0] <= lo and hi <= _LOG_C[1] else None
+        if best is None or not lo + 4.0 * _tol(best[1]) < best[1] < hi - 4.0 * _tol(best[1]):
+            best = search(u, den, *_LOG_C)
+        start = best[1]
+        return best
+
+    floor = -p.s * p.shape_max()
+
+    def result(best):
+        energy, log_c, u = best
+        if energy <= floor:
+            return BelowWellFloor(f"minimum {energy:.9g} at or below the well floor {floor:.9g}")
+        return _trial(log_c, u), float(energy)
+
+    return {"gaussian": result(gaussian), "expsqrt": result(min(gaussian, _brent(at_u, 0.0, 1.0)))}

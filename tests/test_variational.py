@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from reference import golden_section_minimize, nelder_mead_minimize
+from reference import golden_section_minimize, minimize_brent, nelder_mead_minimize
 from scipy.integrate import quad
 
 from shallowwell import variational
@@ -250,19 +250,60 @@ def test_warm_start_falls_back_at_the_box_edge(monkeypatch):
 def test_objective_calls_per_minimize(monkeypatch, gaussian_unit, gaussian_grid):
     # Brent's search in log c over [-80, 40] stops after 20 calls here; the
     # exp-sqrt family adds the search in u over [0, 1], whose steps each run
-    # one log-c search, warm-started around the previous step's optimum,
-    # for 146 in all
-    calls = []
-    quotient = variational.rayleigh_quotient
+    # one log-c search by Newton steps from the previous step's optimum and
+    # one objective call at its result, for 30 in all and 28 Newton passes
+    calls, passes = [], []
+    quotient, slopes = variational.rayleigh_quotient, variational._slopes
 
     def counted(tf, *args):
         calls.append(type(tf))
         return quotient(tf, *args)
 
+    def counted_slopes(*args):
+        passes.append(args[0])
+        return slopes(*args)
+
     monkeypatch.setattr(variational, "rayleigh_quotient", counted)
+    monkeypatch.setattr(variational, "_slopes", counted_slopes)
     minimize(gaussian_unit, gaussian_grid)
     assert calls.count(GaussianTrial) == 20
-    assert len(calls) == 146
+    assert len(calls) == 30
+    assert len(passes) == 28
+
+
+_ORACLE_WELLS = {
+    "square_well": lambda s: Potential("square_well", s),
+    "square_well_a0.7": lambda s: Potential("square_well", s, a=0.7),
+    "poschl_teller": lambda s: Potential("poschl_teller", s),
+    "gaussian": lambda s: Potential("gaussian", s),
+    "sech2_x0_1.3": lambda s: _sech2(1.3, s),
+}
+
+
+@pytest.mark.parametrize("s", [0.01, 0.1, 1.0, 3.0, 100.0, 1e4])
+@pytest.mark.parametrize("well", sorted(_ORACLE_WELLS))
+def test_newton_lines_match_brent_lines(well, s):
+    # Newton steps only choose the point of each warm exp-sqrt line; its value
+    # is the objective there, so both families land where Brent's lines do
+    p = _ORACLE_WELLS[well](s)
+    g = default_grid(p)
+    got, want = minimize(p, g), minimize_brent(p, g)
+    for family in ("gaussian", "expsqrt"):
+        if isinstance(want[family], BelowWellFloor):
+            assert type(got[family]) is BelowWellFloor and str(got[family]) == str(want[family])
+            continue
+        e_got, e_want = got[family][1], want[family][1]
+        assert f"{e_got:.9g}" == f"{e_want:.9g}"
+        assert abs(e_got - e_want) <= 1e-13 * abs(e_want)
+
+
+def test_deep_gaussian_search_skips_the_spurious_minimum():
+    # on the default grid the Gaussian family's quotient has a second, spurious
+    # minimum at log c ~ 8.46 (-9197.53) beside the one near 4.6 (-9900.54);
+    # the cold search over all of log c must not settle in it
+    p = Potential("poschl_teller", 1e4)
+    _, energy = minimize(p, default_grid(p))["gaussian"]
+    assert energy < -9900.0
 
 
 @pytest.mark.parametrize("family", ["gaussian", "expsqrt"])
