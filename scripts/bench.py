@@ -36,6 +36,10 @@ its rounds, written beside the rounds themselves. Rows:
       solution across hundreds of sub-block products each, in Python
       floats one strength at a time (or, in a tree that batches the
       strengths of a pass, across whole columns of a large batch);
+    the passes (iterations) of one solve, a one-strength shooting_sweep,
+      on each of the square well, Poschl-Teller, the Gaussian and the
+      tabulated sech^2 at each strength of PASS_LADDER, and their total
+      per well: counted rows;
     cmd_solve per built-in shape (s = 1), and on Poschl-Teller at s = 1e6;
     divergent_block on the Gaussian, after the fourth order has been
       evaluated on the same grid, as greens-check calls it;
@@ -74,6 +78,12 @@ cell is not the upper bound it should be. A result that is a
 BelowWellFloor keeps its message, and its value is the minimum that the
 message prints, also at 9 digits.
 
+And they hold solve's energy on Poschl-Teller at s = 1, 1e3, 1e6, 1e8
+and 1e10 and on the unit square well at s = 1 and 2.5, each as
+shooting_sweep returns it, with its exact level (exact_poschl_teller and
+exact_square_well in tests/reference.py), (E - E_exact)/|E_exact|, its
+residual and its passes; a failure keeps its message.
+
 --tier1 N also runs each tree's Tier-1 suite N times, from the directory
 above SRC, and records each run's wall time and CPU time (user + sys of
 the pytest process and of the children it waited for, from getrusage),
@@ -106,6 +116,11 @@ BUILT_IN = ("square_well", "poschl_teller", "gaussian")
 DEEP_SOLVE = "[potential]\nkind = poschl_teller\ns = 1e6\n"
 #: Poschl-Teller strengths of the variational accuracy rows
 DEEP_VARIATIONAL = (1e2, 1e3, 1e4, 1e5)
+#: strengths of the solve pass-count rows, from the weak-coupling limit to deep wells
+PASS_LADDER = (1e-4, 0.1, 0.5, 1.0, 2.0, 4.0, 30.0, 1e3, 1e5)
+#: (kind, s) of the solve accuracy rows
+SOLVE_ACCURACY = (*(("poschl_teller", s) for s in (1.0, 1e3, 1e6, 1e8, 1e10)),
+                  ("square_well", 1.0), ("square_well", 2.5))
 #: the unit square well's c2..c6
 SQUARE_WELL = tuple(map(Fraction, ("-1", "4/3", "-92/45", "1072/315", "-84752/14175")))
 #: well name -> the exact c2..c6 of the wells whose exact values are rationals
@@ -214,6 +229,37 @@ def _variational_accuracy(cells: dict) -> dict:
             cell = {"value": got} if isinstance(got, float) else {"failure": got, "value": float(got.split()[1])}
             cell.update(exact=exact, rel_error=(cell["value"] - exact) / abs(exact))
             row[f"var_{family}"] = cell
+    return rows
+
+
+def _solve(src: str) -> dict:
+    """Row name -> solve's result in one tree: energy, residual and passes, or a failure message."""
+    sys.path.insert(0, os.path.abspath(src))
+    from shallowwell.oracles import shooting_sweep
+    from shallowwell.potential import Potential
+
+    results = {}
+    for kind, s in SOLVE_ACCURACY:
+        (got,) = shooting_sweep(Potential(kind, s), [s])
+        results[f"solve {kind} s={s:g}"] = (
+            {"failure": str(got)} if isinstance(got, Exception)
+            else {"value": got.energy, "residual": got.residual, "passes": got.iterations}
+        )
+    return results
+
+
+def _solve_accuracy(results: dict) -> dict:
+    """The solve accuracy rows of one tree: each result with its exact level and (E - E_exact)/|E_exact|."""
+    from reference import exact_poschl_teller, exact_square_well
+
+    exact = {"poschl_teller": exact_poschl_teller, "square_well": exact_square_well}
+    rows = {}
+    for name, row in results.items():
+        _, kind, s = name.split()
+        want = exact[kind](float(s[2:]))
+        rows[name] = {**row, "exact": want}
+        if "value" in row:
+            rows[name]["rel_error"] = (row["value"] - want) / abs(want)
     return rows
 
 
@@ -355,6 +401,12 @@ def _rows(src: str) -> dict:
             pair = ([pw.s], [pair[1]])
         rows[f"oracles.wronskian B=1 {name}"] = _per_call(lambda: engine.wronskian(*pair))
 
+    for name, pw in wells.items():  # a sweep takes only the shape of its potential
+        passes = [getattr(shooting_sweep(pw, [s])[0], "iterations", 0) for s in PASS_LADDER]
+        for s, n in zip(PASS_LADDER, passes):
+            rows[f"oracles.solve passes {name} s={s:g}"] = n
+        rows[f"oracles.solve passes {name} ladder total"] = sum(passes)
+
     s_values = np.linspace(0.1, 3.0, 30)
     rows["oracles.shooting_sweep 30 strengths"] = _per_call(lambda: shooting_sweep(p, s_values))
     rows["oracles.shooting_sweep 3 strengths"] = _per_call(lambda: shooting_sweep(p, [0.11, 1.5, 3.0]))
@@ -456,6 +508,10 @@ def main() -> None:
             [sys.executable, __file__, "--variational", src], capture_output=True, text=True, check=True
         )
         record["trees"][label]["accuracy"].update(_variational_accuracy(json.loads(done.stdout.splitlines()[-1])))
+        done = subprocess.run(
+            [sys.executable, __file__, "--solve", src], capture_output=True, text=True, check=True
+        )
+        record["trees"][label]["accuracy"].update(_solve_accuracy(json.loads(done.stdout.splitlines()[-1])))
     for r in range(args.tier1):
         for label, src in (list(trees.items()) if r % 2 == 0 else list(trees.items())[::-1]):
             wall, cpu, summary = _tier1(src)
@@ -480,5 +536,7 @@ if __name__ == "__main__":
         print(json.dumps(_series(sys.argv[2])))
     elif sys.argv[1:2] == ["--variational"]:
         print(json.dumps(_variational(sys.argv[2])))
+    elif sys.argv[1:2] == ["--solve"]:
+        print(json.dumps(_solve(sys.argv[2])))
     else:
         main()

@@ -4,19 +4,22 @@ A shooting/Wronskian bound-state solver with one fourth-order Magnus
 propagator for every shape, matched at the peak of the well. Its one
 entry point is shooting_sweep; a single strength is a sweep of one, and
 each strength of a sweep runs alone, so its result does not depend on
-the others. Each strength runs its own search in Python floats,
-bisection on the level count (Sturm oscillation) then Illinois regula
-falsi on the Wronskian. A pass writes the step matrices of one half-line
-into one (2, 2, steps) array and multiplies them pairwise into sub-block
-products, each short enough (by the Sturm bound on the spacing of zeros)
-to hold at most one zero of the solution, so counting levels costs one
-sign test per sub-block, made as the solution is carried across the
-products in Python floats; a search that fails where steps exceed that
-bound says so. The exact levels, the Gaussian closed forms, the erf
-reference, the step-by-step propagation, the carry over whole columns of
-kappas, this search as array code over all strengths, the scan-and-polish
-search before it, a plain count bisection and the series fit that only
-the tests use live in tests/reference.py.
+the others. Each strength runs its own search in Python floats: a first
+probe at the paper's weak-coupling level kappa = s*area/2, halved or
+doubled until the ground state is bracketed, bisection on the level
+count (Sturm oscillation) where that count is two or more, then
+Anderson-Bjorck regula falsi on the Wronskian. A pass writes the step
+matrices of one half-line into one (2, 2, steps) array and multiplies
+them pairwise into sub-block products, each short enough (by the Sturm
+bound on the spacing of zeros) to hold at most one zero of the solution,
+so counting levels costs one sign test per sub-block, made as the
+solution is carried across the products in Python floats; a search that
+fails where steps exceed that bound says so. The exact levels, the
+Gaussian closed forms, the erf reference, the step-by-step propagation,
+the carry over whole columns of kappas, this search as array code over
+all strengths, the floor-started bisection and Illinois search before
+it, the scan-and-polish search before that, a plain count bisection and
+the series fit that only the tests use live in tests/reference.py.
 """
 from __future__ import annotations
 
@@ -163,7 +166,9 @@ class _WronskianEngine:
     edge of the panel that holds its largest node value, inside the
     core of the well, where W varies smoothly with kappa. The right
     half-line runs backwards from +L, as the left half-line of the
-    mirror image.
+    mirror image. area is the integral of the shape by the steps' own
+    two-node rule, h/2 times the sum of every node value, from which the
+    search takes its first probe.
     """
 
     def __init__(self, p: Potential, nsteps: int = 4000):
@@ -171,6 +176,7 @@ class _WronskianEngine:
         shape = np.asarray(p.shape(g.nodes), dtype=float).reshape(g.P, 2)
         split = g.P // 2 if p.is_even() else max(int(np.argmax(shape)) // 2, 1)
         self.h = 2.0 * g.L / g.P
+        self.area = 0.5 * self.h * float(shape.sum())
         self.sides = [shape[:split]]
         if not p.is_even():
             self.sides.append(shape[split:][::-1, ::-1])
@@ -190,49 +196,78 @@ class _WronskianEngine:
         return float(W), n + bool((-1) ** n * W < 0.0)
 
 
-def _search(s: float, depth: float, wronskian):
-    """One strength's search; wronskian(s, kappa) gives one pass's (W, N).
+def _weight(w_new, w_old):
+    """Anderson-Bjorck factor for the kept end: 1 - w_new/w_old, or 0.5 where that is not positive."""
+    m = 1.0 - w_new / w_old if w_old else 0.0
+    return m if m > 0.0 else 0.5
+
+
+def _search(s: float, depth: float, engine):
+    """One strength's search; engine() gives the shape's _WronskianEngine.
 
     kappa runs over [1e-6, 1] * sqrt(s * depth), depth = shape_max().
-    Bisection on the exact level count N keeps N(lo) >= 1 and N(hi) = 0,
-    in log kappa while hi > 2 lo; while N(lo) >= 2 it probes where N would
-    reach 1 if those levels were evenly spaced in kappa^2, and bisects
-    after a probe that overshoots. Once N(lo) = 1 and hi <= 2 lo, W changes
-    sign once in the bracket, at the ground state, and Illinois regula
-    falsi on W (Dowell & Jarratt, BIT 11, 168, 1971), sides taken from N,
-    runs until the bracket is a few ulps wide or the next point is not
-    inside it, as when W = 0 at an end. Returns the search's outcome and
-    its passes.
+    The first probe is the weak-coupling level kappa = s*area/2 (E ~
+    c2*s^2, c2 = -area^2/4), at most sqrt(s * depth / 2). No level lies
+    below it unless that cap applies, since a delta well of the same
+    area binds deepest, kappa_0 <= s*area/2; while it sees no level it
+    is halved, down to the floor 1e-6 * sqrt(s * depth), where no level
+    fails the search. While one level lies below it (by the cap, or by
+    roundoff), it is doubled until the level is bracketed within a
+    factor of 2, or bisected once the top is within that factor. A first
+    probe that sees two or more levels, or a NaN W (a pass through a
+    well its steps do not resolve), is followed by the floor probe. From
+    there bisection on the exact level count N keeps N(lo) >= 1 and
+    N(hi) = 0, in log kappa while hi > 2 lo; while N(lo) >= 2 it probes
+    where N would reach 1 if those levels were evenly spaced in kappa^2,
+    and bisects after a probe that overshoots. Once N(lo) = 1 and hi <=
+    2 lo, W changes sign once in the bracket, at the ground state, and
+    regula falsi on W with the Anderson-Bjorck weights (BIT 13, 253,
+    1973), sides taken from N, runs until the bracket is a few ulps wide
+    or the next point is not inside it, as when W = 0 at an end. Returns
+    the search's outcome and its passes.
     """
     if not (s > 0.0 and depth > 0.0):
         return BracketFailure("a nonzero attractive potential is required"), 0
     hi = math.sqrt(s * depth) * (1.0 - 1e-9)
-    lo = hi * 1e-6
-    if not lo * lo > 0.0:  # every kappa searched is >= lo, so lo^2 > 0 keeps _propagate's q > 0
+    floor = hi * 1e-6
+    if not floor * floor > 0.0:  # every kappa searched is >= floor, so floor^2 > 0 keeps _propagate's q > 0
         return BracketFailure(f"the well depth underflows for strength s={s:g}"), 0
-    # N at lo, the end the last probe moved (-1 lo, +1 hi), Illinois on, passes, kappa
-    levels, side, falsi, passes, k = 0, 0, False, 0, lo
-    w_lo = w_hi = f_lo = f_hi = math.nan  # W at the ends, and their Illinois weights
+    eng = engine()
+    k = min(0.5 * s * eng.area, hi * math.sqrt(0.5))
+    k = k if k > floor else floor
+    # N at lo (0 until a probe sees a level), the end the last probe moved (-1 lo, +1 hi),
+    # regula falsi on, passes
+    lo, levels, side, falsi, passes = 0.0, 0, 0, False, 0
+    w_lo = w_hi = f_lo = f_hi = math.nan  # W at the ends, and their weighted values
     while True:
-        W, N = wronskian(s, k)
+        W, N = eng.wronskian(s, k)
         passes += 1
+        if passes == 1 and (N >= 2 or math.isnan(W)) and k > floor:
+            k = floor  # bracket from the floor, whose count the spacing probes need
+            continue
         if N >= 1:
+            f_hi *= _weight(W, w_lo) if falsi and side < 0 else 1.0  # lo replaced twice in a row
             lo, w_lo, f_lo, levels = k, W, W, N
-            f_hi *= 0.5 if falsi and side < 0 else 1.0  # Illinois: halve an end kept twice
-        elif not levels:
+        elif not levels and k <= floor:
             return BracketFailure(f"no Wronskian sign change for strength s={s:g}"), passes
         else:
+            f_lo *= _weight(W, w_hi) if falsi and side > 0 else 1.0
             hi, w_hi, f_hi = k, W, W
-            f_lo *= 0.5 if falsi and side > 0 else 1.0
         side = -1 if N >= 1 else 1
         if not falsi and levels == 1 and not math.isnan(w_hi) and hi <= 2.0 * lo:
             side, falsi = 0, True
         if falsi:  # where f_hi = f_lo the secant has no root, and NaN ends the search
             k = hi - f_hi * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else math.nan
+        elif not levels:
+            k = 0.5 * k if 0.5 * k > floor else floor
         elif levels >= 2 and side <= 0:
             k = math.sqrt(hi * hi - (hi * hi - lo * lo) / levels)
+        elif hi <= 2.0 * lo:
+            k = 0.5 * (lo + hi)
+        elif levels == 1 and math.isnan(w_hi):  # no probe above the level yet
+            k = 2.0 * lo
         else:
-            k = 0.5 * (lo + hi) if hi <= 2.0 * lo else math.sqrt(lo * hi)
+            k = math.sqrt(lo * hi)
         if not lo < k < hi or falsi and hi - lo <= 4.0 * math.ulp(hi):
             break
     if not falsi:
@@ -246,7 +281,9 @@ def shooting_sweep(p: Potential, s_values, nsteps: int = 4000) -> list:
     """Ground-state energies for one shape at many strengths, one _search each.
 
     The strengths run one after another, each search to its end, on one
-    engine built at the first pass. Returns, aligned with s_values, each
+    engine built for the first strength that gets to search; each search
+    starts at its weak-coupling level s*area/2 and takes about 4-9 passes
+    at s <= 4 and 9-13 at s = 30-1e5. Returns, aligned with s_values, each
     strength's BoundStateResult (bracket: the last count bracket, one
     level below its lower kappa and none below its upper; iterations: its
     passes) or BracketFailure: no attractive potential, a depth
@@ -259,14 +296,14 @@ def shooting_sweep(p: Potential, s_values, nsteps: int = 4000) -> list:
     """
     depth, eng, results = p.shape_max(), None, []
 
-    def wronskian(s, kappa):
+    def engine():
         nonlocal eng
         eng = eng or _WronskianEngine(p, nsteps=nsteps)
-        return eng.wronskian(s, kappa)
+        return eng
 
     with np.errstate(all="ignore"):
         for s in np.asarray(s_values, dtype=float).tolist():
-            result, passes = _search(s, depth, wronskian)
+            result, passes = _search(s, depth, engine)
             if passes and isinstance(result, BracketFailure) and eng.h * math.sqrt(s * depth) > 0.5 * math.pi:
                 result = BracketFailure(f"{nsteps} steps do not resolve the well at s={s:g}")
             results.append(result)

@@ -37,6 +37,11 @@ from .errors import ShallowWellError
 from .potential import Potential
 from .quadrature import QuadratureGrid, build_grid, contract, default_grid, integrate, plan
 
+#: ulps of c_n below which no error estimate falls: the rounding that the
+#: coarse and fine grids share, which their difference cannot see (the
+#: fewest that cover the built-in wells' exact c2..c6)
+_ULPS = 5
+
 
 @dataclass(frozen=True)
 class ClusterTerm:
@@ -155,7 +160,8 @@ class EnergySeries:
     """Coefficients c1..c_order of E(s) ~ sum c_n s^n for a unit shape.
 
     error_estimates holds per-coefficient relative coarse/fine grid
-    discrepancies (0.0 for the identically-zero c1).
+    discrepancies, each at least _ULPS ulps of its coefficient (0.0 for
+    the identically-zero c1).
     """
 
     coefficients: tuple
@@ -176,8 +182,9 @@ def energy_series(p: Potential, order: int = 6, g: QuadratureGrid | None = None)
 
     The coefficients are computed at unit strength (they depend on the
     shape only); E(s) ~ sum c_n s^n. Each coefficient carries a relative
-    error estimate from a coarse/fine grid pair (P vs 2P); the fine-grid
-    values are the ones reported.
+    error estimate from a coarse/fine grid pair (P vs 2P), floored at
+    _ULPS ulps of the coefficient for the rounding both grids share; the
+    fine-grid values are the ones reported.
 
     Raises:
         ShallowWellError: a c_n underflowed (normal_coefficient).
@@ -195,7 +202,7 @@ def energy_series(p: Potential, order: int = 6, g: QuadratureGrid | None = None)
     estimates = [0.0]
     for c, f in zip(coarse, fine):
         scale = max(abs(f), 1e-300)
-        estimates.append(abs(f - c) / scale)
+        estimates.append(max(abs(f - c), _ULPS * math.ulp(f)) / scale)
     return EnergySeries(
         coefficients=(0.0, *fine),
         shape_kind=p.kind,

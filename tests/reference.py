@@ -10,10 +10,11 @@ expansions written out as formulas in place of the monomial tables, the
 shooting propagation one Magnus step at a time in place of sub-block products,
 the carry across sub-block products over whole columns of kappas in
 place of one kappa's carry in Python floats, and, in place of the
-one-strength bisection and Illinois search of shooting_sweep, the same
-search as array code over every strength, the scan-and-polish search
-before it and a plain bisection on the level count, all three passing
-their (strength, kappa) pairs to the engine one at a time. The
+one-strength search of shooting_sweep, the same search as array code
+over every strength, the floor-started bisection and Illinois search
+that it replaced, the scan-and-polish search before that and a plain
+bisection on the level count, all four passing their (strength, kappa)
+pairs to the engine one at a time. The
 Gaussian-well closed forms, an erf from first principles, the series fit
 of solver energies, the exact square-well and Poschl-Teller levels, the
 closed-form and spectral resolvents of the regulator delta well and the
@@ -135,8 +136,10 @@ def wronskian_steps(engine, svec, kvec):
 def vectorized_search_sweep(p, s_values, nsteps=4000):
     """The search of shooting_sweep as array code over all strengths at once.
 
-    The bisection and Illinois search that shooting_sweep runs one
-    strength at a time, written over arrays of every strength's bracket,
+    The weak-coupling first probe, its halving and doubling, the floor
+    probe after a first probe that sees two or more levels or a NaN W, the
+    bisection and the Anderson-Bjorck regula falsi that shooting_sweep
+    runs one strength at a time, written over arrays of every strength's bracket,
     weights and phase, with every candidate kappa formed by np.where on
     each pass, and each pass's pairs passed to the engine one at a time
     (wronskian_pairs). It counts its passes itself. Same kappas, same
@@ -145,60 +148,130 @@ def vectorized_search_sweep(p, s_values, nsteps=4000):
     """
     svec = np.asarray(s_values, dtype=float)
     hi = np.sqrt(np.maximum(svec, 0.0) * p.shape_max()) * (1.0 - 1e-9)
-    lo = hi * 1e-6
+    floor = hi * 1e-6
     results: list = [
         BracketFailure("a nonzero attractive potential is required")
         if not (s > 0.0 and p.shape_max() > 0.0)
-        # every kappa searched is >= lo, so lo^2 > 0 keeps _propagate's q > 0
+        # every kappa searched is >= floor, so floor^2 > 0 keeps _propagate's q > 0
         else None if k * k > 0.0
         else BracketFailure(f"the well depth underflows for strength s={s:g}")
-        for s, k in zip(svec.tolist(), lo.tolist())
+        for s, k in zip(svec.tolist(), floor.tolist())
     ]
     a = np.array([j for j, r in enumerate(results) if r is None], dtype=int)
     if not a.size:
         return results
     eng = _WronskianEngine(p, nsteps=nsteps)
     n, passes = len(svec), 0
-    # N at lo (0 until probed), W at the ends and its Illinois weights, the
-    # end the last probe moved (-1 lo, +1 hi), and which strengths run Illinois
-    levels, side = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    # N at lo (0 until a probe sees a level), W at the ends and its weighted values, the
+    # end the last probe moved (-1 lo, +1 hi), and which strengths run regula falsi
+    lo, levels, side = np.zeros(n), np.zeros(n, dtype=int), np.zeros(n, dtype=int)
     w_lo, w_hi, f_lo, f_hi = (np.full(n, np.nan) for _ in range(4))
     falsi = np.zeros(n, dtype=bool)
-    k = lo[a]
-    while a.size:
-        W, N = wronskian_pairs(eng, svec[a], k)
-        passes += 1
-        for j in a[(levels[a] == 0) & (N == 0)]:
-            results[j] = BracketFailure(f"no Wronskian sign change for strength s={svec[j]:g}")
-        below, above = N >= 1, (N == 0) & (levels[a] > 0)
-        up, down = a[below], a[above]
-        lo[up], w_lo[up], f_lo[up], levels[up] = k[below], W[below], W[below], N[below]
-        hi[down], w_hi[down], f_hi[down] = k[above], W[above], W[above]
-        # Illinois: an end kept twice in a row has its weight halved
-        f_hi[up[falsi[up] & (side[up] < 0)]] *= 0.5
-        f_lo[down[falsi[down] & (side[down] > 0)]] *= 0.5
-        side[up], side[down] = -1, 1
-        start = ~falsi & (levels == 1) & ~np.isnan(w_hi) & (hi <= 2.0 * lo)
-        side[start] = 0
-        falsi |= start
-        a = a[levels[a] > 0]
-        l, h, m = lo[a], hi[a], levels[a]
-        k = np.where(h <= 2.0 * l, 0.5 * (l + h), np.sqrt(l * h))
-        k = np.where((m >= 2) & (side[a] <= 0), np.sqrt(h * h - (h * h - l * l) / m), k)
-        k = np.where(falsi[a], h - f_hi[a] * (h - l) / (f_hi[a] - f_lo[a]), k)
-        done = ~((l < k) & (k < h)) | (falsi[a] & (h - l <= 4.0 * np.spacing(h)))
-        for j in a[done]:
-            if not falsi[j]:
-                results[j] = BracketFailure(f"no level bracket for strength s={svec[j]:g}")
-                continue
-            kappa, w = (lo[j], w_lo[j]) if abs(w_lo[j]) <= abs(w_hi[j]) else (hi[j], w_hi[j])
-            results[j] = BoundStateResult(
-                energy=-float(kappa) ** 2,
-                residual=abs(float(w)),
-                iterations=passes,
-                bracket=(-float(hi[j]) ** 2, -float(lo[j]) ** 2),
-            )
-        a, k = a[~done], k[~done]
+    k = np.minimum(0.5 * svec[a] * eng.area, hi[a] * math.sqrt(0.5))
+    k = np.where(k > floor[a], k, floor[a])
+    with np.errstate(all="ignore"):
+        while a.size:
+            W, N = wronskian_pairs(eng, svec[a], k)
+            passes += 1
+            # a first probe that sees two or more levels, or a NaN W, is followed by the floor probe
+            restart = ((N >= 2) | np.isnan(W)) & (k > floor[a]) if passes == 1 else np.zeros(a.size, dtype=bool)
+            fail = (levels[a] == 0) & (N == 0) & (k <= floor[a])
+            for j in a[fail]:
+                results[j] = BracketFailure(f"no Wronskian sign change for strength s={svec[j]:g}")
+            below, above = (N >= 1) & ~restart, (N == 0) & ~fail
+            up, down = a[below], a[above]
+            # Anderson-Bjorck: the kept end's weight scales when one end is replaced twice in a row
+            for keep, ends, w_old, mask, sign in ((f_hi, up, w_lo, below, -1), (f_lo, down, w_hi, above, 1)):
+                m = np.where(w_old[ends] != 0.0, 1.0 - W[mask] / w_old[ends], 0.0)
+                m = np.where(m > 0.0, m, 0.5)
+                scale = falsi[ends] & (side[ends] == sign)
+                keep[ends[scale]] *= m[scale]
+            lo[up], w_lo[up], f_lo[up], levels[up] = k[below], W[below], W[below], N[below]
+            hi[down], w_hi[down], f_hi[down] = k[above], W[above], W[above]
+            side[up], side[down] = -1, 1
+            start = ~falsi & (levels == 1) & ~np.isnan(w_hi) & (hi <= 2.0 * lo)
+            side[start] = 0
+            falsi |= start
+            restart, a = restart[~fail], a[~fail]
+            l, h, m, f = lo[a], hi[a], levels[a], floor[a]
+            k = np.where(h <= 2.0 * l, 0.5 * (l + h), np.sqrt(l * h))
+            k = np.where((m == 1) & (h > 2.0 * l) & np.isnan(w_hi[a]), 2.0 * l, k)
+            k = np.where((m >= 2) & (side[a] <= 0), np.sqrt(h * h - (h * h - l * l) / m), k)
+            k = np.where(m == 0, np.where(0.5 * h > f, 0.5 * h, f), k)
+            k = np.where(falsi[a], h - f_hi[a] * (h - l) / (f_hi[a] - f_lo[a]), k)
+            k = np.where(restart, f, k)
+            done = ~((l < k) & (k < h)) | (falsi[a] & (h - l <= 4.0 * np.spacing(h)))
+            for j in a[done]:
+                if not falsi[j]:
+                    results[j] = BracketFailure(f"no level bracket for strength s={svec[j]:g}")
+                    continue
+                kappa, w = (lo[j], w_lo[j]) if abs(w_lo[j]) <= abs(w_hi[j]) else (hi[j], w_hi[j])
+                results[j] = BoundStateResult(
+                    energy=-float(kappa) ** 2,
+                    residual=abs(float(w)),
+                    iterations=passes,
+                    bracket=(-float(hi[j]) ** 2, -float(lo[j]) ** 2),
+                )
+            a, k = a[~done], k[~done]
+    return results
+
+
+def illinois_search_sweep(p, s_values, nsteps=4000):
+    """The search that the weak-coupling first probe replaced, one strength at a time.
+
+    kappa starts at the floor 1e-6 * sqrt(s * shape_max()), where no level
+    fails the search; bisection on the level count N, in log kappa while
+    hi > 2 lo and at the levels' even spacing in kappa^2 while N(lo) >= 2,
+    brackets the ground state within a factor of 2; Illinois regula falsi
+    on W (Dowell & Jarratt, BIT 11, 168, 1971), sides taken from N, halving
+    the weight of an end kept twice in a row, ends it at a 4-ulp bracket.
+    Returns what shooting_sweep returns, on the same engine, with its own
+    failure texts.
+    """
+    depth, eng, results = p.shape_max(), None, []
+    for s in np.asarray(s_values, dtype=float).tolist():
+        if not (s > 0.0 and depth > 0.0):
+            results.append(BracketFailure("a nonzero attractive potential is required"))
+            continue
+        hi = math.sqrt(s * depth) * (1.0 - 1e-9)
+        lo = hi * 1e-6
+        if not lo * lo > 0.0:
+            results.append(BracketFailure(f"the well depth underflows for strength s={s:g}"))
+            continue
+        eng = eng or _WronskianEngine(p, nsteps=nsteps)
+        levels, side, falsi, passes, k = 0, 0, False, 0, lo
+        w_lo = w_hi = f_lo = f_hi = math.nan
+        while True:
+            with np.errstate(all="ignore"):
+                W, N = eng.wronskian(s, k)
+            passes += 1
+            if N >= 1:
+                lo, w_lo, f_lo, levels = k, W, W, N
+                f_hi *= 0.5 if falsi and side < 0 else 1.0
+            elif not levels:
+                result = BracketFailure(f"no Wronskian sign change for strength s={s:g}")
+                break
+            else:
+                hi, w_hi, f_hi = k, W, W
+                f_lo *= 0.5 if falsi and side > 0 else 1.0
+            side = -1 if N >= 1 else 1
+            if not falsi and levels == 1 and not math.isnan(w_hi) and hi <= 2.0 * lo:
+                side, falsi = 0, True
+            if falsi:
+                k = hi - f_hi * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else math.nan
+            elif levels >= 2 and side <= 0:
+                k = math.sqrt(hi * hi - (hi * hi - lo * lo) / levels)
+            else:
+                k = 0.5 * (lo + hi) if hi <= 2.0 * lo else math.sqrt(lo * hi)
+            if not lo < k < hi or falsi and hi - lo <= 4.0 * math.ulp(hi):
+                if not falsi:
+                    result = BracketFailure(f"no level bracket for strength s={s:g}")
+                else:
+                    kappa, w = (lo, w_lo) if abs(w_lo) <= abs(w_hi) else (hi, w_hi)
+                    result = BoundStateResult(-float(kappa) ** 2, abs(float(w)), passes,
+                                              (-float(hi) ** 2, -float(lo) ** 2))
+                break
+        results.append(result)
     return results
 
 

@@ -14,6 +14,7 @@ from reference import (
     exact_square_well,
     fit_series_coefficients,
     gaussian_closed_coefficients,
+    illinois_search_sweep,
     scan_search_sweep,
     vectorized_search_sweep,
     wronskian_pairs,
@@ -21,7 +22,7 @@ from reference import (
 )
 
 from shallowwell.errors import BracketFailure
-from shallowwell.oracles import _carry, _cosh_sinhc, _WronskianEngine, shooting_sweep
+from shallowwell.oracles import _carry, _cosh_sinhc, _search, _WronskianEngine, shooting_sweep
 from shallowwell.potential import Potential
 
 #: abscissas of an off-centre sech^2 well, x0 = 1.3 +- 12
@@ -116,7 +117,87 @@ def test_search_matches_scan_oracle(p):
         res = _solve(replace(p, s=s))
         assert res.energy == pytest.approx(ref.energy, rel=1e-13)
         assert res.residual <= 1e-13
-        assert res.iterations <= 20
+        assert res.iterations <= 11
+
+
+#: the strengths of the pass-count ladder, from the weak-coupling limit to deep wells
+_PASS_LADDER = (1e-4, 0.1, 0.5, 1.0, 2.0, 4.0, 30.0, 1e3, 1e5)
+
+
+@pytest.mark.parametrize(
+    "p,total,kept",
+    [
+        (Potential("square_well", 1.0), 78, 104),
+        (Potential("poschl_teller", 1.0), 70, 101),
+        (Potential("gaussian", 1.0), 75, 104),
+        (Potential.tabulated(_SECH2_X, -1.0 / np.cosh(_SECH2_X - 1.3) ** 2), 71, 96),
+    ],
+    ids=["square_well", "poschl_teller", "gaussian", "tabulated"],
+)
+def test_weak_coupling_probe_passes_on_the_ladder(monkeypatch, p, total, kept):
+    # the search that starts at s * area / 2 finds the level of the one that started at the
+    # floor, in no more than 2 extra passes at any strength and in fewer in all; the totals
+    # are count pins, taken from the engine's own calls
+    calls = []
+    wronskian = _WronskianEngine.wronskian
+
+    def counted(self, s, kappa):
+        calls.append(s)
+        return wronskian(self, s, kappa)
+
+    monkeypatch.setattr(_WronskianEngine, "wronskian", counted)
+    got = shooting_sweep(p, _PASS_LADDER)
+    assert sum(r.iterations for r in got) == len(calls) == total
+    want = illinois_search_sweep(p, _PASS_LADDER)
+    assert sum(r.iterations for r in want) == len(calls) - total == kept
+    for s, res, ref in zip(_PASS_LADDER, got, want):
+        assert abs(res.energy / ref.energy - 1.0) <= 1e-15, s
+        assert res.iterations <= ref.iterations + 2, s
+
+
+class _LevelsEngine:
+    """A stand-in engine with levels at the given kappas, the ground state first.
+
+    N counts the levels above kappa; W = kappa - kappa_0 changes sign at the
+    ground state. Records every kappa it is asked for.
+    """
+
+    def __init__(self, area, *kappas):
+        self.area, self.kappas, self.probes = area, kappas, []
+
+    def wronskian(self, s, kappa):
+        self.probes.append(kappa)
+        ground = self.kappas[0] if self.kappas else 0.0
+        return kappa - ground, sum(k > kappa for k in self.kappas)
+
+
+@pytest.mark.parametrize(
+    "area, kappas, first_probes",
+    [
+        (0.8, (0.09,), [0.4, 0.2, 0.1, 0.05]),  # no level below: halved
+        (0.1, (0.3,), [0.05, 0.1, 0.2, 0.4]),  # one level below: doubled
+        (2.0, (0.9, 0.8), [math.sqrt(0.5), 1e-6]),  # two levels below: the floor next
+    ],
+    ids=["halved", "doubled", "floor"],
+)
+def test_search_brackets_from_the_weak_coupling_probe(area, kappas, first_probes):
+    # at s = depth = 1 the search runs over kappa in [1e-6, 1] (times 1 - 1e-9); its first
+    # probe is s * area / 2, at most 1/sqrt(2) of the top
+    engine = _LevelsEngine(area, *kappas)
+    result, passes = _search(1.0, 1.0, lambda: engine)
+    top = 1.0 - 1e-9
+    want = [k * top if k in (math.sqrt(0.5), 1e-6) else k for k in first_probes]
+    assert engine.probes[: len(want)] == pytest.approx(want, rel=1e-15)
+    assert passes == len(engine.probes) == result.iterations
+    assert result.energy == pytest.approx(-kappas[0] ** 2, rel=1e-15)
+
+
+def test_search_without_a_level_fails_at_the_floor():
+    engine = _LevelsEngine(2.0)
+    result, passes = _search(1.0, 1.0, lambda: engine)
+    assert str(result) == "no Wronskian sign change for strength s=1"
+    assert engine.probes[-1] == (1.0 - 1e-9) * 1e-6
+    assert passes == len(engine.probes) == 21  # 1/sqrt(2), halved 19 times, then the floor
 
 
 def test_batched_sweep_matches_scan_oracle():

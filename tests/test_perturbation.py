@@ -5,6 +5,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -293,3 +294,17 @@ def test_energy_series_all_zero_for_zero_samples():
     p = Potential.tabulated([-1.0, 0.0, 1.0], [0.0, 0.0, 0.0])
     es = energy_series(p, order=6)
     assert all(c == 0.0 for c in es.coefficients)
+
+
+def test_error_estimates_cover_the_true_errors(es_square_well, es_gaussian):
+    # the coarse/fine difference cannot see the rounding that both grids share, so each
+    # estimate is floored at a few ulps of its coefficient; c1 is exactly 0 and keeps 0.
+    # Exact: the unit square well's rationals, and the Gaussian's c2 = -pi/4 and
+    # c3 = pi sqrt(2)/4 at 40 digits
+    with mpmath.workdps(40):
+        gaussian = [Fraction(str(-mpmath.pi / 4)), Fraction(str(mpmath.pi * mpmath.sqrt(2) / 4))]
+    square = [Fraction(-1), Fraction(4, 3), Fraction(-92, 45), Fraction(1072, 315), Fraction(-84752, 14175)]
+    for es, exact in ((es_square_well, square), (es_gaussian, gaussian)):
+        assert es.error_estimates[0] == 0.0
+        for c, estimate, want in zip(es.coefficients[1:], es.error_estimates[1:], exact):
+            assert estimate >= abs(Fraction(c) - want) / abs(want), (c, estimate)
